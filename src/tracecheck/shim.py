@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -39,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from .trace import parse_rational
 
 RECURSION_LIMIT = 200_000
-THREAD_STACK_BYTES = 512 * 1024 * 1024
 INT_ENUM_CAP = 1_000_000
 GRID_CAP = 200_000
 
@@ -514,40 +512,11 @@ class _Eval:
         if not isinstance(e, list) or not e:
             return None
         head = e[0]
-        if head in ("+", "-"):
+        if head in ("+", "-", "*", "/", "to_real"):
             parts = [self.affine(a, v, env, lenv) for a in e[1:]]
             if any(p is None for p in parts):
                 return None
-            if head == "-" and len(parts) == 1:
-                return (-parts[0][0], -parts[0][1])
-            a, b = parts[0]
-            for pa, pb in parts[1:]:
-                if head == "+":
-                    a, b = a + pa, b + pb
-                else:
-                    a, b = a - pa, b - pb
-            return (a, b)
-        if head == "*":
-            parts = [self.affine(x, v, env, lenv) for x in e[1:]]
-            if any(p is None for p in parts):
-                return None
-            a, b = parts[0]
-            for pa, pb in parts[1:]:
-                if a != 0 and pa != 0:
-                    return None  # nonlinear
-                if pa == 0:
-                    a, b = a * pb, b * pb
-                else:
-                    a, b = pa * b, pb * b
-            return (a, b)
-        if head == "/" and len(e) == 3:
-            top = self.affine(e[1], v, env, lenv)
-            bot = self.affine(e[2], v, env, lenv)
-            if top is None or bot is None or bot[0] != 0 or bot[1] == 0:
-                return None
-            return (top[0] / bot[1], top[1] / bot[1])
-        if head == "to_real":
-            return self.affine(e[1], v, env, lenv)
+            return self._affine_op(head, parts)
         if head == "let":
             new_lenv = dict(lenv)
             for name, bound in e[1]:
@@ -580,7 +549,10 @@ class _Eval:
         if head in ("exists", "forall"):
             inner = shadowed | {b[0] for b in e[1]}
             return self._occurs_any(names, e[2], inner)
-        return any(self._occurs_any(names, a, shadowed) for a in e[1:])
+        for a in e[1:]:  # a loop, not any(): keeps the recursion off the C stack
+            if self._occurs_any(names, a, shadowed):
+                return True
+        return False
 
     # --- candidate roots for real quantifiers ---
 
@@ -646,6 +618,11 @@ class _Eval:
                     conjuncts.append(x)
 
             flatten(inner_body)
+            # affine() takes (a, b) pairs, not the walk's class-tagged lenv
+            pairs = {
+                name: cls[1] if cls[0] == AFFINE else None
+                for name, cls in lenv.items()
+            }
             for c in conjuncts:
                 if not (isinstance(c, list) and len(c) == 3 and c[0] in ("<", "<=")):
                     continue
@@ -662,7 +639,7 @@ class _Eval:
                         sr = self.literal_value(mul[2])
                     if sr is None or sr <= 0:
                         continue
-                    dec = self.affine(x_expr, v, env, lenv)
+                    dec = self.affine(x_expr, v, env, pairs)
                     if dec is None:
                         if self._occurs_any((v,), x_expr, set()):
                             complete = False
@@ -900,11 +877,13 @@ class _Eval:
                 else:
                     a, b = pa * b, pb * b
             return (a, b)
-        if head == "/" and len(pairs) == 2:
-            (ta, tb), (ba, bb) = pairs
-            if ba != 0 or bb == 0:
-                return None
-            return (ta / bb, tb / bb)
+        if head == "/":
+            a, b = pairs[0]
+            for pa, pb in pairs[1:]:
+                if pa != 0 or pb == 0:
+                    return None
+                a, b = a / pb, b / pb
+            return (a, b)
         if head == "to_real":
             return pairs[0]
         return None
@@ -980,41 +959,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"cannot read script: {exc}", file=sys.stderr)
             return 1
 
-    result: dict = {}
-
-    def work():
-        try:
-            sys.setrecursionlimit(RECURSION_LIMIT)
-            result["out"] = run_script(text)
-        except BaseException as exc:  # noqa: BLE001 - classified below
-            result["exc"] = exc
-
     try:
-        threading.stack_size(THREAD_STACK_BYTES)
-    except (ValueError, RuntimeError):
-        pass
-    try:
-        worker = threading.Thread(target=work)
-        worker.start()
-    except (RuntimeError, MemoryError):
-        # a tight address-space cap can make the big stack unreservable;
-        # run on the main stack and let deep scripts fail loudly instead
-        work()
-    else:
-        worker.join()
-
-    exc = result.get("exc")
-    if exc is not None:
-        if isinstance(exc, RecursionError):
-            print("max. recursion depth exceeded", file=sys.stderr)
-        elif isinstance(exc, MemoryError):
-            print("out of memory", file=sys.stderr)
-        elif isinstance(exc, ShimError):
-            print(str(exc), file=sys.stderr)
-        else:
-            print(f"internal error: {exc!r}", file=sys.stderr)
+        sys.setrecursionlimit(RECURSION_LIMIT)
+        out = run_script(text)
+    except RecursionError:
+        print("max. recursion depth exceeded", file=sys.stderr)
         return 1
-    for line in result["out"]:
+    except MemoryError:
+        print("out of memory", file=sys.stderr)
+        return 1
+    except ShimError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
+    except Exception as exc:  # noqa: BLE001 - any other failure is a shim bug
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 1
+    for line in out:
         print(line)
     return 0
 

@@ -7,13 +7,14 @@ deterministic: translating the same trace and property twice yields
 byte-identical output.
 
 The timestamp-to-index map comes in two encodings.  The variable-rate form
-expands to a nested ite chain comparing against every record timestamp; it
-is always available but costs one ite per record and reading, so a cap
-guards against scripts that would dwarf the solver.  The fixed-rate form is
-available for zero-origin fixed-rate traces (what resampling produces) and
-introduces one existentially bound integer per reading, pinned to
-floor(t / sr) by two linear bounds; since those bounds determine the
-integer uniquely, the binder is sound under either polarity.
+expands to a balanced bisection tree of ite selectors over the record
+timestamps, so it nests only log2 of the trace length deep; it is always
+available but costs one ite per record and reading, so a cap guards against
+scripts that would dwarf the solver.  The fixed-rate form is available for
+zero-origin fixed-rate traces (what resampling produces) and introduces one
+existentially bound integer per reading, pinned to floor(t / sr) by two
+linear bounds; since those bounds determine the integer uniquely, the binder
+is sound under either polarity.
 
 Index-typed accesses are clamped into [0, m] instead of guarded: a total
 function keeps the encoding in the decidable fragment, and out-of-range
@@ -211,8 +212,8 @@ def _clamped_index(j_expr: str, m: int, ctx: _Tx, already_bound: bool = False) -
     return f"(let (({name} {j_expr})) {inner})"
 
 
-def _iota_chain(x: str, ctx: _Tx) -> str:
-    """Nested ite resolving a bound Real variable to its record index."""
+def _iota_tree(x: str, ctx: _Tx) -> str:
+    """Balanced ite tree resolving a bound Real variable to its record index."""
     ts = ctx.trace.timestamps
     m = ctx.m
     ctx.iota_ites += m
@@ -222,17 +223,22 @@ def _iota_chain(x: str, ctx: _Tx) -> str:
             f"over the cap of {ctx.cap}; resample the trace to a fixed-rate "
             "grid (strategy A2) or raise the cap"
         )
-    chain = str(m)
-    for j in range(m - 1, -1, -1):
-        chain = f"(ite (< {x} {smt_real(ts[j + 1])}) {j} {chain})"
-    return chain
+
+    def tree(lo: int, hi: int) -> str:  # last j with ts[j] <= x, clamped to [lo, hi]
+        if lo == hi:
+            return str(lo)
+        mid = (lo + hi + 1) // 2
+        below, above = tree(lo, mid - 1), tree(mid, hi)
+        return f"(ite (< {x} {smt_real(ts[mid])}) {below} {above})"
+
+    return tree(0, m)
 
 
 def _iota_at(time_expr: str, ctx: _Tx) -> str:
     """Int expression for the record index of a time expression."""
     if isinstance(ctx.mode, VariableRate):
         name = ctx.fresh_let()
-        return f"(let (({name} {time_expr})) {_iota_chain(name, ctx)})"
+        return f"(let (({name} {time_expr})) {_iota_tree(name, ctx)})"
     k = _fresh(f"k{ctx.floors + 1}", ctx.taken)
     ctx.floors += 1
     ctx.pending_floors.append(_Floor(k, time_expr))

@@ -1,7 +1,10 @@
 """Tests for the bundled SMT-LIB evaluator behind tracecheck-solve."""
 
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -262,6 +265,20 @@ class TestRealQuantifiers:
         """
         assert status(text) == "unsat"
 
+    def test_let_bound_name_in_floor_pattern(self):
+        # the grid pass must see y as the affine term x, not as a class tag
+        text = """
+        (declare-const a (Array Int Real))
+        (assert (= (select a 0) 1)) (assert (= (select a 1) 2))
+        (assert (= (select a 2) 3))
+        (assert (exists ((x Real)) (and (<= 0 x) (<= x 1)
+          (let ((y x)) (exists ((k Int)) (and (<= (* 0.5 (to_real k)) y)
+                                              (< y (* 0.5 (to_real (+ k 1))))
+                                              (= (select a k) 2)))))))
+        (check-sat)
+        """
+        assert status(text) == "sat"
+
     def test_unclassifiable_body_degrades_to_unknown(self):
         # to_int breaks the piecewise analysis; the body is really never
         # true, but the honest answer without the analysis is unknown
@@ -349,7 +366,7 @@ class TestMain:
         assert "out of memory" in capsys.readouterr().err
 
     def test_deep_evaluation_survives(self, tmp_path, capsys):
-        # 5000-deep additions stay well within the worker's headroom
+        # 5000-deep additions stay well within the recursion limit
         limit = sys.getrecursionlimit()
         try:
             expr = "1"
@@ -361,6 +378,44 @@ class TestMain:
             assert capsys.readouterr().out == "sat\n"
         finally:
             sys.setrecursionlimit(limit)
+
+
+def run_shim_process(tmp_path, text):
+    """python -m tracecheck.shim on `text` in a fresh interpreter."""
+    path = tmp_path / "deep.smt2"
+    path.write_text(text)
+    src = str(Path(shim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "tracecheck.shim", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestDeepScriptsInAFreshProcess:
+    """Deep nesting must end in an answer or a message, never a crash."""
+
+    def test_deep_select_index_under_a_real_quantifier(self, tmp_path):
+        index = "0"
+        for _ in range(20_000):
+            index = f"(+ 0 {index})"
+        text = (
+            "(declare-const a (Array Int Real))\n"
+            "(assert (= (select a 0) 1.0))\n"
+            "(assert (exists ((x Real)) (and (<= 0.0 x) (<= x 1.0) "
+            f"(= (select a {index}) 1.0))))\n"
+            "(check-sat)\n"
+        )
+        done = run_shim_process(tmp_path, text)
+        assert (done.returncode, done.stdout) == (0, "sat\n"), done.stderr
+
+    def test_nesting_past_the_recursion_limit_is_reported(self, tmp_path):
+        expr = "1"
+        for _ in range(150_000):
+            expr = f"(+ 1 {expr})"
+        done = run_shim_process(tmp_path, f"(assert (= {expr} 150001)) (check-sat)\n")
+        assert done.returncode == 1
+        assert "max. recursion depth exceeded" in done.stderr
 
 
 # --- end-to-end: translated scripts must land on the oracle's verdict ---

@@ -7,19 +7,22 @@ import pytest
 from conftest import R1_TEXT, make_fig_trace
 
 from tracecheck.preprocess import PreprocessConfig, apply_a2
+from tracecheck.shim import parse_script
 from tracecheck.smt import (
     DEFAULT_EXPANSION_CAP,
     ExpansionCapError,
     FixedRate,
     TranslateError,
     VariableRate,
+    _iota_tree,
+    _Tx,
     choose_iota_mode,
     smt_int,
     smt_real,
     translate,
 )
 from tracecheck.syntax import Exists, Forall, parse
-from tracecheck.trace import Fixed, load_trace
+from tracecheck.trace import Fixed, Record, Trace, Variable, iota_variable, load_trace
 
 F = Fraction
 
@@ -183,11 +186,13 @@ class TestFormulaEncoding:
 
     def test_variable_rate_chain_compares_against_every_timestamp(self, fig_trace):
         script = translate(fig_trace, parse_fig("(mode @t 2.5) = 0"), negate=False)
-        chain = (
-            "(ite (< x1 0.2) 0 (ite (< x1 0.9) 1 (ite (< x1 1.8) 2 "
-            "(ite (< x1 3.0) 3 (ite (< x1 4.9) 4 (ite (< x1 5.7) 5 6))))))"
+        tree = (
+            "(ite (< x1 1.8) (ite (< x1 0.2) 0 (ite (< x1 0.9) 1 2)) "
+            "(ite (< x1 4.9) (ite (< x1 3.0) 3 4) (ite (< x1 5.7) 5 6)))"
         )
-        assert chain in script.text
+        assert tree in script.text
+        for t in ("0.2", "0.9", "1.8", "3.0", "4.9", "5.7"):
+            assert f"(< x1 {t})" in tree
         assert script.iota_ite_count == 6
 
     def test_fixed_rate_uses_a_pinned_integer(self, grid_trace):
@@ -212,6 +217,60 @@ class TestFormulaEncoding:
     def test_t2i_value_is_the_raw_floor(self, grid_trace):
         script = translate(grid_trace, parse("t2i(2.5) = 12", grid_trace.signals))
         assert "(= k1 12)" in script.text
+
+
+def variable_trace(times):
+    records = tuple(
+        Record(index=j, timestamp=t, values={"x": F(j)}) for j, t in enumerate(times)
+    )
+    return Trace(records=records, signals=("x",), rate=Variable())
+
+
+def select_index(tree: str, t: Fraction) -> int:
+    """Follow an emitted index map, (ite (< x lit) below above), down to its leaf."""
+    node = parse_script(tree)[0]
+    while isinstance(node, list):
+        assert node[0] == "ite" and node[1][:2] == ["<", "x"]
+        node = node[2] if t < F(node[1][2]) else node[3]
+    return int(node)
+
+
+def nesting_depth(text: str) -> int:
+    depth = deepest = 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch == ")":
+            depth -= 1
+    return deepest
+
+
+class TestVariableRateIndexMap:
+    @pytest.mark.parametrize("m", list(range(41)) + [63, 64, 100])
+    def test_tree_agrees_with_iota_variable(self, m):
+        # irregular gaps of 0.1 to 0.7, so no two traces share a shape
+        times = [F(1)]
+        for j in range(m):
+            times.append(times[-1] + F((3 * j + m) % 7 + 1, 10))
+        trace = variable_trace(times)
+        ctx = _Tx(trace, VariableRate(), {}, DEFAULT_EXPANSION_CAP, set())
+        tree = _iota_tree("x", ctx)
+        assert ctx.iota_ites == m
+        probes = list(times) + [(a + b) / 2 for a, b in zip(times, times[1:])]
+        for t in probes:
+            assert select_index(tree, t) == iota_variable(trace, t)
+        # outside the span the map clamps to the first and last index
+        assert select_index(tree, times[0] - 1) == 0
+        assert select_index(tree, times[-1]) == m
+        assert select_index(tree, times[-1] + 1) == m
+
+    def test_nesting_grows_with_log_of_trace_length(self):
+        trace = variable_trace([F(j, 10) + F(j % 3, 1000) for j in range(4096)])
+        f = parse("exists τ0 in [0, 400] such that (x @t τ0) > 0", {"x"})
+        script = translate(trace, f)
+        assert script.iota_ite_count == 4095
+        assert nesting_depth(script.text) <= 40
 
 
 class TestDeterminismAndCounts:
