@@ -25,8 +25,8 @@ trace = load_trace(CSV)
 print(f"{len(trace)} records, signals {trace.signals}, rate {trace.rate}")
 
 # Records keep exact rational values; nothing is rounded on the way in.
-for rec in trace.records[:3]:
-    print(rec.index, rec.timestamp, dict(rec.values))
+for j, rec in enumerate(trace.records[:3]):
+    print(j, rec.timestamp, dict(rec.values))
 
 # iota maps a timestamp to the index of the latest record at or before it.
 # At t=2.5 the latest record is the one taken at 1.8, which is index 3.

@@ -16,7 +16,6 @@ from .trace import (  # noqa: F401
     TraceError,
     TraceFormatError,
     Variable,
-    classify_rate,
     iota_fixed,
     iota_variable,
     load_trace,

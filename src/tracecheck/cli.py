@@ -2,7 +2,7 @@
 
 Exit codes: 0 satisfied, 1 violated, 2 unknown, 3 inconclusive, 4 any
 stage error (bad input, signature mismatch, refused translation, broken
-manifest).  Commands that reach no verdict (validate, preprocess,
+manifest) or internal error.  Commands that reach no verdict (validate, preprocess,
 translate) use 0 for success and 4 for failure.
 """
 
@@ -298,6 +298,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except StageError as exc:
         print(f"error at {exc.stage}: {exc.message}", file=sys.stderr)
+        return EXIT_STAGE_ERROR
+    except Exception as exc:  # a bug must not exit with a verdict's code
+        print(f"error at internal: {exc!r}", file=sys.stderr)
         return EXIT_STAGE_ERROR
 
 

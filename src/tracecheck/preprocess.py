@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .trace import Fixed, Rate, Record, Trace, classify_rate, format_rational
+from .trace import Record, Trace, format_rational
 
 
 class PreprocessError(Exception):
@@ -175,14 +175,6 @@ class Interpolant:
         return ys[i] + s * (m0 + s * (c2 + s * c3))
 
 
-def interpolate(
-    kind: InterpolationKind,
-    samples: Sequence[Tuple[Fraction, Fraction]],
-    t: Fraction,
-) -> Fraction:
-    return Interpolant(kind, samples).at(t)
-
-
 # ---------------------------------------------------------------------------
 # Filtering and the two strategies
 # ---------------------------------------------------------------------------
@@ -190,8 +182,8 @@ def interpolate(
 def filter_unused(trace: Trace, used: Iterable[str]) -> Trace:
     """Drop records that assign nothing a property cares about.
 
-    Remaining records are re-indexed from 0 and restricted to the used
-    signal columns.
+    The kept records are restricted to the used signal columns, and their
+    new positions are their indices.
     """
     used_set = set(used)
     unknown = used_set - set(trace.signals)
@@ -203,15 +195,11 @@ def filter_unused(trace: Trace, used: Iterable[str]) -> Trace:
     for rec in trace.records:
         values = {s: v for s, v in rec.values.items() if s in used_set}
         if values:
-            kept.append((rec.timestamp, values))
+            kept.append(Record(timestamp=rec.timestamp, values=values))
     if not kept:
         raise PreprocessError("no relevant records")
-    records = tuple(
-        Record(index=i, timestamp=t, values=v) for i, (t, v) in enumerate(kept)
-    )
     signals = tuple(s for s in trace.signals if s in used_set)
-    out = Trace(records=records, signals=signals, rate=trace.rate)
-    return Trace(records=out.records, signals=out.signals, rate=classify_rate(out))
+    return Trace(records=tuple(kept), signals=signals)
 
 
 def _interpolants(trace: Trace, cfg: PreprocessConfig) -> Dict[str, Interpolant]:
@@ -235,8 +223,8 @@ def apply_a1(trace: Trace, cfg: PreprocessConfig) -> Trace:
         for s in trace.signals:
             if s not in values:
                 values[s] = table[s].at(rec.timestamp)
-        records.append(Record(index=rec.index, timestamp=rec.timestamp, values=values))
-    return Trace(records=tuple(records), signals=trace.signals, rate=trace.rate)
+        records.append(Record(timestamp=rec.timestamp, values=values))
+    return Trace(records=tuple(records), signals=trace.signals)
 
 
 def apply_a2(trace: Trace, cfg: PreprocessConfig, sr_floor: Fraction = SR_FLOOR) -> Trace:
@@ -259,5 +247,5 @@ def apply_a2(trace: Trace, cfg: PreprocessConfig, sr_floor: Fraction = SR_FLOOR)
     for k in range(steps + 1):
         t = ts[0] + k * sr
         values = {s: table[s].at(t) for s in trace.signals}
-        records.append(Record(index=k, timestamp=t, values=values))
-    return Trace(records=tuple(records), signals=trace.signals, rate=Fixed(sr))
+        records.append(Record(timestamp=t, values=values))
+    return Trace(records=tuple(records), signals=trace.signals)

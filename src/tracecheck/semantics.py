@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Union
 
 from .solver import Verdict
 from .syntax import (
@@ -297,16 +297,6 @@ def _breakpoints(
     return points
 
 
-def _clip_to_span(iv: Interval, trace: Trace) -> Tuple[Fraction, bool, Fraction, bool]:
-    lo, lo_open = iv.lo, iv.lo_open
-    hi, hi_open = iv.hi, iv.hi_open
-    if lo < trace.t0:
-        lo, lo_open = trace.t0, False
-    if hi > trace.tm:
-        hi, hi_open = trace.tm, False
-    return lo, lo_open, hi, hi_open
-
-
 def _interval_text(iv: Interval) -> str:
     return (
         f"{'(' if iv.lo_open else '['}{format_rational(iv.lo)}, "
@@ -314,44 +304,43 @@ def _interval_text(iv: Interval) -> str:
     )
 
 
-def _time_candidates(
-    trace: Trace, iv: Interval, body: Formula, v: str, env: Assignment
-) -> Union[List[Fraction], EvalError]:
-    if iv.hi < trace.t0 or iv.lo > trace.tm:
-        return EvalError(
-            f"time interval {_interval_text(iv)} lies outside the trace span "
+def _domain(trace: Trace, f: Union[Exists, Forall]) -> Union[Interval, EvalError]:
+    """The quantifier's interval clipped to [0, m] or to the trace span."""
+    iv = f.interval
+    if f.var_sort is Sort.INDEX:
+        dom = iv.clip(0, trace.last_index)
+        outside = dom is None and iv.clip(iv.lo, iv.hi) is not None
+        where = f"exceeds the trace bounds [0, {trace.last_index}]"
+    else:
+        dom = iv.clip(trace.t0, trace.tm)
+        outside = iv.hi < trace.t0 or iv.lo > trace.tm
+        where = (
+            f"lies outside the trace span "
             f"[{format_rational(trace.t0)}, {format_rational(trace.tm)}]"
         )
-    lo, lo_open, hi, hi_open = _clip_to_span(iv, trace)
-    if lo > hi or (lo == hi and (lo_open or hi_open)):
-        return EvalError(f"time interval {_interval_text(iv)} is empty")
+    if outside:
+        return EvalError(f"{f.var_sort.value} interval {_interval_text(iv)} {where}")
+    if dom is None:
+        return EvalError(f"{f.var_sort.value} interval {_interval_text(iv)} is empty")
+    return dom
+
+
+def _time_candidates(
+    trace: Trace, dom: Interval, body: Formula, v: str, env: Assignment
+) -> List[Fraction]:
+    lo, hi = dom.lo, dom.hi
     fence = [lo] + sorted(
         p for p in _breakpoints(trace, body, v, env) if lo < p < hi
     ) + [hi]
     candidates: List[Fraction] = []
-    if not lo_open:
+    if not dom.lo_open:
         candidates.append(lo)
     candidates.extend(fence[1:-1])
-    if not hi_open and hi != lo:
+    if not dom.hi_open and hi != lo:
         candidates.append(hi)
     for a, b in zip(fence, fence[1:]):
         candidates.append((a + b) / 2)
     return sorted(set(candidates))
-
-
-def _index_candidates(iv: Interval, last_index: int) -> Union[List[int], EvalError]:
-    start = int(iv.lo) + (1 if iv.lo_open else 0)
-    end = int(iv.hi) - (1 if iv.hi_open else 0)
-    if start > end:
-        return EvalError(f"index interval {_interval_text(iv)} is empty")
-    clipped_start = max(start, 0)
-    clipped_end = min(end, last_index)
-    if clipped_start > clipped_end:
-        return EvalError(
-            f"index interval {_interval_text(iv)} exceeds the trace bounds "
-            f"[0, {last_index}]"
-        )
-    return list(range(clipped_start, clipped_end + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +373,13 @@ def _quant(trace: Trace, f: Union[Exists, Forall], env: Assignment) -> TV:
         raise OutsideFragment(
             f"unbounded real quantifier over {f.var!r}; use the solver route"
         )
+    dom = _domain(trace, f)
+    if isinstance(dom, EvalError):
+        return dom
     if f.var_sort is Sort.INDEX:
-        domain = _index_candidates(f.interval, trace.last_index)
-        if isinstance(domain, EvalError):
-            return domain
-        values = [Fraction(j) for j in domain]
+        values = [Fraction(j) for j in range(int(dom.lo), int(dom.hi) + 1)]
     else:
-        domain = _time_candidates(trace, f.interval, f.body, f.var, env)
-        if isinstance(domain, EvalError):
-            return domain
-        values = domain
+        values = _time_candidates(trace, dom, f.body, f.var, env)
 
     combine = _any if isinstance(f, Exists) else _all
     decider = True if isinstance(f, Exists) else False

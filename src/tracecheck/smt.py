@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from .syntax import (
     Arith,
@@ -35,7 +35,6 @@ from .syntax import (
     Exists,
     Formula,
     I2T,
-    Interval,
     Lit,
     Not,
     Or,
@@ -331,34 +330,21 @@ def _emit_exists(f: Exists, scope: Dict[str, str], ctx: _Tx) -> str:
         return f"(exists (({name} Real)) {body})"
 
     if f.var_sort is Sort.INDEX:
-        lo = int(f.interval.lo) + (1 if f.interval.lo_open else 0)
-        hi = int(f.interval.hi) - (1 if f.interval.hi_open else 0)
-        lo = max(lo, 0)
-        hi = min(hi, ctx.m)
-        if lo > hi:
-            ctx.taken.discard(name)
-            return "false"
-        guard = f"(and (<= {smt_int(lo)} {name}) (<= {name} {smt_int(hi)}))"
-        body = emit_formula(f.body, inner_scope, ctx)
-        ctx.taken.discard(name)
-        return f"(exists (({name} Int)) (and {guard} {body}))"
-
-    # time variable: interval clipped to the trace span
-    lo, lo_open = f.interval.lo, f.interval.lo_open
-    hi, hi_open = f.interval.hi, f.interval.hi_open
-    if lo < ctx.trace.t0:
-        lo, lo_open = ctx.trace.t0, False
-    if hi > ctx.trace.tm:
-        hi, hi_open = ctx.trace.tm, False
-    if lo > hi or (lo == hi and (lo_open or hi_open)):
+        sort, bounds, literal = "Int", (0, ctx.m), smt_int
+    else:
+        sort, bounds, literal = "Real", ctx.trace.span, smt_real
+    dom = f.interval.clip(*bounds)
+    if dom is None:
         ctx.taken.discard(name)
         return "false"
-    lo_op = "<" if lo_open else "<="
-    hi_op = "<" if hi_open else "<="
-    guard = f"(and ({lo_op} {smt_real(lo)} {name}) ({hi_op} {name} {smt_real(hi)}))"
+    lo_op = "<" if dom.lo_open else "<="
+    hi_op = "<" if dom.hi_open else "<="
+    guard = (
+        f"(and ({lo_op} {literal(dom.lo)} {name}) ({hi_op} {name} {literal(dom.hi)}))"
+    )
     body = emit_formula(f.body, inner_scope, ctx)
     ctx.taken.discard(name)
-    return f"(exists (({name} Real)) (and {guard} {body}))"
+    return f"(exists (({name} {sort})) (and {guard} {body}))"
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +387,7 @@ def translate(
     lines.append("(declare-const t (Array Int Real))")
     for signal in sorted(arrays):
         lines.append(f"(declare-const {arrays[signal]} (Array Int Real))")
-    for record in trace.records:
-        j = record.index
+    for j, record in enumerate(trace.records):
         lines.append(f"(assert (= (select t {j}) {smt_real(record.timestamp)}))")
         for signal in sorted(arrays):
             if signal in record.values:

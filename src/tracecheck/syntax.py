@@ -153,6 +153,24 @@ class Interval:
             for t in (self.lo_text, self.hi_text)
         )
 
+    def clip(self, lo: Fraction, hi: Fraction) -> Optional["Interval"]:
+        """The part of this interval inside [lo, hi], or None if none is left.
+
+        An index interval is first closed to its integer ends.  An end beyond
+        its bound moves onto the bound and becomes closed.
+        """
+        a, a_open, b, b_open = self.lo, self.lo_open, self.hi, self.hi_open
+        if self.sort is Sort.INDEX:
+            a, a_open = Fraction(int(a) + (1 if a_open else 0)), False
+            b, b_open = Fraction(int(b) - (1 if b_open else 0)), False
+        if a < lo:
+            a, a_open = Fraction(lo), False
+        if b > hi:
+            b, b_open = Fraction(hi), False
+        if a > b or (a == b and (a_open or b_open)):
+            return None
+        return Interval(a, a_open, b, b_open, self.sort)
+
 
 RELOPS = ("<", "<=", "=", "!=", ">=", ">")
 
@@ -486,7 +504,14 @@ class _Parser:
             neg = True
         num = self.take_number()
         text = ("-" + num.text) if neg else num.text
-        return parse_rational(text), text
+        return self.number(text, tok.pos), text
+
+    def number(self, text: str, pos: int) -> Fraction:
+        try:
+            return parse_rational(text)
+        except ValueError as exc:
+            line, col = _line_col(self.text, pos)
+            raise ParseError(str(exc), line, col) from None
 
     def atom(self) -> Formula:
         save = self.pos
@@ -539,13 +564,13 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.pos += 1
-            return Lit(parse_rational(tok.text), text=tok.text,
+            return Lit(self.number(tok.text, tok.pos), text=tok.text,
                        span=(tok.pos, tok.pos + len(tok.text)))
         if tok.kind == "punct" and tok.text == "-":
             self.pos += 1
             num = self.take_number()
             text = "-" + num.text
-            return Lit(parse_rational(text), text=text,
+            return Lit(self.number(text, tok.pos), text=text,
                        span=(tok.pos, num.pos + len(num.text)))
         if tok.kind == "punct" and tok.text == "(":
             self.pos += 1

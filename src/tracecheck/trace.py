@@ -1,10 +1,11 @@
 """In-memory model of execution traces.
 
 A trace is an ordered sequence of records, each carrying a timestamp and a
-partial assignment of signal values.  Timestamps are kept as exact rationals
-(fractions.Fraction) end to end: rate classification, interpolation grids and
-SMT literal emission all depend on exact comparisons, and binary floats would
-drift at bracket boundaries.
+partial assignment of signal values; a record's index is its position.
+Timestamps are kept as exact rationals (fractions.Fraction) end to end: rate
+classification, interpolation grids and SMT literal emission all depend on
+exact comparisons, and binary floats would drift at bracket boundaries.  The
+sample rate is derived from the timestamps the first time it is read.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import hashlib
 import io
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
-from typing import IO, Iterable, Mapping, Optional, Sequence, Union
+from functools import cached_property
+from typing import IO, Mapping, Optional, Union
 
 
 class TraceError(Exception):
@@ -31,18 +33,34 @@ class DomainError(TraceError):
     """A lookup outside the trace's defined domain."""
 
 
-# Default tolerance for rate classification, relative to the first gap.
+# Tolerance for rate classification, relative to the first gap.
 RATE_TOLERANCE = Fraction(1, 10**9)
+
+# Bounds on decimal text, far beyond double range: an exponent such as
+# 1e-99999999 would otherwise build a hundred-million-digit denominator.
+MAX_EXPONENT = 1000
+MAX_DIGITS = 1000
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse decimal, scientific or p/q text into an exact rational."""
+    """Parse decimal, scientific or p/q text into an exact rational.
+
+    Non-finite values and decimals beyond MAX_DIGITS or MAX_EXPONENT raise
+    ValueError.
+    """
     text = text.strip()
-    if "/" in text:
-        return Fraction(text)
     try:
-        return Fraction(Decimal(text))
-    except (InvalidOperation, ValueError) as exc:
+        if "/" in text:
+            return Fraction(text)
+        dec = Decimal(text)
+        if (
+            not dec.is_finite()
+            or len(dec.as_tuple().digits) > MAX_DIGITS
+            or abs(dec.adjusted()) > MAX_EXPONENT
+        ):
+            raise ValueError("non-finite, or too many digits, or too large an exponent")
+        return Fraction(dec)
+    except (ArithmeticError, ValueError) as exc:
         raise ValueError(f"not a number: {text!r}") from exc
 
 
@@ -91,30 +109,21 @@ Rate = Union[Fixed, Variable]
 
 @dataclass(frozen=True)
 class Record:
-    """One trace record: position, timestamp, and a partial value map."""
+    """One trace record: a timestamp and a partial value map."""
 
-    index: int
     timestamp: Fraction
     values: Mapping[str, Fraction]
-
-    def assigned(self) -> frozenset:
-        return frozenset(self.values.keys())
 
 
 @dataclass(frozen=True)
 class Trace:
     records: tuple
     signals: tuple
-    rate: Rate
     timestamps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ts = []
         for pos, rec in enumerate(self.records):
-            if rec.index != pos:
-                raise TraceFormatError(
-                    f"record index {rec.index} at position {pos}: indices must be contiguous from 0"
-                )
             if ts and rec.timestamp <= ts[-1]:
                 raise TraceFormatError(
                     f"non-monotonic timestamp at row {pos + 1}"
@@ -144,22 +153,21 @@ class Trace:
     def span(self):
         return (self.t0, self.tm)
 
+    @cached_property
+    def rate(self) -> Rate:
+        """Fixed(sr) iff every gap equals the first gap sr within RATE_TOLERANCE.
 
-def classify_rate(trace: Trace, tolerance: Fraction = RATE_TOLERANCE) -> Rate:
-    """Fixed(sr) iff every gap equals the first gap within relative tolerance.
-
-    sr is the first gap.  Traces with fewer than two records are Variable by
-    convention.
-    """
-    ts = trace.timestamps
-    if len(ts) < 2:
-        return Variable()
-    tol = Fraction(tolerance)
-    sr = ts[1] - ts[0]
-    for a, b in zip(ts[1:], ts[2:]):
-        if abs((b - a) - sr) > tol * sr:
+        Traces with fewer than two records are Variable by convention.
+        """
+        ts = self.timestamps
+        if len(ts) < 2:
             return Variable()
-    return Fixed(sr)
+        sr = ts[1] - ts[0]
+        tol = RATE_TOLERANCE * sr
+        for a, b in zip(ts[1:], ts[2:]):
+            if abs((b - a) - sr) > tol:
+                return Variable()
+        return Fixed(sr)
 
 
 def iota_variable(trace: Trace, t: Fraction) -> int:
@@ -285,12 +293,8 @@ def load_trace(source: Union[str, bytes, IO], format: str = "csv") -> Trace:
                 raise TraceFormatError(
                     f"row {row_num}: malformed value {cell!r} for signal {name!r}"
                 ) from None
-        records.append(Record(index=pos, timestamp=t, values=values))
-
-    if not records:
-        raise TraceFormatError("empty trace")
-    trace = Trace(records=tuple(records), signals=tuple(signals), rate=Variable())
-    return Trace(records=trace.records, signals=trace.signals, rate=classify_rate(trace))
+        records.append(Record(timestamp=t, values=values))
+    return Trace(records=tuple(records), signals=tuple(signals))
 
 
 def load_trace_file(path: str) -> Trace:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tracecheck.trace import Record, Trace, Variable, classify_rate
+from tracecheck.trace import Record, Trace
 
 # The running example: a satellite attitude trace with a mode switch and an
 # angular-rate drop after it.  Used throughout the tests as "fig trace".
@@ -29,15 +29,10 @@ SIGMA_EXAMPLE_TEXT = "exists σ0 in [3,5] such that (ang-rate @i σ0) < 2.5"
 
 def make_fig_trace() -> Trace:
     records = tuple(
-        Record(
-            index=j,
-            timestamp=Fraction(t),
-            values={"ang-rate": Fraction(a), "mode": Fraction(m)},
-        )
-        for j, (t, a, m) in enumerate(zip(FIG_TIMES, FIG_ANG_RATE, FIG_MODE))
+        Record(timestamp=Fraction(t), values={"ang-rate": Fraction(a), "mode": Fraction(m)})
+        for t, a, m in zip(FIG_TIMES, FIG_ANG_RATE, FIG_MODE)
     )
-    trace = Trace(records=records, signals=("ang-rate", "mode"), rate=Variable())
-    return Trace(records=trace.records, signals=trace.signals, rate=classify_rate(trace))
+    return Trace(records=records, signals=("ang-rate", "mode"))
 
 
 @pytest.fixture

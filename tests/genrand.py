@@ -17,7 +17,7 @@ from random import Random
 from typing import List, Optional, Tuple
 
 from tracecheck.syntax import Formula, parse
-from tracecheck.trace import Record, Trace, Variable, classify_rate, format_rational
+from tracecheck.trace import Record, Trace, format_rational
 
 
 def _dec(rng: Random, lo: Fraction, hi: Fraction) -> Fraction:
@@ -38,15 +38,10 @@ def make_trace(rng: Random) -> Trace:
             times.append(t)
             t += Fraction(rng.choice((1, 1, 2, 3, 5, 8)), 10)
     records = tuple(
-        Record(
-            index=j,
-            timestamp=times[j],
-            values={s: _dec(rng, Fraction(-5), Fraction(5)) for s in signals},
-        )
-        for j in range(n)
+        Record(timestamp=t, values={s: _dec(rng, Fraction(-5), Fraction(5)) for s in signals})
+        for t in times
     )
-    probe = Trace(records=records, signals=signals, rate=Variable())
-    return Trace(records=records, signals=signals, rate=classify_rate(probe))
+    return Trace(records=records, signals=signals)
 
 
 class _BV:

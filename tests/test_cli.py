@@ -152,6 +152,30 @@ class TestCheck:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("cell", ["inf", "1e-99999999"])
+    def test_unusable_number_in_trace_exits_4(self, workdir, capsys, cell):
+        (workdir / "bad.csv").write_text(f"timestamp,x\n0,1\n1,{cell}\n")
+        (workdir / "x.prop").write_text("(x @i 0) > 0\n")
+        code = run("check", workdir / "bad.csv", workdir / "x.prop", "--out", workdir / "o")
+        assert code == 4
+        assert "error at trace-format:" in capsys.readouterr().err
+
+    def test_huge_exponent_literal_exits_4(self, workdir, capsys):
+        (workdir / "x.csv").write_text("timestamp,x\n0,1\n1,2\n")
+        (workdir / "x.prop").write_text("x @i 0 > 1e-99999999\n")
+        code = run("check", workdir / "x.csv", workdir / "x.prop", "--out", workdir / "o")
+        assert code == 4
+        assert "error at property-parse:" in capsys.readouterr().err
+
+    def test_internal_error_exits_4(self, workdir, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr("tracecheck.cli.check_pair", broken)
+        code = run("check", workdir / "fig1.csv", workdir / "r1.prop", "--out", workdir / "o")
+        assert code == 4
+        assert "error at internal: RuntimeError('broken')" in capsys.readouterr().err
+
     def test_solver_flag_honored(self, workdir, capsys):
         code = run(
             "check",

@@ -14,10 +14,9 @@ from tracecheck.preprocess import (
     apply_a2,
     config_from_keys,
     filter_unused,
-    interpolate,
     parse_keyvalues,
 )
-from tracecheck.trace import Fixed, Variable, classify_rate, load_trace
+from tracecheck.trace import Fixed, Variable, load_trace, value_at
 
 CONST = InterpolationKind.CONSTANT
 LINEAR = InterpolationKind.LINEAR
@@ -26,33 +25,33 @@ CUBIC = InterpolationKind.CUBIC
 
 class TestInterpolate:
     def test_constant_holds_previous(self):
-        assert interpolate(CONST, [(0, 5), (2, 7)], Fraction("1.9")) == 5
+        assert Interpolant(CONST, [(0, 5), (2, 7)]).at(Fraction("1.9")) == 5
 
     def test_linear_proportional(self):
-        assert interpolate(LINEAR, [(0, 0), (4, 8)], 3) == 6
+        assert Interpolant(LINEAR, [(0, 0), (4, 8)]).at(3) == 6
 
     def test_cubic_passes_through_knots(self):
         samples = [(0, 0), (1, 1), (2, 0), (3, 1)]
         for x, y in samples:
-            assert interpolate(CUBIC, samples, x) == y
+            assert Interpolant(CUBIC, samples).at(x) == y
 
     def test_boundary_clamps_to_nearest_sample(self):
         samples = [(1, 10), (2, 20)]
         for kind in InterpolationKind:
-            assert interpolate(kind, samples, 0) == 10
-            assert interpolate(kind, samples, 5) == 20
+            assert Interpolant(kind, samples).at(0) == 10
+            assert Interpolant(kind, samples).at(5) == 20
 
     def test_single_sample_is_constant_everywhere(self):
         for kind in InterpolationKind:
-            assert interpolate(kind, [(3, 42)], 0) == 42
-            assert interpolate(kind, [(3, 42)], 9) == 42
+            assert Interpolant(kind, [(3, 42)]).at(0) == 42
+            assert Interpolant(kind, [(3, 42)]).at(9) == 42
 
     def test_two_sample_cubic_degenerates_to_linear(self):
-        assert interpolate(CUBIC, [(0, 0), (4, 8)], 3) == 6
+        assert Interpolant(CUBIC, [(0, 0), (4, 8)]).at(3) == 6
 
     def test_non_increasing_samples_rejected(self):
         with pytest.raises(PreprocessError):
-            interpolate(LINEAR, [(0, 1), (0, 2)], 0)
+            Interpolant(LINEAR, [(0, 1), (0, 2)]).at(0)
 
     @given(
         xs=st.lists(st.integers(0, 60), min_size=3, max_size=8, unique=True),
@@ -99,7 +98,13 @@ class TestFilterUnused:
         assert out.signals == ("a",)
         assert [r.timestamp for r in out.records] == [0, 2, 4]
         assert [r.values["a"] for r in out.records] == [1, 2, 3]
-        assert [r.index for r in out.records] == [0, 1, 2]
+        assert value_at(out, "a", 1) == 2
+
+    def test_rate_is_derived_from_the_kept_records(self):
+        trace = load_trace("timestamp,a,b\n0,1,\n0.5,,9\n1,2,\n1.7,,8\n2,3,\n")
+        assert trace.rate == Variable()
+        assert filter_unused(trace, {"a"}).rate == Fixed(Fraction(1))
+        assert apply_a2(trace, PreprocessConfig()).rate == Fixed(Fraction(3, 10))
 
     def test_all_signals_used_is_identity(self, fig_trace):
         out = filter_unused(fig_trace, set(fig_trace.signals))
@@ -157,7 +162,6 @@ class TestApplyA2:
     def test_fig_trace_sr_is_min_gap(self, fig_trace):
         out = apply_a2(fig_trace, PreprocessConfig())
         assert out.rate == Fixed(Fraction("0.2"))
-        assert classify_rate(out) == Fixed(Fraction("0.2"))
         # grid 0, 0.2, ..., 5.6: the off-grid t_m=5.7 is dropped
         assert out.timestamps[0] == 0
         assert out.timestamps[-1] == Fraction("5.6")
@@ -210,8 +214,7 @@ class TestApplyA2:
             rows.append(f"{float(t)},{vals[i + 1]}")
         trace = load_trace("\n".join(rows) + "\n")
         out = apply_a2(trace, PreprocessConfig())
-        assert isinstance(classify_rate(out), Fixed)
-        assert classify_rate(out).sr == min(Fraction(g, 10) for g in gaps)
+        assert out.rate == Fixed(min(Fraction(g, 10) for g in gaps))
 
 
 class TestConfigFile:

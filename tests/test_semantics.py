@@ -31,7 +31,7 @@ from tracecheck.syntax import (
     T2I,
     parse,
 )
-from tracecheck.trace import Record, Trace, Variable, load_trace
+from tracecheck.trace import Record, Trace, load_trace
 
 SIG = frozenset({"ang-rate", "mode"})
 F = Fraction
@@ -402,11 +402,8 @@ def small_traces(draw):
     for g in gaps:
         times.append(times[-1] + Fraction(g, 10))
     vals = draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n))
-    records = tuple(
-        Record(i, times[i], {"x": Fraction(v, 10)})
-        for i, v in enumerate(vals)
-    )
-    return Trace(records, ("x",), Variable())
+    records = tuple(Record(t, {"x": Fraction(v, 10)}) for t, v in zip(times, vals))
+    return Trace(records, ("x",))
 
 
 class TestDifferential:

@@ -509,13 +509,13 @@ class TestTranslatedScripts:
             assert fixed == variable == ["unsat"]  # unsat scripts print no model
 
     def test_unassigned_cells_stay_unknown(self, fig_trace):
-        from tracecheck.trace import Record, Trace, Variable
+        from tracecheck.trace import Record, Trace
 
         records = [
-            Record(0, Fraction(0), {"x": Fraction(1)}),
-            Record(1, Fraction(1), {}),
+            Record(Fraction(0), {"x": Fraction(1)}),
+            Record(Fraction(1), {}),
         ]
-        holey = Trace(records, signals=("x",), rate=Variable())
+        holey = Trace(records, signals=("x",))
         f = parse("forall σ0 in [0,1] such that (x @i σ0) > 0.0", signature=("x",))
         script = translate(holey, f)
         assert run_script(script.text) == ["unknown"]  # nothing after unknown

@@ -7,6 +7,7 @@ import pytest
 from conftest import R1_TEXT, make_fig_trace
 
 from tracecheck.preprocess import PreprocessConfig, apply_a2
+from tracecheck.semantics import check_direct
 from tracecheck.shim import parse_script
 from tracecheck.smt import (
     DEFAULT_EXPANSION_CAP,
@@ -22,7 +23,7 @@ from tracecheck.smt import (
     translate,
 )
 from tracecheck.syntax import Exists, Forall, parse
-from tracecheck.trace import Fixed, Record, Trace, Variable, iota_variable, load_trace
+from tracecheck.trace import Fixed, Record, Trace, format_rational, iota_variable, load_trace
 
 F = Fraction
 
@@ -220,10 +221,8 @@ class TestFormulaEncoding:
 
 
 def variable_trace(times):
-    records = tuple(
-        Record(index=j, timestamp=t, values={"x": F(j)}) for j, t in enumerate(times)
-    )
-    return Trace(records=records, signals=("x",), rate=Variable())
+    records = tuple(Record(timestamp=t, values={"x": F(j)}) for j, t in enumerate(times))
+    return Trace(records=records, signals=("x",))
 
 
 def select_index(tree: str, t: Fraction) -> int:
@@ -268,9 +267,42 @@ class TestVariableRateIndexMap:
     def test_nesting_grows_with_log_of_trace_length(self):
         trace = variable_trace([F(j, 10) + F(j % 3, 1000) for j in range(4096)])
         f = parse("exists τ0 in [0, 400] such that (x @t τ0) > 0", {"x"})
-        script = translate(trace, f)
+        script = translate(trace, f, mode=VariableRate())
         assert script.iota_ite_count == 4095
         assert nesting_depth(script.text) <= 40
+
+
+class TestEmptyDomains:
+    """Both routes clip a quantifier's interval the same way: the script
+    says `false` exactly where the direct route finds no domain."""
+
+    NO_DOMAIN = ("is empty", "exceeds the trace bounds", "lies outside the trace span")
+
+    @pytest.mark.parametrize(
+        "var, read, points",
+        [
+            ("σ0", "@i", [0, 2, 3, 6, 7, 9]),
+            ("τ0", "@t", [F(-1), F(0), F("0.2"), F(3), F("5.7"), F(6), F(8)]),
+        ],
+    )
+    def test_false_exactly_where_the_direct_route_has_no_domain(
+        self, fig_trace, var, read, points
+    ):
+        seen = set()
+        for a in points:
+            for b in (p for p in points if p >= a):
+                for lo in "[(":
+                    for hi in "])":
+                        text = f"{lo}{format_rational(a)}, {format_rational(b)}{hi}"
+                        f = parse_fig(
+                            f"exists {var} in {text} such that (ang-rate {read} {var}) > -1000"
+                        )
+                        script = translate(fig_trace, f, negate=False).text
+                        reason = check_direct(fig_trace, f).reason
+                        no_domain = any(words in reason for words in self.NO_DOMAIN)
+                        assert ("(assert false)" in script) == no_domain, (text, reason)
+                        seen.add(no_domain)
+        assert seen == {True, False}
 
 
 class TestDeterminismAndCounts:

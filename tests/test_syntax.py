@@ -62,6 +62,19 @@ class TestLexer:
         with pytest.raises(ParseError, match="unexpected character"):
             tokenize("a & b")
 
+    @pytest.mark.parametrize(
+        "text, col",
+        [
+            ("(mode @i 0) > 1e-99999999", 15),
+            ("(mode @i 0) > -1e99999999", 15),
+            ("exists σ0 in [0, 1e99999999] such that (mode @i σ0) > 0", 18),
+        ],
+    )
+    def test_out_of_range_literal_is_a_parse_error(self, text, col):
+        with pytest.raises(ParseError, match="not a number") as info:
+            parse(text, SIG)
+        assert (info.value.line, info.value.col) == (1, col)
+
 
 class TestParseShapes:
     def test_sigma_example_shape(self):
@@ -259,6 +272,81 @@ class TestHelpers:
     def test_free_vars_of_open_term(self):
         f = parse(SIGMA_EXAMPLE_TEXT, SIG)
         assert free_vars(f.body) == frozenset({"σ0"})
+
+
+class TestIntervalClip:
+    """Interval.clip: the quantifier domain both decision routes use."""
+
+    @staticmethod
+    def iv(lo, lo_open, hi, hi_open, sort):
+        return Interval(Fraction(lo), lo_open, Fraction(hi), hi_open, sort=sort)
+
+    @pytest.mark.parametrize("lo_open", [False, True])
+    @pytest.mark.parametrize("hi_open", [False, True])
+    def test_time_ends_beyond_the_bounds_become_closed(self, lo_open, hi_open):
+        got = self.iv(-1, lo_open, 9, hi_open, Sort.TIME).clip(Fraction(0), Fraction("5.7"))
+        assert got == self.iv(0, False, "5.7", False, Sort.TIME)
+
+    @pytest.mark.parametrize("lo_open", [False, True])
+    @pytest.mark.parametrize("hi_open", [False, True])
+    def test_time_ends_inside_the_bounds_keep_their_openness(self, lo_open, hi_open):
+        got = self.iv(1, lo_open, 2, hi_open, Sort.TIME).clip(Fraction(0), Fraction(5))
+        assert got == self.iv(1, lo_open, 2, hi_open, Sort.TIME)
+
+    @pytest.mark.parametrize("lo_open", [False, True])
+    @pytest.mark.parametrize("hi_open", [False, True])
+    def test_time_ends_on_the_bounds_keep_their_openness(self, lo_open, hi_open):
+        got = self.iv(0, lo_open, 5, hi_open, Sort.TIME).clip(Fraction(0), Fraction(5))
+        assert got == self.iv(0, lo_open, 5, hi_open, Sort.TIME)
+
+    def test_index_ends_close_to_integers(self):
+        assert self.iv(2, True, 6, True, Sort.INDEX).clip(0, 9) == self.iv(
+            3, False, 5, False, Sort.INDEX
+        )
+        assert self.iv(2, False, 6, False, Sort.INDEX).clip(0, 9) == self.iv(
+            2, False, 6, False, Sort.INDEX
+        )
+
+    @pytest.mark.parametrize("lo_open", [False, True])
+    @pytest.mark.parametrize("hi_open", [False, True])
+    def test_index_ends_clip_to_the_trace_bounds(self, lo_open, hi_open):
+        got = self.iv(0, lo_open, 9, hi_open, Sort.INDEX).clip(0, 6)
+        assert got == self.iv(1 if lo_open else 0, False, 6, False, Sort.INDEX)
+
+    @pytest.mark.parametrize(
+        "iv, bounds",
+        [
+            ((3, True, 4, True, Sort.INDEX), (0, 9)),  # no integer strictly between
+            ((3, False, 3, True, Sort.INDEX), (0, 9)),
+            ((2, False, 2, True, Sort.TIME), (0, 9)),  # a point with an open end
+            ((2, True, 2, False, Sort.TIME), (0, 9)),
+        ],
+    )
+    def test_empty_interval_clips_to_none(self, iv, bounds):
+        assert self.iv(*iv).clip(*bounds) is None
+        assert self.iv(*iv).clip(iv[0], iv[2]) is None
+
+    @pytest.mark.parametrize(
+        "iv, bounds",
+        [
+            ((7, False, 9, False, Sort.INDEX), (0, 6)),
+            ((6, True, 9, False, Sort.INDEX), (0, 6)),
+            ((6, False, 8, False, Sort.TIME), (0, Fraction("5.7"))),
+            ((-3, False, -1, False, Sort.TIME), (0, 5)),
+            ((5, True, 8, False, Sort.TIME), (0, 5)),  # touches the span only at an open end
+            ((-1, False, 0, True, Sort.TIME), (0, 5)),
+        ],
+    )
+    def test_interval_outside_the_bounds_clips_to_none(self, iv, bounds):
+        assert self.iv(*iv).clip(*bounds) is None
+
+    def test_single_point_at_a_bound_survives(self):
+        assert self.iv(5, False, 8, False, Sort.TIME).clip(0, 5) == self.iv(
+            5, False, 5, False, Sort.TIME
+        )
+        assert self.iv(6, False, 9, False, Sort.INDEX).clip(0, 6) == self.iv(
+            6, False, 6, False, Sort.INDEX
+        )
 
 
 class TestDesugar:

@@ -8,11 +8,12 @@ from hypothesis import given, strategies as st
 from tracecheck.trace import (
     DomainError,
     Fixed,
+    RATE_TOLERANCE,
     Record,
     Trace,
+    TraceError,
     TraceFormatError,
     Variable,
-    classify_rate,
     format_rational,
     iota_fixed,
     iota_variable,
@@ -62,26 +63,59 @@ class TestLoad:
 
     def test_empty_cells_are_unassigned(self):
         trace = load_trace("timestamp,a,b\n0,1,\n1,,2\n")
-        assert trace.records[0].assigned() == {"a"}
-        assert trace.records[1].assigned() == {"b"}
+        assert trace.records[0].values.keys() == {"a"}
+        assert trace.records[1].values.keys() == {"b"}
+
+    @pytest.mark.parametrize(
+        "cell", ["inf", "-Infinity", "nan", "sNaN", "1/0", "1e-99999999", "1e99999999"]
+    )
+    def test_unusable_number_is_a_format_error(self, cell):
+        with pytest.raises(TraceFormatError, match="row 2: malformed value"):
+            load_trace(f"timestamp,a\n0,1\n1,{cell}\n")
+        with pytest.raises(TraceFormatError, match="row 1: malformed timestamp"):
+            load_trace(f"timestamp,a\n{cell},1\n")
+
+    @given(
+        st.one_of(
+            st.text(max_size=30),
+            st.from_regex(
+                r"[-+]?(inf|Infinity|nan|sNaN|\d{1,4}(\.\d{1,4})?([eE][-+]?\d{1,9})?|\d+/\d+)",
+                fullmatch=True,
+            ),
+        )
+    )
+    def test_any_cell_loads_or_raises_trace_error(self, cell):
+        quoted = '"' + cell.replace('"', '""') + '"'
+        text = f"timestamp,a\n0,{quoted}\n{quoted},1\n"
+        try:
+            trace = load_trace(text)
+        except TraceError:
+            return
+        assert isinstance(trace, Trace)
 
 
 class TestClassifyRate:
     def test_fig_timestamps_are_variable(self, fig_trace):
-        assert classify_rate(fig_trace) == Variable()
+        assert fig_trace.rate == Variable()
 
     def test_constant_gaps_fixed(self):
         trace = load_trace("timestamp,a\n0,1\n0.5,1\n1.0,1\n1.5,1\n")
-        assert classify_rate(trace) == Fixed(Fraction(1, 2))
+        assert trace.rate == Fixed(Fraction(1, 2))
 
     def test_within_tolerance_fixed(self):
-        trace = load_trace("timestamp,a\n0,1\n0.5,1\n1.0000001,1\n")
-        assert classify_rate(trace, tolerance=Fraction(1, 10**6)) == Fixed(Fraction(1, 2))
-        assert classify_rate(trace, tolerance=Fraction(1, 10**9)) == Variable()
+        sr = Fraction(1, 2)
+        for jitter, rate in (
+            (RATE_TOLERANCE * sr / 2, Fixed(sr)),
+            (RATE_TOLERANCE * sr * 2, Variable()),
+        ):
+            trace = load_trace(
+                f"timestamp,a\n0,1\n0.5,1\n{format_rational(2 * sr + jitter)},1\n"
+            )
+            assert trace.rate == rate
 
     def test_single_record_variable_by_convention(self):
         trace = load_trace("timestamp,a\n1.0,2\n")
-        assert classify_rate(trace) == Variable()
+        assert trace.rate == Variable()
 
 
 class TestIota:
@@ -131,12 +165,12 @@ class TestIota:
         n = steps + 2
         trace = Trace(
             records=tuple(
-                Record(index=j, timestamp=j * sr, values={"a": Fraction(0)})
+                Record(timestamp=j * sr, values={"a": Fraction(0)})
                 for j in range(n)
             ),
             signals=("a",),
-            rate=Fixed(sr),
         )
+        assert trace.rate == Fixed(sr)
         for j in range(n - 1):
             for t in (j * sr, j * sr + sr / 3):
                 assert iota_variable(trace, t) == iota_fixed(sr, t)
@@ -165,17 +199,6 @@ class TestValueAt:
 
 
 class TestInvariantsAndRoundtrip:
-    def test_non_contiguous_indices_rejected(self):
-        with pytest.raises(TraceFormatError, match="contiguous"):
-            Trace(
-                records=(
-                    Record(index=0, timestamp=Fraction(0), values={}),
-                    Record(index=2, timestamp=Fraction(1), values={}),
-                ),
-                signals=(),
-                rate=Variable(),
-            )
-
     def test_serialize_roundtrip_fig(self, fig_trace):
         text = serialize_trace(fig_trace)
         again = load_trace(text)
@@ -185,12 +208,11 @@ class TestInvariantsAndRoundtrip:
     def test_serialize_roundtrip_with_gaps_and_fractions(self):
         trace = Trace(
             records=(
-                Record(index=0, timestamp=Fraction(0), values={"a": Fraction(1, 3)}),
-                Record(index=1, timestamp=Fraction(1, 7), values={}),
-                Record(index=2, timestamp=Fraction("2.5"), values={"a": Fraction(-4, 5)}),
+                Record(timestamp=Fraction(0), values={"a": Fraction(1, 3)}),
+                Record(timestamp=Fraction(1, 7), values={}),
+                Record(timestamp=Fraction("2.5"), values={"a": Fraction(-4, 5)}),
             ),
             signals=("a",),
-            rate=Variable(),
         )
         again = load_trace(serialize_trace(trace))
         assert [r.timestamp for r in again.records] == [r.timestamp for r in trace.records]
@@ -214,6 +236,13 @@ class TestInvariantsAndRoundtrip:
         assert parse_rational("3/7") == Fraction(3, 7)
         with pytest.raises(ValueError):
             parse_rational("abc")
+
+    def test_parse_rational_rejects_non_finite_and_extreme_text(self):
+        for text in ("inf", "-Infinity", "nan", "sNaN", "1/0", "1e-1001", "1e1001",
+                     "1" * 1001):
+            with pytest.raises(ValueError, match="not a number"):
+                parse_rational(text)
+        assert parse_rational("1e-1000") == Fraction(1, 10**1000)
 
     def test_make_fig_trace_matches_csv_load(self, fig_trace):
         assert load_trace(FIG_CSV).records == make_fig_trace().records == fig_trace.records
