@@ -21,20 +21,27 @@ from .pipeline import (
     CheckOptions,
     ReportRow,
     StageError,
+    apply_config_keys,
     batch_exit_code,
     build_script,
     check_pair,
+    check_signature,
     load_config_file,
     load_inputs,
+    parse_property,
     preprocess_for,
+    read_text,
+    read_trace,
+    resample,
     run_batch,
     slug,
+    stage,
     write_report,
+    write_text,
 )
-from .preprocess import PreprocessError, apply_a1, apply_a2
 from .solver import DEFAULT_MEM_MB, DEFAULT_SOLVER_CMD, DEFAULT_TIMEOUT_S
-from .syntax import ParseError, format_formula, load_property, signals_of
-from .trace import Fixed, TraceError, format_rational, load_trace_file, serialize_trace
+from .syntax import format_formula
+from .trace import Fixed, format_rational, serialize_trace
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser, solver: bool = True) -> None:
@@ -87,9 +94,7 @@ def _options_from(args: argparse.Namespace) -> CheckOptions:
     if getattr(args, "config", None):
         options = load_config_file(options, args.config)
     if getattr(args, "strategy", None):
-        options = replace(
-            options, preprocess=replace(options.preprocess, strategy=args.strategy)
-        )
+        options = apply_config_keys(options, {"strategy": args.strategy})
     if getattr(args, "iota", None):
         options = replace(options, iota=args.iota)
     if getattr(args, "solver", None):
@@ -104,11 +109,11 @@ def _options_from(args: argparse.Namespace) -> CheckOptions:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    if getattr(args, "out", None):
-        path = Path(args.out)
-        path.mkdir(parents=True, exist_ok=True)
-        return path
-    return Path(tempfile.mkdtemp(prefix="tracecheck-"))
+    if not getattr(args, "out", None):
+        return Path(tempfile.mkdtemp(prefix="tracecheck-"))
+    with stage("io-error", path=args.out):
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    return Path(args.out)
 
 
 def _pair_name(trace: str, prop: str) -> str:
@@ -120,29 +125,11 @@ def _pair_name(trace: str, prop: str) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.property).read_text()
-    except OSError as exc:
-        raise StageError("io-error", f"{args.property}: {exc.strerror or exc}")
-    trace_signals = None
-    if args.trace:
-        try:
-            trace_signals = load_trace_file(args.trace).signals
-        except OSError as exc:
-            raise StageError("io-error", f"{args.trace}: {exc.strerror or exc}")
-        except TraceError as exc:
-            raise StageError("trace-format", f"{args.trace}: {exc}")
-    try:
-        formula, signature, declared = load_property(text, trace_signals)
-    except ParseError as exc:
-        raise StageError("property-parse", f"{args.property}: {exc}")
+    text = read_text(args.property)
+    trace_signals = read_trace(args.trace).signals if args.trace else None
+    formula, signature, declared = parse_property(args.property, text, trace_signals)
     if trace_signals is not None:
-        missing = signals_of(formula) - set(trace_signals)
-        if missing:
-            raise StageError(
-                "signature",
-                "property uses signals absent from the trace: " + ", ".join(sorted(missing)),
-            )
+        check_signature(formula, trace_signals)
     print("ok")
     source = "declared" if declared else ("trace header" if args.trace else "none")
     print(f"signature ({source}): " + (", ".join(sorted(signature)) or "(empty)"))
@@ -151,23 +138,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    options = _options_from(args)
-    try:
-        trace = load_trace_file(args.trace)
-    except OSError as exc:
-        raise StageError("io-error", f"{args.trace}: {exc.strerror or exc}")
-    except TraceError as exc:
-        raise StageError("trace-format", f"{args.trace}: {exc}")
-    cfg = options.preprocess
-    try:
-        if cfg.strategy == "A1":
-            pre = apply_a1(trace, cfg)
-        else:
-            pre = apply_a2(trace, cfg)
-    except (PreprocessError, TraceError) as exc:
-        raise StageError("preprocess", str(exc))
+    cfg = _options_from(args).preprocess
+    trace = read_trace(args.trace)
+    pre = resample(trace, cfg)
     out_path = _out_dir(args) / f"{slug(Path(args.trace).stem)}.pre.csv"
-    out_path.write_text(serialize_trace(pre))
+    write_text(out_path, serialize_trace(pre))
     rate = (
         f"fixed sr={format_rational(pre.rate.sr)}"
         if isinstance(pre.rate, Fixed)
@@ -184,7 +159,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
     _, pre = preprocess_for(trace, formula, options.preprocess)
     script = build_script(pre, formula, options)
     out_path = _out_dir(args) / f"{_pair_name(args.trace, args.property)}.smt2"
-    out_path.write_text(script.text)
+    write_text(out_path, script.text)
     print(
         f"iota {script.iota_mode.describe()}, {script.quantifier_count} quantifiers, "
         f"{script.floor_count} floor terms, {script.iota_ite_count} index-map selectors"
@@ -297,7 +272,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except StageError as exc:
-        print(f"error at {exc.stage}: {exc.message}", file=sys.stderr)
+        print(f"error at {exc.tagged()}", file=sys.stderr)
         return EXIT_STAGE_ERROR
     except Exception as exc:  # a bug must not exit with a verdict's code
         print(f"error at internal: {exc!r}", file=sys.stderr)

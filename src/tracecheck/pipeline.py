@@ -17,16 +17,17 @@ import json
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Type, Union
 
 from .preprocess import (
+    InterpolationKind,
     PreprocessConfig,
     PreprocessError,
     apply_a1,
     apply_a2,
-    config_from_keys,
     filter_unused,
     parse_keyvalues,
 )
@@ -50,10 +51,9 @@ class StageError(Exception):
     def __init__(self, stage: str, message: str):
         super().__init__(message)
         self.stage = stage
-        self.message = message
 
     def tagged(self) -> str:
-        return f"{self.stage}: {self.message}"
+        return f"{self.stage}: {self}"
 
 
 @dataclass
@@ -111,28 +111,64 @@ def slug(name: str) -> str:
 # Stages
 # ---------------------------------------------------------------------------
 
-def load_inputs(trace_path: Union[str, Path], property_path: Union[str, Path]):
-    """Read and parse both files; returns (trace, formula)."""
+@contextmanager
+def stage(tag: str, *errors: Type[Exception], path: Union[str, Path, None] = None):
+    """Turn `errors` raised in the block into a StageError tagged `tag`.
+
+    Any OSError is an io-error naming `path` (else the failing file).  With
+    a `path`, the other messages are prefixed by it too.
+    """
     try:
-        trace = load_trace_file(str(trace_path))
+        yield
     except OSError as exc:
-        raise StageError("io-error", f"{trace_path}: {exc.strerror or exc}")
-    except TraceError as exc:
-        raise StageError("trace-format", f"{trace_path}: {exc}")
-    try:
-        text = Path(property_path).read_text()
-    except OSError as exc:
-        raise StageError("io-error", f"{property_path}: {exc.strerror or exc}")
-    try:
-        formula, _, _ = load_property(text, trace.signals)
-    except ParseError as exc:
-        raise StageError("property-parse", f"{property_path}: {exc}")
-    missing = signals_of(formula) - set(trace.signals)
+        name = path if path is not None else exc.filename
+        raise StageError("io-error", f"{name}: {exc.strerror or exc}") from exc
+    except errors as exc:
+        raise StageError(tag, f"{path}: {exc}" if path is not None else str(exc)) from exc
+
+
+def read_text(path: Union[str, Path]) -> str:
+    with stage("io-error", path=path):
+        return Path(path).read_text()
+
+
+def write_text(path: Path, text: str) -> None:
+    with stage("io-error", path=path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
+def read_trace(path: Union[str, Path]) -> Trace:
+    with stage("trace-format", TraceError, path=path):
+        return load_trace_file(str(path))
+
+
+def parse_property(path: Union[str, Path], text: str, signals: Optional[Sequence[str]]):
+    """Parse the text of the property file `path`; returns (formula, signature, declared)."""
+    with stage("property-parse", ParseError, path=path):
+        return load_property(text, signals)
+
+
+def check_signature(formula: Formula, signals: Sequence[str]) -> None:
+    missing = signals_of(formula) - set(signals)
     if missing:
         raise StageError(
             "signature",
             "property uses signals absent from the trace: " + ", ".join(sorted(missing)),
         )
+
+
+def resample(trace: Trace, cfg: PreprocessConfig) -> Trace:
+    """Strategy A1 or A2, as `cfg` says."""
+    with stage("preprocess", PreprocessError, TraceError):
+        return (apply_a1 if cfg.strategy == "A1" else apply_a2)(trace, cfg)
+
+
+def load_inputs(trace_path: Union[str, Path], property_path: Union[str, Path]):
+    """Read and parse both files; returns (trace, formula)."""
+    trace = read_trace(trace_path)
+    formula, _, _ = parse_property(property_path, read_text(property_path), trace.signals)
+    check_signature(formula, trace.signals)
     return trace, formula
 
 
@@ -144,26 +180,16 @@ def preprocess_for(trace: Trace, formula: Formula, cfg: PreprocessConfig):
     Returns (filtered, preprocessed).
     """
     used = signals_of(formula)
-    try:
+    with stage("preprocess", PreprocessError, TraceError):
         filtered = filter_unused(trace, used) if used else trace
-        if cfg.strategy == "A1":
-            pre = apply_a1(filtered, cfg)
-        else:
-            pre = apply_a2(filtered, cfg)
-    except (PreprocessError, TraceError) as exc:
-        raise StageError("preprocess", str(exc))
-    return filtered, pre
+    return filtered, resample(filtered, cfg)
 
 
 def build_script(pre: Trace, formula: Formula, options: CheckOptions) -> SmtScript:
-    try:
+    with stage("iota", TranslateError):
         mode = choose_iota_mode(pre, options.iota)
-    except TranslateError as exc:
-        raise StageError("iota", str(exc))
-    try:
+    with stage("translate", TranslateError, RecursionError):
         return translate(pre, formula, mode=mode, cap=options.cap)
-    except TranslateError as exc:
-        raise StageError("translate", str(exc))
 
 
 def check_pair(
@@ -179,11 +205,7 @@ def check_pair(
     filtered, pre = preprocess_for(trace, formula, options.preprocess)
     script = build_script(pre, formula, options)
     script_path = Path(script_path)
-    try:
-        script_path.parent.mkdir(parents=True, exist_ok=True)
-        script_path.write_text(script.text)
-    except OSError as exc:
-        raise StageError("io-error", f"{script_path}: {exc.strerror or exc}")
+    write_text(script_path, script.text)
     outcome = run_solver(
         str(script_path), options.solver_cmd, options.timeout_s, options.mem_mb
     )
@@ -222,51 +244,40 @@ def check_pair(
 # Configuration overlays
 # ---------------------------------------------------------------------------
 
-_SOLVER_KEYS = ("solver.cmd", "solver.timeout_s", "solver.mem_mb")
+def _number(key: str, value: str, kind: type, noun: str):
+    try:
+        return kind(value)
+    except ValueError:
+        raise PreprocessError(f"{key} must be {noun}, got {value!r}") from None
 
 
 def apply_config_keys(options: CheckOptions, keys: Dict[str, str]) -> CheckOptions:
     """Overlay parsed key=value settings; keys left unset keep prior values."""
-    for key in keys:
-        if "." in key and key not in _SOLVER_KEYS:
-            raise PreprocessError(f"unknown config key {key!r}")
-    cfg = config_from_keys(keys)
-    pre = options.preprocess
-    pre = replace(
-        pre,
-        strategy=cfg.strategy if "strategy" in keys else pre.strategy,
-        default_kind=cfg.default_kind if "default" in keys else pre.default_kind,
-        per_signal={**pre.per_signal, **cfg.per_signal},
-    )
+    pre = replace(options.preprocess, per_signal=dict(options.preprocess.per_signal))
     out = replace(options, preprocess=pre)
-    if "solver.cmd" in keys:
-        out = replace(out, solver_cmd=keys["solver.cmd"])
-    if "solver.timeout_s" in keys:
-        try:
-            out = replace(out, timeout_s=float(keys["solver.timeout_s"]))
-        except ValueError:
-            raise PreprocessError(
-                f"solver.timeout_s must be a number, got {keys['solver.timeout_s']!r}"
-            )
-    if "solver.mem_mb" in keys:
-        try:
-            out = replace(out, mem_mb=int(keys["solver.mem_mb"]))
-        except ValueError:
-            raise PreprocessError(
-                f"solver.mem_mb must be an integer, got {keys['solver.mem_mb']!r}"
-            )
+    for key, value in keys.items():
+        if key == "strategy":
+            if value.upper() not in ("A1", "A2"):
+                raise PreprocessError(f"strategy must be A1 or A2, got {value!r}")
+            pre.strategy = value.upper()
+        elif key == "default":
+            pre.default_kind = InterpolationKind.parse(value)
+        elif key == "solver.cmd":
+            out.solver_cmd = value
+        elif key == "solver.timeout_s":
+            out.timeout_s = _number(key, value, float, "a number")
+        elif key == "solver.mem_mb":
+            out.mem_mb = _number(key, value, int, "an integer")
+        elif "." in key:
+            raise PreprocessError(f"unknown config key {key!r}")
+        else:  # any other undotted key names a signal
+            pre.per_signal[key] = InterpolationKind.parse(value)
     return out
 
 
 def load_config_file(options: CheckOptions, path: Union[str, Path]) -> CheckOptions:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise StageError("io-error", f"{path}: {exc.strerror or exc}")
-    try:
-        return apply_config_keys(options, parse_keyvalues(text))
-    except PreprocessError as exc:
-        raise StageError("config", f"{path}: {exc}")
+    with stage("config", PreprocessError, path=path):
+        return apply_config_keys(options, parse_keyvalues(Path(path).read_text()))
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +303,7 @@ def _resolve(base: Path, cell: str) -> str:
 
 def load_manifest(path: Union[str, Path]) -> List[ManifestEntry]:
     """Parse a batch manifest CSV with header id,trace,property,strategy,config."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise StageError("io-error", f"{path}: {exc.strerror or exc}")
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.DictReader(io.StringIO(read_text(path)))
     header = [f.strip() for f in reader.fieldnames or []]
     if header != list(MANIFEST_FIELDS):
         raise StageError(
@@ -337,18 +344,8 @@ def load_manifest(path: Union[str, Path]) -> List[ManifestEntry]:
 
 def entry_options(entry: ManifestEntry, base_options: CheckOptions) -> CheckOptions:
     """Per-entry options: the entry's config file and strategy cell win."""
-    opts = replace(
-        base_options,
-        preprocess=replace(
-            base_options.preprocess,
-            per_signal=dict(base_options.preprocess.per_signal),
-        ),
-    )
-    if entry.config:
-        opts = load_config_file(opts, entry.config)
-    if entry.strategy:
-        opts = replace(opts, preprocess=replace(opts.preprocess, strategy=entry.strategy))
-    return opts
+    opts = load_config_file(base_options, entry.config) if entry.config else base_options
+    return apply_config_keys(opts, {"strategy": entry.strategy} if entry.strategy else {})
 
 
 def run_batch(

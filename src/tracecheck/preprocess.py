@@ -46,6 +46,9 @@ DEFAULT_KIND = InterpolationKind.LINEAR
 # Grids tighter than this are almost certainly a data bug, not a sample rate.
 SR_FLOOR = Fraction(1, 10**9)
 
+# A2 refuses to build a grid larger than this: 100x criterion 9's 10k records.
+MAX_GRID_RECORDS = 1_000_000
+
 
 @dataclass
 class PreprocessConfig:
@@ -69,29 +72,6 @@ def parse_keyvalues(text: str) -> Dict[str, str]:
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
-
-
-def config_from_keys(keys: Dict[str, str]) -> PreprocessConfig:
-    """Build a PreprocessConfig from parsed key/values.
-
-    Recognized: `strategy = A1|A2`, `default = constant|linear|cubic`, and
-    `<signal> = <kind>` for any other undotted key.  Dotted keys (solver.cmd
-    and friends) belong to other layers and are skipped here.
-    """
-    cfg = PreprocessConfig()
-    for key, value in keys.items():
-        if "." in key:
-            continue
-        if key == "strategy":
-            strat = value.upper()
-            if strat not in ("A1", "A2"):
-                raise PreprocessError(f"strategy must be A1 or A2, got {value!r}")
-            cfg.strategy = strat
-        elif key == "default":
-            cfg.default_kind = InterpolationKind.parse(value)
-        else:
-            cfg.per_signal[key] = InterpolationKind.parse(value)
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +207,7 @@ def apply_a1(trace: Trace, cfg: PreprocessConfig) -> Trace:
     return Trace(records=tuple(records), signals=trace.signals)
 
 
-def apply_a2(trace: Trace, cfg: PreprocessConfig, sr_floor: Fraction = SR_FLOOR) -> Trace:
+def apply_a2(trace: Trace, cfg: PreprocessConfig) -> Trace:
     """Resample onto the fixed grid t_0, t_0+sr, ... with sr = minimum gap.
 
     The last grid point is the largest one not exceeding t_m; an off-grid t_m
@@ -237,12 +217,17 @@ def apply_a2(trace: Trace, cfg: PreprocessConfig, sr_floor: Fraction = SR_FLOOR)
         raise PreprocessError("strategy A2 needs at least 2 records")
     ts = trace.timestamps
     sr = min(b - a for a, b in zip(ts, ts[1:]))
-    if sr < sr_floor:
+    if sr < SR_FLOOR:
         raise PreprocessError(
             f"degenerate sample rate {format_rational(sr)} (minimum gap below floor)"
         )
-    table = _interpolants(trace, cfg)
     steps = int((ts[-1] - ts[0]) / sr)  # floor: largest k with t_0 + k*sr <= t_m
+    if steps + 1 > MAX_GRID_RECORDS:
+        raise PreprocessError(
+            f"strategy A2 would build {steps + 1} grid records at sr={format_rational(sr)}"
+            f" (limit {MAX_GRID_RECORDS}); use strategy A1"
+        )
+    table = _interpolants(trace, cfg)
     records = []
     for k in range(steps + 1):
         t = ts[0] + k * sr

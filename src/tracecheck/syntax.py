@@ -840,9 +840,12 @@ def parse(text: str, signature: Iterable[str] = ()) -> Formula:
         ast = parser.formula()
         if parser.peek().kind != "eof":
             parser.fail("end of input")
+        return _Checker(text, sig).run(ast)
     except _Fail:
         parser.error_out()
-    return _Checker(text, sig).run(ast)
+    except RecursionError:
+        line, col = _line_col(text, parser.peek().pos)
+        raise ParseError("property nests too deeply", line, col) from None
 
 
 # ---------------------------------------------------------------------------

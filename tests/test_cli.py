@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, printed rows, error reporting."""
 
 import json
+import time
 
 import pytest
 
@@ -248,6 +249,102 @@ class TestBatch:
         p.write_text("id,trace\nz,1\n")
         assert run("batch", p, "--out", workdir / "o") == 4
         assert "error at manifest:" in capsys.readouterr().err
+
+
+def write_error_inputs(d):
+    """One broken input per stage, next to the fixture's good files."""
+    (d / "bad.csv").write_text("nope\n")
+    (d / "one.csv").write_text("timestamp,ang-rate,mode\n0,1,0\n")
+    gaps = "\n".join(f"{k + k // 2},1" for k in range(2001))
+    (d / "wide.csv").write_text("timestamp,x\n" + gaps + "\n")
+    (d / "reads.prop").write_text(" and ".join(["(x @t 0) > 0"] * 26) + "\n")
+    (d / "broken.prop").write_text("exists tau0 in\n")
+    (d / "deep.prop").write_text("(" * 3000 + "(mode @i 0) > 0" + ")" * 3000 + "\n")
+    (d / "ands.prop").write_text(" and ".join(["(mode @i 0) > 0"] * 400) + "\n")
+    (d / "ghost.prop").write_text(
+        "signal spd : real\nexists sigma0 in [0,1] such that (spd @i sigma0) < 1\n"
+    )
+    (d / "bad.cfg").write_text("default = quintic\n")
+    (d / "m.csv").write_text("id,trace,property,strategy,config\ne1,fig1.csv,r1.prop,,\n")
+    (d / "badm.csv").write_text("id,trace\nz,1\n")
+
+
+# (arguments, start of the stderr line after "error at ")
+STAGE_ERRORS = [
+    ("validate nope.prop", "io-error: nope.prop:"),
+    ("validate r1.prop --trace nope.csv", "io-error: nope.csv:"),
+    ("validate nope.prop --trace nope.csv", "io-error: nope.prop:"),
+    ("preprocess nope.csv", "io-error: nope.csv:"),
+    ("translate nope.csv r1.prop", "io-error: nope.csv:"),
+    ("check nope.csv r1.prop", "io-error: nope.csv:"),
+    ("translate fig1.csv nope.prop", "io-error: nope.prop:"),
+    ("check fig1.csv nope.prop", "io-error: nope.prop:"),
+    ("check nope.csv nope.prop", "io-error: nope.csv:"),
+    ("preprocess fig1.csv --config nope.cfg", "io-error: nope.cfg:"),
+    ("translate fig1.csv r1.prop --config nope.cfg", "io-error: nope.cfg:"),
+    ("check fig1.csv r1.prop --config nope.cfg", "io-error: nope.cfg:"),
+    ("batch m.csv --config nope.cfg", "io-error: nope.cfg:"),
+    ("batch nope.csv", "io-error: nope.csv:"),
+    ("preprocess fig1.csv --out fig1.csv/o", "io-error: fig1.csv/o:"),
+    ("translate fig1.csv r1.prop --out fig1.csv/o", "io-error: fig1.csv/o:"),
+    ("check fig1.csv r1.prop --out fig1.csv/o", "io-error: fig1.csv/o:"),
+    ("batch m.csv --out fig1.csv/o", "io-error: fig1.csv/o:"),
+    ("validate r1.prop --trace bad.csv", "trace-format: bad.csv:"),
+    ("preprocess bad.csv", "trace-format: bad.csv:"),
+    ("translate bad.csv r1.prop", "trace-format: bad.csv:"),
+    ("check bad.csv r1.prop", "trace-format: bad.csv:"),
+    ("validate broken.prop", "property-parse: broken.prop:"),
+    ("translate fig1.csv broken.prop", "property-parse: broken.prop:"),
+    ("check fig1.csv broken.prop", "property-parse: broken.prop:"),
+    ("validate deep.prop", "property-parse: deep.prop: property nests too deeply"),
+    ("translate fig1.csv deep.prop", "property-parse: deep.prop: property nests too deeply"),
+    ("check fig1.csv deep.prop", "property-parse: deep.prop: property nests too deeply"),
+    ("validate ghost.prop --trace fig1.csv", "signature: property uses signals absent"),
+    ("translate fig1.csv ghost.prop", "signature: property uses signals absent"),
+    ("check fig1.csv ghost.prop", "signature: property uses signals absent"),
+    ("preprocess fig1.csv --config bad.cfg", "config: bad.cfg: unknown interpolation kind"),
+    ("translate fig1.csv r1.prop --config bad.cfg", "config: bad.cfg:"),
+    ("check fig1.csv r1.prop --config bad.cfg", "config: bad.cfg:"),
+    ("batch m.csv --config bad.cfg", "config: bad.cfg:"),
+    ("preprocess one.csv", "preprocess: strategy A2 needs at least 2 records"),
+    ("translate one.csv r1.prop", "preprocess:"),
+    ("check one.csv r1.prop", "preprocess:"),
+    ("translate fig1.csv sigma.prop --strategy A1 --iota fixed", "iota:"),
+    ("check fig1.csv sigma.prop --strategy A1 --iota fixed", "iota:"),
+    ("translate wide.csv reads.prop --strategy A1", "translate: the variable-rate index map"),
+    ("check wide.csv reads.prop --strategy A1", "translate: the variable-rate index map"),
+    ("translate fig1.csv ands.prop", "translate:"),
+    ("check fig1.csv ands.prop", "translate:"),
+    ("batch badm.csv", "manifest: badm.csv: header must be"),
+]
+
+
+class TestStageErrors:
+    @pytest.mark.parametrize(
+        "line, expected", STAGE_ERRORS, ids=[line for line, _ in STAGE_ERRORS]
+    )
+    def test_exits_4_with_the_stage_tag(
+        self, workdir, capsys, monkeypatch, default_recursion_limit, line, expected
+    ):
+        write_error_inputs(workdir)
+        monkeypatch.chdir(workdir)
+        argv = line.split()
+        if argv[0] != "validate" and "--out" not in argv:
+            argv += ["--out", "o"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error at {expected}"), err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["preprocess tight.csv", "check tight.csv x.prop"])
+    def test_oversized_a2_grid_is_refused_quickly(self, workdir, capsys, monkeypatch, command):
+        (workdir / "tight.csv").write_text("timestamp,x\n0,1\n0.000000001,1\n1000,1\n")
+        (workdir / "x.prop").write_text("(x @i 0) > 0\n")
+        monkeypatch.chdir(workdir)
+        started = time.perf_counter()
+        assert main(command.split() + ["--out", "o"]) == 4
+        assert time.perf_counter() - started < 5
+        assert capsys.readouterr().err.startswith("error at preprocess: strategy A2 would build")
 
 
 class TestParser:

@@ -12,10 +12,10 @@ from tracecheck.preprocess import (
     PreprocessError,
     apply_a1,
     apply_a2,
-    config_from_keys,
     filter_unused,
     parse_keyvalues,
 )
+from tracecheck.pipeline import CheckOptions, apply_config_keys
 from tracecheck.trace import Fixed, Variable, load_trace, value_at
 
 CONST = InterpolationKind.CONSTANT
@@ -200,6 +200,11 @@ class TestApplyA2:
         with pytest.raises(PreprocessError, match="degenerate sample rate"):
             apply_a2(trace, PreprocessConfig())
 
+    def test_oversized_grid_rejected_before_building(self):
+        trace = load_trace("timestamp,a\n0,1\n0.000000001,2\n1000,3\n")
+        with pytest.raises(PreprocessError, match="1000000000001 grid records.*strategy A1"):
+            apply_a2(trace, PreprocessConfig())
+
     @given(
         gaps=st.lists(st.integers(1, 10), min_size=1, max_size=6),
         vals=st.lists(st.integers(-5, 5), min_size=7, max_size=7),
@@ -228,7 +233,7 @@ class TestConfigFile:
         solver.cmd = z3 -smt2
         """
         keys = parse_keyvalues(text)
-        cfg = config_from_keys(keys)
+        cfg = apply_config_keys(CheckOptions(), keys).preprocess
         assert cfg.strategy == "A1"
         assert cfg.default_kind == CUBIC
         assert cfg.per_signal == {"mode": CONST, "ang-rate": LINEAR}
@@ -236,11 +241,11 @@ class TestConfigFile:
 
     def test_bad_kind_rejected(self):
         with pytest.raises(PreprocessError, match="unknown interpolation kind"):
-            config_from_keys({"default": "quadratic"})
+            apply_config_keys(CheckOptions(), {"default": "quadratic"})
 
     def test_bad_strategy_rejected(self):
         with pytest.raises(PreprocessError, match="strategy"):
-            config_from_keys({"strategy": "A3"})
+            apply_config_keys(CheckOptions(), {"strategy": "A3"})
 
     def test_missing_equals_rejected(self):
         with pytest.raises(PreprocessError, match="line 1"):

@@ -252,6 +252,18 @@ class TestSortInference:
         else:
             pytest.fail("expected a ParseError")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * 3000 + "(mode @i 0) > 0" + ")" * 3000,  # deep for the parser
+            " and ".join(["(mode @i 0) > 0"] * 3000),  # deep for the sort checker
+        ],
+        ids=["parentheses", "and-chain"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, default_recursion_limit, text):
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse(text, SIG)
+
     def test_siblings_may_reuse_a_name(self):
         f = parse(
             "(exists σ0 in [0, 1] such that (mode @i σ0) = 1) or "
