@@ -257,9 +257,9 @@ def apply_config_keys(options: CheckOptions, keys: Dict[str, str]) -> CheckOptio
     out = replace(options, preprocess=pre)
     for key, value in keys.items():
         if key == "strategy":
-            if value.upper() not in ("A1", "A2"):
-                raise PreprocessError(f"strategy must be A1 or A2, got {value!r}")
             pre.strategy = value.upper()
+            if pre.strategy not in ("A1", "A2"):
+                raise PreprocessError(f"strategy must be A1 or A2, got {value!r}")
         elif key == "default":
             pre.default_kind = InterpolationKind.parse(value)
         elif key == "solver.cmd":
