@@ -175,7 +175,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     print(f"verdict: {row.verdict}")
     if row.reason:
         print(f"reason: {row.reason}")
-    print(f"solver: {row.solver_status} in {row.time_s:.3f}s")
+    print(f"solver: {row.solver_status} in {row.solve_s:.3f}s")
     print(f"iota: {row.iota}")
     print(
         f"records: raw={row.records_raw} filtered={row.records_filtered} "

@@ -83,6 +83,7 @@ class ReportRow:
     reason: str = ""
     solver_status: str = ""
     time_s: float = 0.0
+    solve_s: float = 0.0
     records_raw: int = 0
     records_filtered: int = 0
     records_pre: int = 0
@@ -215,6 +216,7 @@ def check_pair(
         verdict=verdict.value,
         reason=reason,
         solver_status=outcome.status,
+        solve_s=round(outcome.elapsed_s, 3),
         records_raw=len(trace),
         records_filtered=len(filtered),
         records_pre=len(pre),
@@ -413,6 +415,7 @@ BASE_COLUMNS = (
     "reason",
     "solver_status",
     "time_s",
+    "solve_s",
     "records_raw",
     "records_filtered",
     "records_pre",

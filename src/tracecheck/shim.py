@@ -1,9 +1,13 @@
 """A small SMT-LIB evaluator for scripts over fully pinned trace arrays.
 
-Installed as the `tracecheck-solve` console script so checking works out of
-the box; without an install the default solver command runs this module as
-`python -m tracecheck.shim` with the current interpreter.  Any SMT-LIB
-solver binary can replace it via --solver.
+It answers the default solver command, `tracecheck-solve`.  The solver
+driver runs this module as `python -m tracecheck.shim --serve`: a small
+single-threaded server that reads one request per line and forks one child
+per script, which sets up its own session and address-space cap, reads the
+script back from disk and evaluates it.  The server enforces the deadline,
+reaps the child and replies with one JSON line.  `tracecheck-solve FILE`
+(or `python -m tracecheck.shim FILE`) evaluates one script and prints the
+answer.  Any SMT-LIB solver binary can replace it via --solver.
 
 This is an evaluator, not a general solver: it assumes the interesting
 structure lives in the quantifiers while the arrays are pinned cell by cell
@@ -31,12 +35,15 @@ three-valued throughout (True / False / None).
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from .solver import drain, limit_address_space
 from .trace import parse_rational
 
 RECURSION_LIMIT = 200_000
@@ -944,41 +951,100 @@ def _decide(state: _Eval, asserts: List) -> str:
     return "unknown" if saw_unknown else "sat"
 
 
+def solve(path: str) -> Tuple[int, str, str]:
+    """Evaluate the script at `path` (`-` for stdin): (exit code, stdout, stderr).
+
+    The script runs under RECURSION_LIMIT; the caller's limit is restored
+    afterwards.
+    """
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except OSError as exc:
+        return 1, "", f"cannot read script: {exc}\n"
+
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(RECURSION_LIMIT)
+        out = run_script(text)
+    except RecursionError:
+        return 1, "", "max. recursion depth exceeded\n"
+    except MemoryError:
+        return 1, "", "out of memory\n"
+    except ShimError as exc:
+        return 1, "", f"{exc}\n"
+    except Exception as exc:  # noqa: BLE001 - any other failure is a shim bug
+        return 1, "", f"internal error: {exc!r}\n"
+    finally:
+        sys.setrecursionlimit(limit)
+    return 0, "".join(f"{line}\n" for line in out), ""
+
+
+def _solve_in_child(path: str, timeout_s: float, mem_mb: int) -> dict:
+    """`solve(path)` in a forked child with its own session and address-space cap."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # The child must end here whatever happens, never back in the serve loop.
+        try:
+            os.close(read_end)
+            os.setsid()
+            limit_address_space(mem_mb)
+            code, out, err = solve(path)
+            with os.fdopen(write_end, "w", encoding="utf-8") as pipe:
+                json.dump([out, err], pipe)
+        except BaseException:  # noqa: BLE001 - the exit status reports it
+            os._exit(70)
+        os._exit(code)
+    os.close(write_end)
+    try:
+        code, (data,), rss_mb = drain(pid, [read_end], timeout_s)
+    finally:
+        os.close(read_end)
+    try:
+        out, err = json.loads(data)
+    except ValueError:  # the child died before its reply was complete
+        out, err = "", ""
+    return {"code": code, "stdout": out, "stderr": err, "max_rss_mb": rss_mb}
+
+
+def serve() -> int:
+    """Answer solve requests from stdin, one JSON line each, until EOF.
+
+    A request is `[timeout_s, mem_mb, absolute script path]`.  Each script
+    runs in a child forked from this single-threaded process; the reply is
+    one JSON line with the child's exit code (or "timeout"), its stdout and
+    stderr and its peak resident set in MB.
+    """
+    for line in sys.stdin:
+        timeout_s, mem_mb, path = json.loads(line)
+        reply = _solve_in_child(path, timeout_s, mem_mb)
+        sys.stdout.write(json.dumps(reply) + "\n")
+        sys.stdout.flush()
+    return 0
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="tracecheck-solve",
         description="evaluate an SMT-LIB script over pinned trace arrays",
     )
-    parser.add_argument("script", help="path to the .smt2 file, or - for stdin")
+    parser.add_argument("script", nargs="?", help="path to the .smt2 file, or - for stdin")
+    parser.add_argument(
+        "--serve", action="store_true", help="answer solve requests on stdin, one per line"
+    )
     args = parser.parse_args(argv)
-    if args.script == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.script, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            print(f"cannot read script: {exc}", file=sys.stderr)
-            return 1
-
-    try:
-        sys.setrecursionlimit(RECURSION_LIMIT)
-        out = run_script(text)
-    except RecursionError:
-        print("max. recursion depth exceeded", file=sys.stderr)
-        return 1
-    except MemoryError:
-        print("out of memory", file=sys.stderr)
-        return 1
-    except ShimError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except Exception as exc:  # noqa: BLE001 - any other failure is a shim bug
-        print(f"internal error: {exc!r}", file=sys.stderr)
-        return 1
-    for line in out:
-        print(line)
-    return 0
+    if args.serve:
+        return serve()
+    if args.script is None:
+        parser.error("the script argument is required")
+    code, out, err = solve(args.script)
+    sys.stdout.write(out)
+    sys.stderr.write(err)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,29 +1,35 @@
-"""External SMT solver invocation and verdict mapping.
+"""SMT solver invocation and verdict mapping.
 
 A property holds on a trace exactly when the script encoding the negated
 property together with the trace assertions is unsatisfiable, so `unsat`
-maps to satisfied and `sat` to violated.  The solver runs as a subprocess
-under a wall-clock timeout and an address-space cap; timeouts and resource
-exhaustion are reported as inconclusive rather than as answers.
+maps to satisfied and `sat` to violated.  Every script runs in a fresh
+process under a wall-clock timeout and an address-space cap; timeouts and
+resource exhaustion are reported as inconclusive rather than as answers.
 
-The default command is the bundled `tracecheck-solve` console script.  When
-it is not on PATH (a checkout run with PYTHONPATH=src and no install), the
-same evaluator runs as `python -m tracecheck.shim` under the current
-interpreter instead.
+The default command, `tracecheck-solve`, is the bundled evaluator.  It is
+served by long-lived `python -m tracecheck.shim --serve` processes started
+with the current interpreter, one per calling thread at most, that fork one
+child per script: a call costs a fork, not an interpreter start.  Any other
+command runs as a subprocess of its own, `cmd <script>`, per call.  Both
+routes feed the same classifier.
 """
 
 from __future__ import annotations
 
+import atexit
 import enum
+import json
 import os
 import resource
+import select
 import shlex
-import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import List, Sequence, Tuple, Union
 
 
 class Verdict(enum.Enum):
@@ -38,7 +44,7 @@ DEFAULT_TIMEOUT_S = 3600.0
 DEFAULT_MEM_MB = 4096
 
 # the directory that holds this `tracecheck` package, absolute so that a
-# relative PYTHONPATH in the caller cannot break the fallback child
+# relative PYTHONPATH in the caller cannot break the server
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # stderr fragments that identify resource exhaustion inside the solver
@@ -46,6 +52,10 @@ _RESOURCE_PATTERNS = (
     ("max. recursion depth exceeded", "max-depth"),
     ("out of memory", "out-of-memory"),
 )
+
+# an exit code, or TIMEOUT when the deadline killed the process
+ExitCode = Union[int, str]
+TIMEOUT = "timeout"
 
 
 @dataclass(frozen=True)
@@ -56,64 +66,162 @@ class SolverOutcome:
     detail: str = ""
     model: str = ""
     elapsed_s: float = 0.0
+    max_rss_mb: float = 0.0  # peak resident set of the process that ran the script
 
 
-def _limit_address_space(mem_mb: int):
-    def apply():
-        cap = mem_mb * 1024 * 1024
+class SolverUnavailable(Exception):
+    """The solver could not be started or gave no reply at all."""
+
+
+def limit_address_space(mem_mb: int) -> None:
+    """Cap this process's address space at `mem_mb` MiB, best effort."""
+    cap = mem_mb * 1024 * 1024
+    try:
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    except (ValueError, OSError):
+        pass  # caps above the hard limit are best effort
+
+
+def drain(pid: int, fds: Sequence[int], timeout_s: float) -> Tuple[ExitCode, List[bytes], float]:
+    """Read `fds` to EOF while child `pid` runs, for at most `timeout_s`, then reap it.
+
+    When the deadline passes first, the child's process group is killed
+    before the child is reaped.  Returns (exit code or TIMEOUT, the bytes
+    read from each fd, the child's peak resident set in MB).
+    """
+    deadline = time.monotonic() + timeout_s
+    chunks = {fd: [] for fd in fds}
+    poller = select.poll()
+    for fd in fds:
+        poller.register(fd, select.POLLIN)
+    reading = len(fds)
+    timed_out = False
+    while reading:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            timed_out = True
+            break
+        # poll takes milliseconds in a C int: wait in slices of at most a minute
+        for fd, _ in poller.poll(min(left, 60.0) * 1000):
+            data = os.read(fd, 1 << 16)
+            if data:
+                chunks[fd].append(data)
+            else:
+                poller.unregister(fd)
+                reading -= 1
+    if timed_out:
         try:
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-        except (ValueError, OSError):
-            pass  # caps above the hard limit are best effort
+            os.killpg(pid, signal.SIGKILL)
+        except OSError:  # not yet its own group leader, or not ours to kill
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass
+    _, status, usage = os.wait4(pid, 0)
+    code = TIMEOUT if timed_out else os.waitstatus_to_exitcode(status)
+    return code, [b"".join(chunks[fd]) for fd in fds], usage.ru_maxrss / 1024
 
-    return apply
 
-
-def run_solver(
-    script_path: str,
-    cmd: str = DEFAULT_SOLVER_CMD,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
-    mem_mb: int = DEFAULT_MEM_MB,
-) -> SolverOutcome:
-    """Run `cmd <script_path>` and classify what came back."""
-    argv = shlex.split(cmd) + [str(script_path)]
-    env = None
-    if argv[0] == DEFAULT_SOLVER_CMD and shutil.which(argv[0]) is None:
-        argv = [sys.executable, "-m", "tracecheck.shim"] + argv[1:]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p
-        )
-    started = time.monotonic()
+def _run_command(argv: List[str], timeout_s: float, mem_mb: int):
+    """`argv` as a subprocess in its own session: (code, stdout, stderr, max_rss_mb)."""
     try:
         proc = subprocess.Popen(
             argv,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            text=True,
-            env=env,
             start_new_session=True,
-            preexec_fn=_limit_address_space(mem_mb),
+            preexec_fn=lambda: limit_address_space(mem_mb),
         )
     except FileNotFoundError:
-        return SolverOutcome("error", detail=f"solver command not found: {argv[0]}")
+        raise SolverUnavailable(f"solver command not found: {argv[0]}") from None
     except OSError as exc:
-        return SolverOutcome("error", detail=f"could not start solver: {exc}")
+        raise SolverUnavailable(f"could not start solver: {exc}") from None
     try:
-        stdout, stderr = proc.communicate(timeout=timeout_s)
-    except subprocess.TimeoutExpired:
-        try:
-            os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            proc.kill()
-        proc.communicate()
-        return SolverOutcome(
-            "timeout",
-            detail=f"solver exceeded {timeout_s:g}s",
-            elapsed_s=time.monotonic() - started,
+        code, (stdout, stderr), rss_mb = drain(
+            proc.pid, [proc.stdout.fileno(), proc.stderr.fileno()], timeout_s
         )
-    elapsed = time.monotonic() - started
+    finally:
+        proc.stdout.close()
+        proc.stderr.close()
+    proc.returncode = code  # reaped by drain; keeps Popen from waiting again
+    return code, stdout.decode(errors="replace"), stderr.decode(errors="replace"), rss_mb
 
+
+class _ServerPool:
+    """Idle `tracecheck.shim --serve` processes, shared by the threads of this process.
+
+    A call takes an idle server or starts one, and puts it back after a
+    complete reply, so N concurrent calls run at most N servers.  Servers
+    left idle are closed and reaped when the interpreter exits.
+    """
+
+    def __init__(self):
+        self._idle: List[subprocess.Popen] = []
+        self._lock = threading.Lock()
+
+    def _start(self) -> subprocess.Popen:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p
+        )
+        try:
+            return subprocess.Popen(
+                [sys.executable, "-m", "tracecheck.shim", "--serve"],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
+                env=env,
+                start_new_session=True,
+            )
+        except OSError as exc:
+            raise SolverUnavailable(f"could not start solver: {exc}") from None
+
+    def ask(self, script_path: str, timeout_s: float, mem_mb: int):
+        """One script through a server: (code, stdout, stderr, max_rss_mb)."""
+        with self._lock:
+            server = self._idle.pop() if self._idle else None
+        if server is None:
+            server = self._start()
+        request = json.dumps([timeout_s, mem_mb, os.path.abspath(script_path)])
+        try:
+            server.stdin.write(request + "\n")
+            server.stdin.flush()
+            reply = json.loads(server.stdout.readline())
+        except (OSError, ValueError):
+            _stop(server)
+            raise SolverUnavailable("solver server ended without a reply") from None
+        with self._lock:
+            self._idle.append(server)
+        return reply["code"], reply["stdout"], reply["stderr"], reply["max_rss_mb"]
+
+    def close(self) -> None:
+        """Close every idle server and reap it."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for server in idle:
+            _stop(server)
+
+
+def _stop(server: subprocess.Popen) -> None:
+    """End a server: EOF on its stdin, then a kill if it does not exit promptly."""
+    try:
+        server.stdin.close()
+    except OSError:
+        pass
+    try:
+        server.wait(timeout=5)
+    except subprocess.TimeoutExpired:
+        server.kill()
+        server.wait()
+    server.stdout.close()
+
+
+_SERVERS = _ServerPool()
+atexit.register(_SERVERS.close)
+
+
+def _classify(stdout: str, stderr: str, code: int, elapsed: float) -> SolverOutcome:
+    """Map what a finished solver printed to an outcome."""
     status_token = ""
     model = ""
     pos = 0
@@ -132,8 +240,32 @@ def run_solver(
             return SolverOutcome("resource", detail=kind, elapsed_s=elapsed)
     if status_token == "unknown":
         return SolverOutcome("unknown", model=model, elapsed_s=elapsed)
-    detail = stderr.strip() or f"no sat/unsat/unknown on stdout (exit {proc.returncode})"
+    detail = stderr.strip() or f"no sat/unsat/unknown on stdout (exit {code})"
     return SolverOutcome("error", detail=detail.splitlines()[0], elapsed_s=elapsed)
+
+
+def run_solver(
+    script_path: str,
+    cmd: str = DEFAULT_SOLVER_CMD,
+    timeout_s: float = DEFAULT_TIMEOUT_S,
+    mem_mb: int = DEFAULT_MEM_MB,
+) -> SolverOutcome:
+    """Run the solver on `script_path` and classify what came back."""
+    started = time.monotonic()
+    try:
+        if cmd == DEFAULT_SOLVER_CMD:
+            code, stdout, stderr, rss_mb = _SERVERS.ask(str(script_path), timeout_s, mem_mb)
+        else:
+            argv = shlex.split(cmd) + [str(script_path)]
+            code, stdout, stderr, rss_mb = _run_command(argv, timeout_s, mem_mb)
+    except SolverUnavailable as exc:
+        return SolverOutcome("error", detail=str(exc))
+    elapsed = time.monotonic() - started
+    if code == TIMEOUT:
+        outcome = SolverOutcome("timeout", detail=f"solver exceeded {timeout_s:g}s", elapsed_s=elapsed)
+    else:
+        outcome = _classify(stdout, stderr, code, elapsed)
+    return replace(outcome, max_rss_mb=rss_mb)
 
 
 def verdict_of(outcome: SolverOutcome) -> tuple:

@@ -1,6 +1,5 @@
 """Shared fixtures: the worked-example trace and its property texts."""
 
-import sys
 from fractions import Fraction
 
 import pytest
@@ -57,12 +56,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for n in sorted(CRITERIA):
             terminalreporter.write_line(f"CRITERION {n}: {CRITERIA[n]}")
-
-
-@pytest.fixture
-def default_recursion_limit():
-    """Python's default recursion limit, even after an in-process shim.main raised it."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(limit)

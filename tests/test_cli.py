@@ -1,11 +1,13 @@
 """Command-line behaviour: exit codes, printed rows, error reporting."""
 
 import json
+import re
 import time
 
 import pytest
 
 from tracecheck.cli import main
+from tracecheck.pipeline import check_pair
 from tracecheck.trace import load_trace_file
 
 from conftest import FIG_CSV, R1_TEXT, SIGMA_EXAMPLE_TEXT
@@ -177,6 +179,25 @@ class TestCheck:
         assert code == 4
         assert "error at internal: RuntimeError('broken')" in capsys.readouterr().err
 
+    def test_solver_line_prints_the_solve_time(self, workdir, capsys, monkeypatch):
+        stub = workdir / "slow.sh"
+        stub.write_text("#!/bin/sh\nsleep 0.3\necho unsat\n")
+        stub.chmod(0o755)
+        rows = []
+
+        def keep_row(*args, **kwargs):
+            rows.append(check_pair(*args, **kwargs))
+            return rows[-1]
+
+        monkeypatch.setattr("tracecheck.cli.check_pair", keep_row)
+        code = run(
+            "check", workdir / "fig1.csv", workdir / "r1.prop",
+            "--solver", stub, "--oracle", "--out", workdir / "o",
+        )
+        assert code == 0
+        printed = re.search(r"^solver: unsat in (\S+)s$", capsys.readouterr().out, re.M)
+        assert 0.3 <= float(printed.group(1)) < rows[0].time_s
+
     def test_solver_flag_honored(self, workdir, capsys):
         code = run(
             "check",
@@ -324,7 +345,7 @@ class TestStageErrors:
         "line, expected", STAGE_ERRORS, ids=[line for line, _ in STAGE_ERRORS]
     )
     def test_exits_4_with_the_stage_tag(
-        self, workdir, capsys, monkeypatch, default_recursion_limit, line, expected
+        self, workdir, capsys, monkeypatch, line, expected
     ):
         write_error_inputs(workdir)
         monkeypatch.chdir(workdir)

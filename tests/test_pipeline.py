@@ -386,6 +386,14 @@ class TestReports:
         assert lines[1].startswith("a,satisfied,")
         assert len(lines) == 3
 
+    def test_solve_time_column(self, tmp_path):
+        row = ReportRow(id="a", verdict="satisfied", time_s=0.5, solve_s=0.25)
+        write_report([row], "csv", tmp_path / "r.csv")
+        header, line = (tmp_path / "r.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), line.split(",")))["solve_s"] == "0.25"
+        write_report([row], "jsonl", tmp_path / "r.jsonl")
+        assert json.loads((tmp_path / "r.jsonl").read_text())["solve_s"] == 0.25
+
     def test_csv_omits_stats_without_repeat(self, tmp_path):
         path = tmp_path / "r.csv"
         write_report([self.rows()[0]], "csv", path)

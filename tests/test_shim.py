@@ -365,6 +365,14 @@ class TestMain:
         assert shim.main([str(p)]) == 1
         assert "out of memory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["(check-sat)\n", "(check-sat\n"], ids=["answer", "error"])
+    def test_recursion_limit_is_restored(self, tmp_path, capsys, text):
+        p = tmp_path / "q.smt2"
+        p.write_text(text)
+        limit = sys.getrecursionlimit()
+        shim.main([str(p)])
+        assert sys.getrecursionlimit() == limit
+
     def test_deep_evaluation_survives(self, tmp_path, capsys):
         # 5000-deep additions stay well within the recursion limit
         limit = sys.getrecursionlimit()

@@ -1,14 +1,22 @@
 """Tests for the solver subprocess driver and verdict mapping."""
 
 import importlib.metadata
+import os
 import shutil
 import stat
+import subprocess
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+from tracecheck import solver
 from tracecheck.smt import translate
 from tracecheck.solver import (
+    _SERVERS,
     DEFAULT_MEM_MB,
     DEFAULT_SOLVER_CMD,
     DEFAULT_TIMEOUT_S,
@@ -121,6 +129,11 @@ class TestRunSolver:
         assert out.status == "sat"
         assert out.model == str(512 * 1024 * 1024)
 
+    @pytest.mark.parametrize("route", ["default", "command"])
+    def test_timeout_beyond_a_poll_interval(self, tmp_path, script_file, route):
+        cmd = DEFAULT_SOLVER_CMD if route == "default" else make_stub(tmp_path, "echo sat\n")
+        assert run_solver(script_file, cmd=cmd, timeout_s=1e9).status == "sat"
+
     def test_defaults(self):
         assert DEFAULT_SOLVER_CMD == "tracecheck-solve"
         assert DEFAULT_TIMEOUT_S == 3600.0
@@ -194,9 +207,7 @@ class TestBundledSolverIntegration:
         assert out.status == "sat"
         assert verdict_of(out)[0] == Verdict.VIOLATED
 
-    def test_default_command_falls_back_without_install(
-        self, tmp_path, fig_trace, monkeypatch
-    ):
+    def test_default_command_needs_no_install(self, tmp_path, fig_trace, monkeypatch):
         f = parse(
             "exists σ0 in [3,5] such that (ang-rate @i σ0) < 2.5",
             signature=tuple(fig_trace.signals),
@@ -209,7 +220,153 @@ class TestBundledSolverIntegration:
         monkeypatch.setenv("PYTHONPATH", "src")
         monkeypatch.chdir(tmp_path)
         assert shutil.which(DEFAULT_SOLVER_CMD) is None
+        _SERVERS.close()  # the next call starts a server under this environment
         out = run_solver(str(path))
         assert out.status == "sat", out.detail
         out = run_solver(str(path), cmd="definitely-not-a-solver-zzz")
         assert out.detail == "solver command not found: definitely-not-a-solver-zzz"
+
+
+def children_of(pid):
+    """Pids whose parent is `pid`, read from /proc."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            line = (entry / "stat").read_text()
+        except OSError:  # the process ended meanwhile
+            continue
+        # the command name in parentheses may hold spaces; the ppid follows the state
+        if int(line.rsplit(")", 1)[1].split()[1]) == pid:
+            found.append(int(entry.name))
+    return found
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.fixture
+def server(script_file):
+    """The pid of the server the next default-route call on this thread takes."""
+    assert run_solver(script_file).status == "sat"
+    return _SERVERS._idle[-1].pid
+
+
+class TestServerRoute:
+    def test_timeout_kills_the_child_group(self, tmp_path, script_file, server):
+        slow = tmp_path / "slow.smt2"
+        slow.write_text(
+            "(assert (exists ((k Int)) (and (<= 0 k) (<= k 900000) (= (* k k) (- 0 1)))))\n"
+            "(check-sat)\n"
+        )
+        seen = []
+        done = threading.Event()
+
+        def watch():
+            while not done.is_set():
+                seen.extend(c for c in children_of(server) if c not in seen)
+                time.sleep(0.02)
+
+        watcher = threading.Thread(target=watch)
+        watcher.start()
+        started = time.monotonic()
+        try:
+            out = run_solver(str(slow), timeout_s=0.2)
+        finally:
+            done.set()
+            watcher.join(timeout=5)
+        assert out.status == "timeout"
+        assert out.detail == "solver exceeded 0.2s"
+        assert time.monotonic() - started < 2
+        assert seen, "no child was forked for the script"
+        for child in seen:
+            with pytest.raises(ProcessLookupError):
+                os.killpg(child, 0)
+        assert run_solver(script_file).status == "sat"
+        assert _SERVERS._idle[-1].pid == server
+
+    def test_memory_cap_is_out_of_memory(self, tmp_path, script_file, server):
+        big = tmp_path / "big.smt2"
+        big.write_text("(assert (= 1 1 " + "12 " * 1_700_000 + "))\n(check-sat)\n")
+        out = run_solver(str(big), mem_mb=64)
+        assert (out.status, out.detail) == ("resource", "out-of-memory")
+        assert run_solver(script_file).status == "sat"
+        assert _SERVERS._idle[-1].pid == server
+
+    def test_child_dying_without_a_reply_is_an_error(self, tmp_path, script_file, server):
+        # a cap below what the child already maps leaves it no room to read the script
+        big = tmp_path / "comment.smt2"
+        big.write_text(";" + "x" * 2_000_000 + "\n(check-sat)\n")
+        out = run_solver(str(big), mem_mb=1)
+        assert out.status == "error"
+        assert out.detail.startswith("no sat/unsat/unknown on stdout (exit ")
+        assert run_solver(script_file).status == "sat"
+        assert _SERVERS._idle[-1].pid == server
+
+    def test_relative_path_after_chdir(self, tmp_path, server, monkeypatch):
+        (tmp_path / "here").mkdir()
+        (tmp_path / "here" / "q.smt2").write_text("(assert (= 1 2)) (check-sat)\n")
+        monkeypatch.chdir(tmp_path / "here")
+        assert run_solver("q.smt2").status == "unsat"
+        assert _SERVERS._idle[-1].pid == server
+
+    def test_deep_script_leaves_the_caller_limit(self, tmp_path):
+        index = "0"
+        for _ in range(20_000):
+            index = f"(+ 0 {index})"
+        deep = tmp_path / "deep.smt2"
+        deep.write_text(
+            "(declare-const a (Array Int Real))\n"
+            "(assert (= (select a 0) 1.0))\n"
+            "(assert (exists ((x Real)) (and (<= 0.0 x) (<= x 1.0) "
+            f"(= (select a {index}) 1.0))))\n"
+            "(check-sat)\n"
+        )
+        limit = sys.getrecursionlimit()
+        assert run_solver(str(deep)).status == "sat"
+        assert sys.getrecursionlimit() == limit
+
+    def test_peak_memory_is_reported(self, script_file):
+        assert run_solver(script_file).max_rss_mb > 1
+        eat = f"{sys.executable} -c \"b = bytearray(64 << 20); print('sat')\""
+        assert run_solver(script_file, cmd=eat).max_rss_mb >= 64
+
+    def test_concurrent_calls_share_the_pool(self, script_file):
+        _SERVERS.close()
+        threads = 8
+        results = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [pool.submit(run_solver, script_file) for _ in range(threads * 5)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        assert [r.status for r in results] == ["sat"] * len(results)
+        pids = [s.pid for s in _SERVERS._idle]
+        assert 1 <= len(pids) <= threads
+        assert len(set(pids)) == len(pids)
+
+    def test_idle_servers_are_reaped_at_exit(self, script_file):
+        src = str(Path(solver.__file__).resolve().parents[1])
+        probe = (
+            "import sys\n"
+            "from tracecheck.solver import _SERVERS, run_solver\n"
+            "print(run_solver(sys.argv[1]).status, *[s.pid for s in _SERVERS._idle])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe, script_file],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        status, *pids = done.stdout.split()
+        assert status == "sat", done.stderr
+        assert pids
+        assert not [pid for pid in map(int, pids) if alive(pid)]

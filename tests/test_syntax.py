@@ -260,7 +260,7 @@ class TestSortInference:
         ],
         ids=["parentheses", "and-chain"],
     )
-    def test_deep_nesting_is_a_parse_error(self, default_recursion_limit, text):
+    def test_deep_nesting_is_a_parse_error(self, text):
         with pytest.raises(ParseError, match="nests too deeply"):
             parse(text, SIG)
 
