@@ -64,8 +64,8 @@ def _add_pipeline_flags(p: argparse.ArgumentParser, solver: bool = True) -> None
             metavar="CMD",
             default=None,
             help=(
-                f"solver command line (default: {DEFAULT_SOLVER_CMD}, or the bundled "
-                "evaluator under this interpreter when that is not on PATH)"
+                f"solver command line (default: {DEFAULT_SOLVER_CMD}, the bundled "
+                "evaluator, served under this interpreter)"
             ),
         )
         p.add_argument(

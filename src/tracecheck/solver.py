@@ -98,7 +98,7 @@ def drain(pid: int, fds: Sequence[int], timeout_s: float) -> Tuple[ExitCode, Lis
     timed_out = False
     while reading:
         left = deadline - time.monotonic()
-        if left <= 0:
+        if not left > 0:  # a NaN timeout too ends at once
             timed_out = True
             break
         # poll takes milliseconds in a C int: wait in slices of at most a minute

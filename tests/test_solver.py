@@ -1,4 +1,4 @@
-"""Tests for the solver subprocess driver and verdict mapping."""
+"""Tests for the solver driver (server and command routes) and verdict mapping."""
 
 import importlib.metadata
 import os
@@ -281,6 +281,7 @@ class TestServerRoute:
         finally:
             done.set()
             watcher.join(timeout=5)
+        assert not watcher.is_alive()
         assert out.status == "timeout"
         assert out.detail == "solver exceeded 0.2s"
         assert time.monotonic() - started < 2
@@ -288,6 +289,11 @@ class TestServerRoute:
         for child in seen:
             with pytest.raises(ProcessLookupError):
                 os.killpg(child, 0)
+        assert run_solver(script_file).status == "sat"
+        assert _SERVERS._idle[-1].pid == server
+
+    def test_nan_timeout_ends_at_once(self, script_file, server):
+        assert run_solver(script_file, timeout_s=float("nan")).status == "timeout"
         assert run_solver(script_file).status == "sat"
         assert _SERVERS._idle[-1].pid == server
 
