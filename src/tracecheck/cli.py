@@ -39,6 +39,7 @@ from .pipeline import (
     write_report,
     write_text,
 )
+from .preprocess import PreprocessError
 from .solver import DEFAULT_MEM_MB, DEFAULT_SOLVER_CMD, DEFAULT_TIMEOUT_S
 from .syntax import format_formula
 from .trace import Fixed, format_rational, serialize_trace
@@ -99,10 +100,11 @@ def _options_from(args: argparse.Namespace) -> CheckOptions:
         options = replace(options, iota=args.iota)
     if getattr(args, "solver", None):
         options = replace(options, solver_cmd=args.solver)
-    if getattr(args, "timeout", None) is not None:
-        options = replace(options, timeout_s=args.timeout)
-    if getattr(args, "mem", None) is not None:
-        options = replace(options, mem_mb=args.mem)
+    for flag, key in (("timeout", "solver.timeout_s"), ("mem", "solver.mem_mb")):
+        value = getattr(args, flag, None)
+        if value is not None:
+            with stage("config", PreprocessError, path=f"--{flag}"):
+                options = apply_config_keys(options, {key: str(value)})
     if getattr(args, "oracle", False):
         options = replace(options, oracle=True)
     return options

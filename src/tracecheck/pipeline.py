@@ -246,11 +246,15 @@ def check_pair(
 # Configuration overlays
 # ---------------------------------------------------------------------------
 
-def _number(key: str, value: str, kind: type, noun: str):
+def _positive(key: str, value: str, kind: type, noun: str):
+    """`value` as a `kind` above zero (NaN is not), else a PreprocessError."""
     try:
-        return kind(value)
+        number = kind(value)
     except ValueError:
-        raise PreprocessError(f"{key} must be {noun}, got {value!r}") from None
+        number = None
+    if number is None or not number > 0:
+        raise PreprocessError(f"{key} must be {noun}, got {value!r}")
+    return number
 
 
 def apply_config_keys(options: CheckOptions, keys: Dict[str, str]) -> CheckOptions:
@@ -267,9 +271,9 @@ def apply_config_keys(options: CheckOptions, keys: Dict[str, str]) -> CheckOptio
         elif key == "solver.cmd":
             out.solver_cmd = value
         elif key == "solver.timeout_s":
-            out.timeout_s = _number(key, value, float, "a number")
+            out.timeout_s = _positive(key, value, float, "a positive number")
         elif key == "solver.mem_mb":
-            out.mem_mb = _number(key, value, int, "an integer")
+            out.mem_mb = _positive(key, value, int, "a positive integer")
         elif "." in key:
             raise PreprocessError(f"unknown config key {key!r}")
         else:  # any other undotted key names a signal

@@ -211,12 +211,15 @@ def apply_a2(trace: Trace, cfg: PreprocessConfig) -> Trace:
     """Resample onto the fixed grid t_0, t_0+sr, ... with sr = minimum gap.
 
     The last grid point is the largest one not exceeding t_m; an off-grid t_m
-    is dropped so the output rate is exactly fixed.
+    is dropped so the output rate is exactly fixed.  A trace already on its
+    grid (every gap exactly sr) with no empty cell is that grid, so it is
+    returned as it is.
     """
     if len(trace) < 2:
         raise PreprocessError("strategy A2 needs at least 2 records")
     ts = trace.timestamps
-    sr = min(b - a for a, b in zip(ts, ts[1:]))
+    gaps = [b - a for a, b in zip(ts, ts[1:])]
+    sr = min(gaps)
     if sr < SR_FLOOR:
         raise PreprocessError(
             f"degenerate sample rate {format_rational(sr)} (minimum gap below floor)"
@@ -227,6 +230,9 @@ def apply_a2(trace: Trace, cfg: PreprocessConfig) -> Trace:
             f"strategy A2 would build {steps + 1} grid records at sr={format_rational(sr)}"
             f" (limit {MAX_GRID_RECORDS}); use strategy A1"
         )
+    signals = set(trace.signals)
+    if all(g == sr for g in gaps) and all(r.values.keys() == signals for r in trace.records):
+        return trace
     table = _interpolants(trace, cfg)
     records = []
     for k in range(steps + 1):

@@ -8,13 +8,23 @@ disjunction with one true branch is true no matter what the other branch
 does, and dually for conjunction.  An error that survives to the root makes
 the check inconclusive instead of silently picking a side.
 
+Connectives evaluate left to right and stop at a decisive left side
+(false for a conjunction, true for a disjunction or a false antecedent):
+the right side is then never evaluated, so it can neither fail nor leave
+the fragment.  Otherwise both sides combine three-valued as above, and the
+left side's error is the one reported when neither side decides.
+
 Index quantifiers enumerate the integers of their interval clipped to
 [0, m].  Time quantifiers range over the interval clipped to the trace span;
 since every mapped index is piecewise constant in the quantified variable
 and every direct time comparison is affine in it, the body's truth value
 only changes at finitely many breakpoints, so evaluating the interval
 endpoints, the breakpoints and one point inside each gap between them
-decides the quantifier exactly.
+decides the quantifier exactly.  A mapped index steps only where its
+argument meets a timestamp, so the breakpoints come from the records whose
+timestamps fall inside the image of the quantifier's window, found by
+bisection: each quantifier instance costs O(log n + k) for the k records in
+its window, not O(n).
 
 The route cannot decide everything.  Unbounded real quantifiers, arguments
 mixing a time variable with a deeper-bound one, and conversions stacked on
@@ -24,6 +34,7 @@ inconclusive; the solver route has no such restriction.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Union
@@ -231,10 +242,15 @@ def _term_sort(term: Term) -> Sort:
 
 
 def _breakpoints(
-    trace: Trace, body: Formula, v: str, env: Assignment
+    trace: Trace, body: Formula, v: str, env: Assignment, dom: Interval
 ) -> Set[Fraction]:
-    """Candidate time points where the body's truth can flip as v moves."""
+    """Candidate time points in `dom` where the body's truth can flip as v moves.
+
+    A probe a*v + b steps where it meets a timestamp; only the timestamps
+    strictly inside the image of (dom.lo, dom.hi) give points in the window.
+    """
     points: Set[Fraction] = set()
+    ts = trace.timestamps
 
     def probe(expr: Term):
         if v not in free_vars(expr):
@@ -245,7 +261,8 @@ def _breakpoints(
             return
         if aff.a == 0:
             return
-        for tj in trace.timestamps:
+        ends = sorted((aff.a * dom.lo + aff.b, aff.a * dom.hi + aff.b))
+        for tj in ts[bisect_right(ts, ends[0]):bisect_left(ts, ends[1])]:
             points.add((tj - aff.b) / aff.a)
 
     def scan_term(term: Term):
@@ -330,7 +347,7 @@ def _time_candidates(
 ) -> List[Fraction]:
     lo, hi = dom.lo, dom.hi
     fence = [lo] + sorted(
-        p for p in _breakpoints(trace, body, v, env) if lo < p < hi
+        p for p in _breakpoints(trace, body, v, env, dom) if lo < p < hi
     ) + [hi]
     candidates: List[Fraction] = []
     if not dom.lo_open:
@@ -358,11 +375,13 @@ def _ev(trace: Trace, f: Formula, env: Assignment) -> TV:
     if isinstance(f, Not):
         return _not(_ev(trace, f.sub, env))
     if isinstance(f, And):
-        return _all([_ev(trace, f.left, env), _ev(trace, f.right, env)])
-    if isinstance(f, Or):
-        return _any([_ev(trace, f.left, env), _ev(trace, f.right, env)])
-    if isinstance(f, Implies):
-        return _any([_not(_ev(trace, f.left, env)), _ev(trace, f.right, env)])
+        left = _ev(trace, f.left, env)
+        return left if left is False else _all([left, _ev(trace, f.right, env)])
+    if isinstance(f, (Or, Implies)):
+        left = _ev(trace, f.left, env)
+        if isinstance(f, Implies):
+            left = _not(left)
+        return left if left is True else _any([left, _ev(trace, f.right, env)])
     if isinstance(f, (Exists, Forall)):
         return _quant(trace, f, env)
     raise TypeError(f"not a formula: {f!r}")

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from .solver import drain, limit_address_space
+from .solver import HANGUP, drain, limit_address_space
 from .trace import parse_rational
 
 RECURSION_LIMIT = 200_000
@@ -984,7 +984,11 @@ def solve(path: str) -> Tuple[int, str, str]:
 
 
 def _solve_in_child(path: str, timeout_s: float, mem_mb: int) -> dict:
-    """`solve(path)` in a forked child with its own session and address-space cap."""
+    """`solve(path)` in a forked child with its own session and address-space cap.
+
+    A hang-up on this server's stdin (the caller is gone) kills the child
+    too; the reply's code is then HANGUP.
+    """
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -1001,7 +1005,7 @@ def _solve_in_child(path: str, timeout_s: float, mem_mb: int) -> dict:
         os._exit(code)
     os.close(write_end)
     try:
-        code, (data,), rss_mb = drain(pid, [read_end], timeout_s)
+        code, (data,), rss_mb = drain(pid, [read_end], timeout_s, sys.stdin.fileno())
     finally:
         os.close(read_end)
     try:
@@ -1017,11 +1021,14 @@ def serve() -> int:
     A request is `[timeout_s, mem_mb, absolute script path]`.  Each script
     runs in a child forked from this single-threaded process; the reply is
     one JSON line with the child's exit code (or "timeout"), its stdout and
-    stderr and its peak resident set in MB.
+    stderr and its peak resident set in MB.  A caller that hangs up while
+    its script runs ends the script and the server.
     """
     for line in sys.stdin:
         timeout_s, mem_mb, path = json.loads(line)
         reply = _solve_in_child(path, timeout_s, mem_mb)
+        if reply["code"] == HANGUP:
+            break
         sys.stdout.write(json.dumps(reply) + "\n")
         sys.stdout.flush()
     return 0

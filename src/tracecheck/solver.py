@@ -29,7 +29,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 
 class Verdict(enum.Enum):
@@ -53,9 +53,10 @@ _RESOURCE_PATTERNS = (
     ("out of memory", "out-of-memory"),
 )
 
-# an exit code, or TIMEOUT when the deadline killed the process
+# an exit code, or TIMEOUT / HANGUP when the deadline / a hang-up killed the process
 ExitCode = Union[int, str]
 TIMEOUT = "timeout"
+HANGUP = "hangup"
 
 
 @dataclass(frozen=True)
@@ -82,34 +83,42 @@ def limit_address_space(mem_mb: int) -> None:
         pass  # caps above the hard limit are best effort
 
 
-def drain(pid: int, fds: Sequence[int], timeout_s: float) -> Tuple[ExitCode, List[bytes], float]:
+def drain(
+    pid: int, fds: Sequence[int], timeout_s: float, hangup_fd: Optional[int] = None
+) -> Tuple[ExitCode, List[bytes], float]:
     """Read `fds` to EOF while child `pid` runs, for at most `timeout_s`, then reap it.
 
-    When the deadline passes first, the child's process group is killed
-    before the child is reaped.  Returns (exit code or TIMEOUT, the bytes
-    read from each fd, the child's peak resident set in MB).
+    When the deadline passes first, or `hangup_fd` hangs up (its writer is
+    gone), the child's process group is killed before the child is reaped.
+    Returns (exit code, or TIMEOUT or HANGUP, the bytes read from each fd,
+    the child's peak resident set in MB).
     """
     deadline = time.monotonic() + timeout_s
     chunks = {fd: [] for fd in fds}
     poller = select.poll()
     for fd in fds:
         poller.register(fd, select.POLLIN)
+    if hangup_fd is not None:
+        poller.register(hangup_fd, 0)  # poll reports a hang-up whatever the mask
     reading = len(fds)
-    timed_out = False
-    while reading:
+    cut = None  # TIMEOUT or HANGUP once the wait is cut short
+    while reading and cut is None:
         left = deadline - time.monotonic()
         if not left > 0:  # a NaN timeout too ends at once
-            timed_out = True
+            cut = TIMEOUT
             break
         # poll takes milliseconds in a C int: wait in slices of at most a minute
         for fd, _ in poller.poll(min(left, 60.0) * 1000):
+            if fd == hangup_fd:
+                cut = HANGUP
+                break
             data = os.read(fd, 1 << 16)
             if data:
                 chunks[fd].append(data)
             else:
                 poller.unregister(fd)
                 reading -= 1
-    if timed_out:
+    if cut is not None:
         try:
             os.killpg(pid, signal.SIGKILL)
         except OSError:  # not yet its own group leader, or not ours to kill
@@ -118,7 +127,7 @@ def drain(pid: int, fds: Sequence[int], timeout_s: float) -> Tuple[ExitCode, Lis
             except OSError:
                 pass
     _, status, usage = os.wait4(pid, 0)
-    code = TIMEOUT if timed_out else os.waitstatus_to_exitcode(status)
+    code = cut if cut is not None else os.waitstatus_to_exitcode(status)
     return code, [b"".join(chunks[fd]) for fd in fds], usage.ru_maxrss / 1024
 
 

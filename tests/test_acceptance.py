@@ -20,7 +20,7 @@ import pytest
 import conftest
 from genrand import pair
 from tracecheck.cli import main
-from tracecheck.pipeline import CheckOptions, check_pair
+from tracecheck.pipeline import CheckOptions, check_pair, load_inputs, preprocess_for
 from tracecheck.preprocess import PreprocessConfig, apply_a1, apply_a2
 from tracecheck.semantics import check_direct
 from tracecheck.smt import FixedRate, VariableRate, translate
@@ -48,6 +48,7 @@ IOTA_SWEEP_BUDGET_S = 1.0
 R1_END_TO_END_BUDGET_S = 10.0
 CORPUS_BUDGET_S = 900.0
 SCALE_BUDGET_S = 60.0
+DIRECT_SCALE_BUDGET_S = 5.0
 
 CORPUS_SIZE = 500
 CORPUS_SEED_BASE = 0
@@ -288,10 +289,15 @@ def test_criterion_9_scale_smoke(tmp_path, capsys):
             "(exists tau0 in [0.0, 1.0] such that ((spd @t (tau0 + i2t(sigma0))) < 0.5))\n"
         )
         started = time.perf_counter()
-        row = check_pair(big, settle, CheckOptions(), tmp_path / "big.smt2")
+        row = check_pair(big, settle, CheckOptions(oracle=True), tmp_path / "big.smt2")
         elapsed = time.perf_counter() - started
-        assert row.verdict == "satisfied"
+        assert (row.verdict, row.oracle_verdict) == ("satisfied", "satisfied")
         assert elapsed < SCALE_BUDGET_S
+        trace, formula = load_inputs(big, settle)
+        _, pre = preprocess_for(trace, formula, PreprocessConfig())
+        started = time.perf_counter()
+        assert check_direct(pre, formula).verdict is Verdict.SATISFIED
+        assert time.perf_counter() - started < DIRECT_SCALE_BUDGET_S
 
         # 60,000-record variable-rate trace: the expansion cap must refuse
         lines = ["timestamp,spd"]

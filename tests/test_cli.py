@@ -286,6 +286,9 @@ def write_error_inputs(d):
         "signal spd : real\nexists sigma0 in [0,1] such that (spd @i sigma0) < 1\n"
     )
     (d / "bad.cfg").write_text("default = quintic\n")
+    (d / "neg.cfg").write_text("solver.timeout_s = -5\n")
+    (d / "nan.cfg").write_text("solver.timeout_s = nan\n")
+    (d / "nomem.cfg").write_text("solver.mem_mb = 0\n")
     (d / "m.csv").write_text("id,trace,property,strategy,config\ne1,fig1.csv,r1.prop,,\n")
     (d / "badm.csv").write_text("id,trace\nz,1\n")
 
@@ -327,6 +330,15 @@ STAGE_ERRORS = [
     ("translate fig1.csv r1.prop --config bad.cfg", "config: bad.cfg:"),
     ("check fig1.csv r1.prop --config bad.cfg", "config: bad.cfg:"),
     ("batch m.csv --config bad.cfg", "config: bad.cfg:"),
+    ("check fig1.csv r1.prop --timeout -5", "config: --timeout: solver.timeout_s must be a positive number"),
+    ("check fig1.csv r1.prop --timeout 0", "config: --timeout: solver.timeout_s must be a positive number"),
+    ("check fig1.csv r1.prop --timeout nan", "config: --timeout: solver.timeout_s must be a positive number, got 'nan'"),
+    ("batch m.csv --timeout -0.5", "config: --timeout: solver.timeout_s must be a positive number"),
+    ("check fig1.csv r1.prop --mem 0", "config: --mem: solver.mem_mb must be a positive integer, got '0'"),
+    ("batch m.csv --mem -64", "config: --mem: solver.mem_mb must be a positive integer"),
+    ("check fig1.csv r1.prop --config neg.cfg", "config: neg.cfg: solver.timeout_s must be a positive number, got '-5'"),
+    ("check fig1.csv r1.prop --config nan.cfg", "config: nan.cfg: solver.timeout_s must be a positive number, got 'nan'"),
+    ("batch m.csv --config nomem.cfg", "config: nomem.cfg: solver.mem_mb must be a positive integer, got '0'"),
     ("preprocess one.csv", "preprocess: strategy A2 needs at least 2 records"),
     ("translate one.csv r1.prop", "preprocess:"),
     ("check one.csv r1.prop", "preprocess:"),

@@ -236,6 +236,11 @@ class TestConfigKeys:
             {"solver.mem_mb": "lots"},
             {"strategy": "A3"},
             {"default": "quintic"},
+            {"solver.timeout_s": "-5"},
+            {"solver.timeout_s": "0"},
+            {"solver.timeout_s": "nan"},
+            {"solver.mem_mb": "0"},
+            {"solver.mem_mb": "-64"},
         ],
     )
     def test_bad_keys_rejected(self, keys):

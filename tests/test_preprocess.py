@@ -185,6 +185,29 @@ class TestApplyA2:
         assert out.records == trace.records
         assert out.rate == Fixed(Fraction(1, 2))
 
+    def test_on_grid_hole_free_trace_is_returned_as_is(self):
+        trace = load_trace("timestamp,a,b\n0.5,1,2\n1,2,3\n1.5,4,5\n2,0,1\n")
+        assert apply_a2(trace, PreprocessConfig()) is trace
+
+    def test_a_gap_one_step_off_still_resamples(self):
+        # the rate classifier's tolerance calls it fixed; A2 wants exact gaps
+        tiny = Fraction(1, 10**13)
+        trace = load_trace(
+            f"timestamp,a\n0,1\n0.5,2\n{1 + tiny},4\n1.5,0\n"
+        )
+        assert trace.rate == Fixed(Fraction(1, 2))
+        out = apply_a2(trace, PreprocessConfig())
+        assert out is not trace
+        assert out.rate == Fixed(Fraction(1, 2) - tiny)
+        assert out.timestamps[2] == 1 - 2 * tiny
+
+    def test_an_empty_cell_still_resamples(self):
+        trace = load_trace("timestamp,a,b\n0,1,2\n1,,3\n2,4,5\n")
+        out = apply_a2(trace, PreprocessConfig(default_kind=LINEAR))
+        assert out is not trace
+        assert out.timestamps == trace.timestamps
+        assert out.records[1].values == {"a": Fraction(5, 2), "b": 3}
+
     def test_two_record_trace_keeps_endpoints(self):
         trace = load_trace("timestamp,a\n0,0\n1,10\n")
         out = apply_a2(trace, PreprocessConfig(default_kind=LINEAR))

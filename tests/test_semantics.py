@@ -11,24 +11,34 @@ from tracecheck.semantics import (
     DirectResult,
     EvalError,
     OutsideFragment,
+    _all,
+    _any,
+    _ev,
+    _not,
+    _time_candidates,
     check_direct,
     eval_term,
     evaluate,
 )
-from tracecheck.solver import Verdict
+from tracecheck.smt import translate
+from tracecheck.solver import Verdict, run_solver, verdict_of
 from tracecheck.syntax import (
     And,
+    Arith,
     AtIndex,
     AtTime,
     Exists,
     Forall,
     I2T,
     Implies,
+    Interval,
     Lit,
     Not,
     Or,
     Rel,
+    Sort,
     T2I,
+    Var,
     parse,
 )
 from tracecheck.trace import Record, Trace, load_trace
@@ -228,6 +238,112 @@ class TestThreeValued:
         f = parse_fig("exists σ0 in [7, 9] such that (mode @i σ0) = 3")
         with pytest.raises(EvalError):
             evaluate(fig_trace, Not(f))
+
+
+# One atom per truth value on a three-record trace; each side errs in its own words.
+TRUTH_ATOMS = {
+    True: ("(x @i 0) = 1", "(x @i 1) = 2"),
+    False: ("(x @i 0) = 2", "(x @i 1) = 1"),
+    "error": ("(x @i 7) = 1", "(x @i 8) = 1"),
+}
+
+
+def two_sided(trace, f):
+    """The connective's value with both sides evaluated before combining."""
+    left, right = _ev(trace, f.left, {}), _ev(trace, f.right, {})
+    if isinstance(f, And):
+        return _all([left, right])
+    if isinstance(f, Or):
+        return _any([left, right])
+    return _any([_not(left), right])
+
+
+class TestConnectives:
+    """Left-to-right connectives decide exactly as the two-sided combination."""
+
+    @pytest.mark.parametrize("right", [True, False, "error"])
+    @pytest.mark.parametrize("left", [True, False, "error"])
+    @pytest.mark.parametrize("op", ["and", "or", "implies"])
+    def test_truth_table(self, op, left, right):
+        trace = load_trace("timestamp,x\n0,1\n1,2\n2,3\n")
+        f = parse(f"({TRUTH_ATOMS[left][0]}) {op} ({TRUTH_ATOMS[right][1]})", {"x"})
+        want = two_sided(trace, f)
+        if isinstance(want, EvalError):
+            want = DirectResult(Verdict.INCONCLUSIVE, str(want))
+        else:
+            want = DirectResult(Verdict.SATISFIED if want else Verdict.VIOLATED)
+        assert check_direct(trace, f) == want
+        if left == right == "error":  # the first error is the one reported
+            assert "index 7" in want.reason
+
+    @pytest.mark.parametrize(
+        "left, op, verdict",
+        [
+            ("(ang-rate @i 0) > 100", "and", Verdict.VIOLATED),
+            ("(ang-rate @i 0) < 100", "or", Verdict.SATISFIED),
+            ("(ang-rate @i 0) > 100", "implies", Verdict.SATISFIED),
+        ],
+    )
+    def test_decisive_left_skips_a_right_side_outside_the_fragment(
+        self, fig_trace, tmp_path, left, op, verdict
+    ):
+        right = (
+            "(exists τ0 in [0.0, 1.0] such that exists τ1 in [0.0, 1.0] "
+            "such that (ang-rate @t (τ0 + τ1)) < 99)"
+        )
+        f = parse_fig(f"{left} {op} {right}")
+        assert check_direct(fig_trace, f) == DirectResult(verdict)
+        script = tmp_path / "q.smt2"
+        script.write_text(translate(fig_trace, f).text)
+        assert verdict_of(run_solver(str(script)))[0] is verdict
+        # an undecisive left side still needs the right side, which is outside
+        undecisive = parse_fig(f"not ({left}) {op} {right}")
+        res = check_direct(fig_trace, undecisive)
+        assert res.verdict is Verdict.INCONCLUSIVE
+        assert "outside the direct-evaluation fragment" in res.reason
+
+
+@st.composite
+def windowed_probes(draw):
+    """A variable-rate trace off zero, an affine probe a*tau0 + b and a window."""
+    t0 = Fraction(draw(st.integers(-30, 30).filter(bool)), 10)
+    gaps = draw(st.lists(st.integers(1, 9), min_size=1, max_size=12))
+    times = [t0]
+    for g in gaps:
+        times.append(times[-1] + Fraction(g, 10))
+    trace = Trace(tuple(Record(t, {"x": Fraction(1)}) for t in times), ("x",))
+    a = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 10)]))
+    b = Fraction(draw(st.integers(-40, 40)), 10)
+    # window ends sit on a timestamp's preimage or on the 0.05 grid
+    ends = st.one_of(
+        st.sampled_from([(t - b) / a for t in times]),
+        st.integers(-150, 150).map(lambda k: Fraction(k, 20)),
+    )
+    lo, hi = sorted((draw(ends), draw(ends)))
+    dom = Interval(lo, draw(st.booleans()), hi, draw(st.booleans()), Sort.TIME)
+    return trace, a, b, dom
+
+
+def full_scan_candidates(trace, a, b, dom):
+    """Candidates from every timestamp's preimage, kept when inside the window."""
+    inside = sorted(p for p in {(t - b) / a for t in trace.timestamps} if dom.lo < p < dom.hi)
+    fence = [dom.lo] + inside + [dom.hi]
+    candidates = ([] if dom.lo_open else [dom.lo]) + inside
+    if not dom.hi_open and dom.hi != dom.lo:
+        candidates.append(dom.hi)
+    candidates += [(p + q) / 2 for p, q in zip(fence, fence[1:])]
+    return sorted(set(candidates))
+
+
+class TestWindowedBreakpoints:
+    @settings(max_examples=200, deadline=None)
+    @given(case=windowed_probes(), via_t2i=st.booleans())
+    def test_bisected_window_equals_a_full_scan(self, case, via_t2i):
+        trace, a, b, dom = case
+        arg = Arith("+", Arith("*", Lit(a), Var("τ0", Sort.TIME)), Lit(b), Sort.TIME)
+        probe = Rel("=", T2I(arg), Lit(Fraction(0))) if via_t2i else Rel(">", AtTime("x", arg), Lit(Fraction(0)))
+        got = _time_candidates(trace, dom, probe, "τ0", {})
+        assert got == full_scan_candidates(trace, a, b, dom)
 
 
 DUALITY_POOL = [

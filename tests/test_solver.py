@@ -3,6 +3,7 @@
 import importlib.metadata
 import os
 import shutil
+import signal
 import stat
 import subprocess
 import sys
@@ -251,6 +252,21 @@ def alive(pid):
     return True
 
 
+def running(pid):
+    """Whether `pid` exists and is not a zombie waiting for a reaper."""
+    try:
+        line = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return line.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+SLOW_SCRIPT = (
+    "(assert (exists ((k Int)) (and (<= 0 k) (<= k 900000) (= (* k k) (- 0 1)))))\n"
+    "(check-sat)\n"
+)
+
+
 @pytest.fixture
 def server(script_file):
     """The pid of the server the next default-route call on this thread takes."""
@@ -261,10 +277,7 @@ def server(script_file):
 class TestServerRoute:
     def test_timeout_kills_the_child_group(self, tmp_path, script_file, server):
         slow = tmp_path / "slow.smt2"
-        slow.write_text(
-            "(assert (exists ((k Int)) (and (<= 0 k) (<= k 900000) (= (* k k) (- 0 1)))))\n"
-            "(check-sat)\n"
-        )
+        slow.write_text(SLOW_SCRIPT)
         seen = []
         done = threading.Event()
 
@@ -376,3 +389,37 @@ class TestServerRoute:
         assert status == "sat", done.stderr
         assert pids
         assert not [pid for pid in map(int, pids) if alive(pid)]
+
+    def test_a_dead_caller_ends_its_solve(self, tmp_path):
+        slow = tmp_path / "slow.smt2"
+        slow.write_text(SLOW_SCRIPT)
+        src = str(Path(solver.__file__).resolve().parents[1])
+        caller = (
+            "import sys\n"
+            "from tracecheck.solver import _SERVERS, run_solver\n"
+            "server = _SERVERS._start()\n"
+            "_SERVERS._idle.append(server)\n"
+            "print(server.pid, flush=True)\n"
+            "run_solver(sys.argv[1], timeout_s=30)\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", caller, str(slow)],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        server, children = int(proc.stdout.readline()), []
+        try:
+            time.sleep(0.5)
+            children = children_of(server)
+            proc.kill()
+            proc.wait()
+            assert children, "no child was forked for the script"
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and any(map(running, [server, *children])):
+                time.sleep(0.05)
+            assert not [pid for pid in [server, *children] if running(pid)]
+        finally:
+            proc.stdout.close()
+            for pid in [server, *children]:
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
