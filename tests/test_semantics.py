@@ -341,7 +341,8 @@ class TestWindowedBreakpoints:
     def test_bisected_window_equals_a_full_scan(self, case, via_t2i):
         trace, a, b, dom = case
         arg = Arith("+", Arith("*", Lit(a), Var("τ0", Sort.TIME)), Lit(b), Sort.TIME)
-        probe = Rel("=", T2I(arg), Lit(Fraction(0))) if via_t2i else Rel(">", AtTime("x", arg), Lit(Fraction(0)))
+        read = T2I(arg) if via_t2i else AtTime("x", arg)
+        probe = Rel(">", read, Lit(Fraction(0)))
         got = _time_candidates(trace, dom, probe, "τ0", {})
         assert got == full_scan_candidates(trace, a, b, dom)
 
