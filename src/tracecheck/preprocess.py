@@ -163,7 +163,8 @@ def filter_unused(trace: Trace, used: Iterable[str]) -> Trace:
     """Drop records that assign nothing a property cares about.
 
     The kept records are restricted to the used signal columns, and their
-    new positions are their indices.
+    new positions are their indices.  A trace that would lose nothing (every
+    signal used, no record empty) is returned as it is.
     """
     used_set = set(used)
     unknown = used_set - set(trace.signals)
@@ -171,6 +172,8 @@ def filter_unused(trace: Trace, used: Iterable[str]) -> Trace:
         raise PreprocessError(
             "signals not in trace: " + ", ".join(sorted(unknown))
         )
+    if len(used_set) == len(trace.signals) and all(rec.values for rec in trace.records):
+        return trace
     kept = []
     for rec in trace.records:
         values = {s: v for s, v in rec.values.items() if s in used_set}

@@ -14,6 +14,8 @@ structure lives in the quantifiers while the arrays are pinned cell by cell
 by equality assertions, which is exactly the shape of the scripts this
 package emits.  Within that shape it is exact:
 
+* every numeral is parsed once, when the script is read, into an exact
+  rational (a `Fraction` leaf of the parsed script);
 * assertions of the form (= (select arr j) literal) or (= const literal)
   become bindings; contradictory bindings are immediately unsat;
 * integer quantifiers are decided by interval bounds extracted from the
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import re
 import sys
@@ -64,22 +67,34 @@ _NUMERAL_RE = re.compile(r"^\d+(\.\d+)?$")
 
 
 def parse_script(text: str) -> List[list]:
+    """S-expressions as nested lists; numerals become `Fraction` leaves."""
     lines = []
     for line in text.splitlines():
         cut = line.find(";")
         lines.append(line if cut < 0 else line[:cut])
-    tokens = _TOKEN_RE.findall("\n".join(lines))
-    stack: List[list] = [[]]
-    for tok in tokens:
+    # Each distinct atom is classified, and a numeral parsed, once: a
+    # script repeats a few numerals (0.0, 1.0, each index) many times.
+    atoms: Dict[str, Union[str, Fraction]] = {}
+    top: list = []  # the innermost open list, stack[-1]
+    stack: List[list] = [top]
+    for tok in _TOKEN_RE.findall("\n".join(lines)):
         if tok == "(":
-            stack.append([])
+            top = []
+            stack.append(top)
         elif tok == ")":
             if len(stack) == 1:
                 raise ShimError("unbalanced ')'")
             done = stack.pop()
-            stack[-1].append(done)
+            top = stack[-1]
+            top.append(done)
         else:
-            stack[-1].append(tok)
+            leaf = atoms.get(tok)
+            if leaf is None:
+                try:
+                    leaf = atoms[tok] = parse_rational(tok) if _NUMERAL_RE.match(tok) else tok
+                except ValueError:
+                    raise ShimError(f"numeral out of range: {tok[:20]}...") from None
+            top.append(leaf)
     if len(stack) != 1:
         raise ShimError("unbalanced '('")
     return stack[0]
@@ -97,13 +112,7 @@ def _opaque(name: str) -> tuple:
 
 
 def _is_num(v: Value) -> bool:
-    return isinstance(v, Fraction)
-
-
-def _num(tok: str) -> Optional[Fraction]:
-    if _NUMERAL_RE.match(tok):
-        return parse_rational(tok)
-    return None
+    return type(v) is Fraction  # every shim number is a plain Fraction
 
 
 def _arith(op: str, args: List[Value]) -> Value:
@@ -143,18 +152,22 @@ def _arith(op: str, args: List[Value]) -> Value:
     return ("op", op, *args)
 
 
-def _compare(op: str, a: Value, b: Value) -> Optional[bool]:
+_RELATIONS = {
+    "<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge, ">": operator.gt,
+}
+_FLIP = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}  # the relation, sides swapped
+
+
+def _compare(rel, a: Value, b: Value) -> Optional[bool]:
+    """`rel` (one of _RELATIONS' values) on two values, None when unknown."""
     if a is None or b is None:
         return None
     if _is_num(a) and _is_num(b):
-        return {
-            "<": a < b, "<=": a <= b, "=": a == b,
-            ">=": a >= b, ">": a > b,
-        }[op]
+        return rel(a, b)
     if isinstance(a, bool) and isinstance(b, bool):
-        return a == b if op == "=" else None
-    if a == b:  # structurally identical symbolic terms denote one value
-        return {"<": False, "<=": True, "=": True, ">=": True, ">": False}[op]
+        return a == b if rel is operator.eq else None
+    if a == b:  # one symbolic term on both sides: only <=, = and >= hold
+        return rel(0, 0)
     return None
 
 
@@ -201,13 +214,6 @@ class _Iv:
         return _Iv(lo, hi)
 
 
-_REL_OPS = ("<", "<=", "=", ">=", ">")
-
-
-def _flip(op: str) -> str:
-    return {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}[op]
-
-
 # Term classes for the real-quantifier completeness analysis.  A term is
 # classified by how it can depend on the quantified variable v:
 #   GROUND  fixed once the outer environment is fixed (no v, no inner binder)
@@ -224,7 +230,7 @@ class _Eval:
 
     def __init__(self):
         self.arrays: Set[str] = set()
-        self.consts: Dict[str, str] = {}
+        self.consts: Set[str] = set()
         self.pins: Dict[Tuple[str, int], Fraction] = {}
         self.scalar_pins: Dict[str, Fraction] = {}
         self.conflict = False
@@ -235,20 +241,17 @@ class _Eval:
         if isinstance(sort, list) and sort[:1] == ["Array"]:
             self.arrays.add(name)
         else:
-            self.consts[name] = sort if isinstance(sort, str) else " ".join(map(str, sort))
+            self.consts.add(name)
 
     def literal_value(self, e) -> Optional[Fraction]:
         """Constant-fold a ground literal expression, else None."""
-        if isinstance(e, str):
-            return _num(e)
+        if type(e) is Fraction:
+            return e
         if not isinstance(e, list) or not e:
             return None
         head = e[0]
         if head in ("+", "-", "*", "/", "to_real", "to_int"):
-            args = [self.literal_value(a) for a in e[1:]]
-            if any(a is None for a in args):
-                return None
-            out = _arith(head, args)
+            out = _arith(head, [self.literal_value(a) for a in e[1:]])
             return out if _is_num(out) else None
         return None
 
@@ -266,12 +269,10 @@ class _Eval:
                 and lhs[0] == "select"
                 and isinstance(lhs[1], str)
                 and lhs[1] in self.arrays
-                and isinstance(lhs[2], str)
+                and type(lhs[2]) is Fraction
+                and lhs[2].denominator == 1
             ):
-                idx = _num(lhs[2])
-                if idx is None or idx.denominator != 1:
-                    continue
-                key = (lhs[1], int(idx))
+                key = (lhs[1], int(lhs[2]))
                 if key in self.pins and self.pins[key] != value:
                     self.conflict = True
                 self.pins[key] = value
@@ -286,12 +287,11 @@ class _Eval:
     # --- evaluation ---
 
     def ev(self, e, env: Dict[str, Value]) -> Value:
-        if isinstance(e, str):
+        if type(e) is Fraction:
+            return e
+        if type(e) is str:
             if e in env:
                 return env[e]
-            n = _num(e)
-            if n is not None:
-                return n
             if e == "true":
                 return True
             if e == "false":
@@ -306,18 +306,19 @@ class _Eval:
         head = e[0]
         if head in ("+", "-", "*", "/", "to_real", "to_int"):
             return _arith(head, [self.ev(a, env) for a in e[1:]])
-        if head in _REL_OPS:
+        rel = _RELATIONS.get(head)
+        if rel is not None:
             vals = [self.ev(a, env) for a in e[1:]]
             out: Optional[bool] = True
             for a, b in zip(vals, vals[1:]):
-                r = _compare(head, a, b)
+                r = _compare(rel, a, b)
                 if r is False:
                     return False
                 if r is None:
                     out = None
             return out
         if head == "distinct":
-            r = _compare("=", self.ev(e[1], env), self.ev(e[2], env))
+            r = _compare(operator.eq, self.ev(e[1], env), self.ev(e[2], env))
             return None if r is None else (not r)
         if head == "not":
             r = self.ev(e[1], env)
@@ -366,9 +367,7 @@ class _Eval:
         if head == "select":
             arr = e[1]
             idx = self.ev(e[2], env)
-            if not isinstance(arr, str) or idx is None or not _is_num(idx):
-                return None
-            if idx.denominator != 1:
+            if not isinstance(arr, str) or not _is_num(idx) or idx.denominator != 1:
                 return None
             return self.pins.get((arr, int(idx)))
         if head == "exists":
@@ -468,7 +467,7 @@ class _Eval:
             left = self.bounds(e[1], v, env, not positive)
             right = self.bounds(e[2], v, env, positive)
             return left.hull(right) if positive else left.intersect(right)
-        if head in _REL_OPS and len(e) == 3:
+        if head in _RELATIONS and len(e) == 3:
             return self._atom_bounds(head, e[1], e[2], v, env, positive)
         if head in ("exists", "forall") and len(e) == 3:
             # sound for either quantifier: truth (or falsity) of the block
@@ -491,7 +490,7 @@ class _Eval:
         if not positive:
             if op == "=":
                 return _Iv.full()
-            op = _flip(op)  # not (x < c) == x >= c; bounds ignore openness
+            op = _FLIP[op]  # not (x < c) == x >= c; bounds ignore openness
         point = -b / a
         if op == "=":
             return _Iv(point, point)
@@ -504,6 +503,8 @@ class _Eval:
     def affine(
         self, e, v: str, env, lenv: Dict[str, Optional[Tuple[Fraction, Fraction]]]
     ) -> Optional[Tuple[Fraction, Fraction]]:
+        if type(e) is Fraction:
+            return (Fraction(0), e)
         if isinstance(e, str):
             if e == v:
                 return (Fraction(1), Fraction(0))
@@ -512,9 +513,6 @@ class _Eval:
             if e in env:
                 val = env[e]
                 return (Fraction(0), val) if _is_num(val) else None
-            n = _num(e)
-            if n is not None:
-                return (Fraction(0), n)
             if e in self.scalar_pins:
                 return (Fraction(0), self.scalar_pins[e])
             return None
@@ -676,7 +674,7 @@ class _Eval:
             if not isinstance(node, list) or not node:
                 return
             head = node[0]
-            if head in _REL_OPS and len(node) >= 3:
+            if head in _RELATIONS and len(node) >= 3:
                 note_atom(node, lenv, vals, qvars)
                 for child in node[1:]:
                     walk(child, lenv, vals, qvars)
@@ -715,6 +713,8 @@ class _Eval:
         (VUNK,) | (BAD,).  `vals` carries concrete values for let names
         whose bindings are ground, so ground subterms can be evaluated.
         """
+        if type(e) is Fraction:
+            return (GROUND, e)
         if isinstance(e, str):
             if e == v:
                 return (AFFINE, (Fraction(1), Fraction(0)))
@@ -724,9 +724,6 @@ class _Eval:
                 return (QVAR,)
             if e in env:
                 return (GROUND, env[e])
-            n = _num(e)
-            if n is not None:
-                return (GROUND, n)
             if e == "true":
                 return (GROUND, True)
             if e == "false":
@@ -815,9 +812,9 @@ class _Eval:
 
     def _bool_class(self, e, v, env, lenv, vals, qvars, covered) -> int:
         """How a condition's truth can vary with v."""
-        if isinstance(e, str):
-            return GROUND
-        if not isinstance(e, list) or not e:
+        if not isinstance(e, list):
+            return GROUND  # a symbol or a numeral
+        if not e:
             return BAD
         head = e[0]
         if head == "not":
@@ -835,7 +832,7 @@ class _Eval:
                 elif c not in (GROUND, out):
                     return BAD
             return out
-        if head in _REL_OPS:
+        if head in _RELATIONS:
             parts = [
                 self.classify(a, v, env, lenv, vals, qvars, covered) for a in e[1:]
             ]

@@ -110,6 +110,24 @@ class TestFilterUnused:
         out = filter_unused(fig_trace, set(fig_trace.signals))
         assert out.records == fig_trace.records
 
+    def test_nothing_to_drop_returns_the_input(self, fig_trace):
+        assert filter_unused(fig_trace, set(fig_trace.signals)) is fig_trace
+
+    def test_unused_signal_still_rebuilds(self, fig_trace):
+        out = filter_unused(fig_trace, {"mode"})
+        assert out is not fig_trace
+        assert out.signals == ("mode",)
+        assert [r.values for r in out.records] == [
+            {"mode": r.values["mode"]} for r in fig_trace.records
+        ]
+
+    def test_all_hole_record_still_rebuilds(self):
+        trace = load_trace("timestamp,a,b\n0,1,2\n1,,\n2,3,4\n")
+        out = filter_unused(trace, {"a", "b"})
+        assert out is not trace
+        assert [r.timestamp for r in out.records] == [0, 2]
+        assert out.signals == ("a", "b")
+
     def test_empty_result_is_error(self):
         trace = load_trace("timestamp,a,b\n0,,1\n1,,2\n")
         with pytest.raises(PreprocessError, match="no relevant records"):

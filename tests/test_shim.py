@@ -1,6 +1,9 @@
 """Tests for the bundled SMT-LIB evaluator behind tracecheck-solve."""
 
+import itertools
+import operator
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +15,9 @@ from tracecheck import shim
 from tracecheck.preprocess import PreprocessConfig, apply_a2
 from tracecheck.shim import ShimError, parse_script, run_script
 from tracecheck.smt import FixedRate, VariableRate, translate
+from tracecheck.solver import run_solver
 from tracecheck.syntax import parse
+from tracecheck.trace import Record, Trace
 
 
 def status(text):
@@ -24,7 +29,11 @@ def status(text):
 class TestParsing:
     def test_nested_lists(self):
         forms = parse_script("(a (b c) 1.5) (d)")
-        assert forms == [["a", ["b", "c"], "1.5"], ["d"]]
+        assert forms == [["a", ["b", "c"], Fraction(3, 2)], ["d"]]
+
+    def test_only_whole_numeral_tokens_are_numbers(self):
+        forms = parse_script("(a1 1a 1.5.2 1. 007 0.25)")
+        assert forms == [["a1", "1a", "1.5.2", "1.", Fraction(7), Fraction(1, 4)]]
 
     def test_comments_stripped(self):
         forms = parse_script("; top\n(a ; trailing\n b)")
@@ -76,6 +85,79 @@ class TestGroundAssertions:
 
     def test_division_by_zero_is_unknown(self):
         assert status("(assert (= (/ 1.0 0.0) 5.0)) (check-sat)") == "unknown"
+
+
+class TestRelations:
+    """Every relation answers as plain Fraction comparison does."""
+
+    NUMERALS = ("0.5", "1", "1.0", "2")
+    RELATIONS = {
+        "<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge, ">": operator.gt,
+    }
+
+    @pytest.mark.parametrize("op", sorted(RELATIONS))
+    def test_numeral_chains(self, op):
+        for n in (2, 3, 4):
+            for chain in itertools.product(self.NUMERALS, repeat=n):
+                values = [Fraction(x) for x in chain]
+                holds = all(self.RELATIONS[op](a, b) for a, b in zip(values, values[1:]))
+                text = f"(assert ({op} {' '.join(chain)})) (check-sat)"
+                assert status(text) == ("sat" if holds else "unsat"), text
+
+    def test_distinct(self):
+        for a, b in itertools.product(self.NUMERALS, repeat=2):
+            want = "sat" if Fraction(a) != Fraction(b) else "unsat"
+            assert status(f"(assert (distinct {a} {b})) (check-sat)") == want
+
+    @pytest.mark.parametrize("op", sorted(RELATIONS))
+    @pytest.mark.parametrize("term", ["x", "(+ x 1.5)"])
+    def test_reflexive_symbolic(self, op, term):
+        text = f"(declare-const x Real) (assert ({op} {term} {term})) (check-sat)"
+        assert status(text) == ("sat" if op in ("<=", "=", ">=") else "unsat")
+        text = f"(declare-const x Real) (assert (distinct {term} {term})) (check-sat)"
+        assert status(text) == "unsat"
+
+
+class TestNumerals:
+    def test_out_of_range_numeral_is_a_short_error(self, tmp_path):
+        p = tmp_path / "big.smt2"
+        p.write_text(f"(assert (= 1 {'9' * 1500})) (check-sat)\n")
+        code, out, err = shim.solve(str(p))
+        assert (code, out) == (1, "")
+        assert "numeral out of range" in err
+        assert "internal error" not in err
+        assert len(err) < 200
+        assert run_solver(str(p)).status == "error"
+
+    def test_each_numeral_is_parsed_once(self, monkeypatch):
+        n = 1000
+        trace = Trace(
+            records=tuple(
+                Record(
+                    Fraction(j, 100),
+                    {"mode": Fraction(int(j == 0)), "spd": Fraction(4 if j == 50 else 10, 10)},
+                )
+                for j in range(n)
+            ),
+            signals=("mode", "spd"),
+        )
+        prop = parse(
+            f"forall σ0 in [0, {n - 2}] such that ((mode @i σ0) = 1) implies "
+            "(exists τ0 in [0.0, 1.0] such that ((spd @t (τ0 + i2t(σ0))) < 0.5))",
+            signature=trace.signals,
+        )
+        text = translate(trace, prop, mode=FixedRate(Fraction(1, 100))).text
+        body = "\n".join(line.split(";")[0] for line in text.splitlines())
+        distinct = {t for t in re.findall(r"[^\s()]+", body) if re.fullmatch(r"\d+(\.\d+)?", t)}
+        calls = []
+
+        def counting(tok):
+            calls.append(tok)
+            return Fraction(tok)
+
+        monkeypatch.setattr(shim, "parse_rational", counting)
+        assert run_script(text) == ["unsat"]
+        assert 0 < len(calls) <= len(distinct)
 
 
 class TestOpaqueConstants:
