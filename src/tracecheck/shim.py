@@ -12,12 +12,28 @@ answer.  Any SMT-LIB solver binary can replace it via --solver.
 This is an evaluator, not a general solver: it assumes the interesting
 structure lives in the quantifiers while the arrays are pinned cell by cell
 by equality assertions, which is exactly the shape of the scripts this
-package emits.  Within that shape it is exact:
+package emits.  It reads the SMT-LIB fragment `smt.translate` emits
+(tests/test_smt.py checks that the translator stays inside it):
+
+* commands `set-logic`, `declare-const NAME (Array Int Real)`, `assert`,
+  `check-sat` and `get-model`;
+* terms: numerals, names bound by `let` or `exists`, `+ - * /` and unary
+  `-`, `to_real`, `select` from a declared array, `ite` and `let`;
+* formulas: `false`, `< <= = >= >` on two terms, `not`, `and`, `or` and
+  `exists` over `Int` or `Real` binders.
+
+`and`, `or`, `+`, `-`, `*`, `/` and `let` may take more operands or
+bindings than the translator's two or one.  Anything else (another command,
+sort or operator, a relation without exactly two arguments, a symbol
+nothing binds, or a non-Boolean value where a formula is expected once
+evaluation reaches it) is a `ShimError`: exit code 1, a message on stderr
+and nothing on stdout, so the solver status is `error` and the verdict
+`inconclusive`.  Within the fragment it is exact:
 
 * every numeral is parsed once, when the script is read, into an exact
   rational (a `Fraction` leaf of the parsed script);
-* assertions of the form (= (select arr j) literal) or (= const literal)
-  become bindings; contradictory bindings are immediately unsat;
+* assertions of the form (= (select arr j) literal) become bindings;
+  contradictory bindings are unsat;
 * integer quantifiers are decided by interval bounds extracted from the
   body with polarity tracking, then finite enumeration;
 * real quantifiers are decided by evaluating finitely many candidates:
@@ -37,6 +53,7 @@ three-valued throughout (True / False / None).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import operator
 import os
@@ -101,55 +118,33 @@ def parse_script(text: str) -> List[list]:
 
 
 # ---------------------------------------------------------------------------
-# Values: Fraction | bool | opaque tuples | None (unknown)
+# Values: Fraction | bool | None (unknown)
 # ---------------------------------------------------------------------------
 
-Value = Union[Fraction, bool, tuple, None]
-
-
-def _opaque(name: str) -> tuple:
-    return ("sym", name)
+Value = Union[Fraction, bool, None]
 
 
 def _is_num(v: Value) -> bool:
     return type(v) is Fraction  # every shim number is a plain Fraction
 
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def _arith(op: str, args: List[Value]) -> Value:
+    """`op` (an _ARITH key or to_real) on numbers; None when an operand is
+    unknown or a divisor is zero."""
     if any(a is None for a in args):
         return None
-    if all(_is_num(a) for a in args):
-        if op == "+":
-            out = Fraction(0)
-            for a in args:
-                out += a
-            return out
-        if op == "*":
-            out = Fraction(1)
-            for a in args:
-                out *= a
-            return out
-        if op == "-":
-            if len(args) == 1:
-                return -args[0]
-            out = args[0]
-            for a in args[1:]:
-                out -= a
-            return out
-        if op == "/":
-            out = args[0]
-            for a in args[1:]:
-                if a == 0:
-                    return None
-                out = out / a
-            return out
-        if op == "to_real":
-            return args[0]
-        if op == "to_int":
-            num = args[0]
-            return Fraction(num.numerator // num.denominator)
-    # symbolic arithmetic keeps structure so that reflexivity still works
-    return ("op", op, *args)
+    if not all(_is_num(a) for a in args):
+        raise ShimError(f"non-numeric operand of {op!r}")
+    if len(args) == 1 and op in ("-", "to_real"):
+        return -args[0] if op == "-" else args[0]
+    if len(args) < 2 or op == "to_real":
+        raise ShimError(f"wrong number of arguments to {op!r}")
+    if op == "/" and 0 in args[1:]:
+        return None
+    return functools.reduce(_ARITH[op], args)
 
 
 _RELATIONS = {
@@ -159,16 +154,30 @@ _FLIP = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}  # the relation, 
 
 
 def _compare(rel, a: Value, b: Value) -> Optional[bool]:
-    """`rel` (one of _RELATIONS' values) on two values, None when unknown."""
+    """`rel` (one of _RELATIONS' values) on two numbers, None when unknown."""
     if a is None or b is None:
         return None
     if _is_num(a) and _is_num(b):
         return rel(a, b)
-    if isinstance(a, bool) and isinstance(b, bool):
-        return a == b if rel is operator.eq else None
-    if a == b:  # one symbolic term on both sides: only <=, = and >= hold
-        return rel(0, 0)
-    return None
+    raise ShimError("comparison of non-numeric values")
+
+
+def _truth(r: Value) -> Optional[bool]:
+    """`r` where a formula is expected: a truth value, or None when unknown."""
+    if r is True or r is False or r is None:
+        return r
+    raise ShimError(f"non-Boolean value {r} where a formula is expected")
+
+
+def _any(results) -> Optional[bool]:
+    """Three-valued disjunction, stopping at the first True."""
+    out: Optional[bool] = False
+    for r in results:
+        if r is True:
+            return True
+        if r is not False:
+            out = _truth(r)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +235,14 @@ GROUND, AFFINE, PW, QVAR, VUNK, BAD = range(6)
 
 
 class _Eval:
-    """One script's state: declarations, pins, and the evaluator."""
+    """One script's state: declared arrays, pins, and the evaluator."""
 
     def __init__(self):
         self.arrays: Set[str] = set()
-        self.consts: Set[str] = set()
         self.pins: Dict[Tuple[str, int], Fraction] = {}
-        self.scalar_pins: Dict[str, Fraction] = {}
         self.conflict = False
 
-    # --- declarations and pins ---
-
-    def declare(self, name: str, sort) -> None:
-        if isinstance(sort, list) and sort[:1] == ["Array"]:
-            self.arrays.add(name)
-        else:
-            self.consts.add(name)
+    # --- pins ---
 
     def literal_value(self, e) -> Optional[Fraction]:
         """Constant-fold a ground literal expression, else None."""
@@ -250,21 +251,19 @@ class _Eval:
         if not isinstance(e, list) or not e:
             return None
         head = e[0]
-        if head in ("+", "-", "*", "/", "to_real", "to_int"):
-            out = _arith(head, [self.literal_value(a) for a in e[1:]])
-            return out if _is_num(out) else None
+        if head in ("+", "-", "*", "/", "to_real"):
+            return _arith(head, [self.literal_value(a) for a in e[1:]])
         return None
 
     def try_pin(self, e) -> bool:
-        """Record (= (select arr j) lit) / (= name lit) shapes as bindings."""
+        """Record the (= (select arr j) lit) shape, either side first, as a binding."""
         if not (isinstance(e, list) and len(e) == 3 and e[0] == "="):
             return False
         for lhs, rhs in ((e[1], e[2]), (e[2], e[1])):
             value = self.literal_value(rhs)
-            if value is None:
-                continue
             if (
-                isinstance(lhs, list)
+                value is not None
+                and isinstance(lhs, list)
                 and len(lhs) == 3
                 and lhs[0] == "select"
                 and isinstance(lhs[1], str)
@@ -277,11 +276,6 @@ class _Eval:
                     self.conflict = True
                 self.pins[key] = value
                 return True
-            if isinstance(lhs, str) and lhs in self.consts:
-                if lhs in self.scalar_pins and self.scalar_pins[lhs] != value:
-                    self.conflict = True
-                self.scalar_pins[lhs] = value
-                return True
         return False
 
     # --- evaluation ---
@@ -292,36 +286,21 @@ class _Eval:
         if type(e) is str:
             if e in env:
                 return env[e]
-            if e == "true":
-                return True
             if e == "false":
                 return False
-            if e in self.scalar_pins:
-                return self.scalar_pins[e]
-            if e in self.consts or e in self.arrays:
-                return _opaque(e)
             raise ShimError(f"unknown symbol {e!r}")
         if not isinstance(e, list) or not e:
             raise ShimError(f"bad expression {e!r}")
         head = e[0]
-        if head in ("+", "-", "*", "/", "to_real", "to_int"):
+        if head in ("+", "-", "*", "/", "to_real"):
             return _arith(head, [self.ev(a, env) for a in e[1:]])
         rel = _RELATIONS.get(head)
         if rel is not None:
-            vals = [self.ev(a, env) for a in e[1:]]
-            out: Optional[bool] = True
-            for a, b in zip(vals, vals[1:]):
-                r = _compare(rel, a, b)
-                if r is False:
-                    return False
-                if r is None:
-                    out = None
-            return out
-        if head == "distinct":
-            r = _compare(operator.eq, self.ev(e[1], env), self.ev(e[2], env))
-            return None if r is None else (not r)
+            if len(e) != 3:
+                raise ShimError(f"{head!r} needs two arguments")
+            return _compare(rel, self.ev(e[1], env), self.ev(e[2], env))
         if head == "not":
-            r = self.ev(e[1], env)
+            r = _truth(self.ev(e[1], env))
             return None if r is None else (not r)
         if head == "and":
             out: Optional[bool] = True
@@ -329,33 +308,13 @@ class _Eval:
                 r = self.ev(a, env)
                 if r is False:
                     return False
-                if r is None:
-                    out = None
+                if r is not True:
+                    out = _truth(r)
             return out
         if head == "or":
-            out = False
-            for a in e[1:]:
-                r = self.ev(a, env)
-                if r is True:
-                    return True
-                if r is None:
-                    out = None
-            return out
-        if head == "=>":
-            args = e[1:]
-            acc = self.ev(args[-1], env)
-            for a in reversed(args[:-1]):
-                left = self.ev(a, env)
-                left = None if left is None else (not left)
-                if left is True or acc is True:
-                    acc = True
-                elif left is None or acc is None:
-                    acc = None
-                else:
-                    acc = False
-            return acc
+            return _any(self.ev(a, env) for a in e[1:])
         if head == "ite":
-            cond = self.ev(e[1], env)
+            cond = _truth(self.ev(e[1], env))
             if cond is None:
                 return None
             return self.ev(e[2] if cond else e[3], env)
@@ -366,53 +325,43 @@ class _Eval:
             return self.ev(e[2], new_env)
         if head == "select":
             arr = e[1]
+            if type(arr) is not str or arr not in self.arrays:
+                raise ShimError(f"select from {arr!r}, which is not a declared array")
             idx = self.ev(e[2], env)
-            if not isinstance(arr, str) or not _is_num(idx) or idx.denominator != 1:
+            if not _is_num(idx) or idx.denominator != 1:
                 return None
             return self.pins.get((arr, int(idx)))
         if head == "exists":
-            return self.ev_quant(e[1], e[2], env, is_forall=False)
-        if head == "forall":
-            return self.ev_quant(e[1], e[2], env, is_forall=True)
+            return self.ev_exists(e[1], e[2], env)
         raise ShimError(f"unsupported operator {head!r}")
 
     # --- quantifiers ---
 
-    def ev_quant(self, binders, body, env, is_forall: bool) -> Value:
+    def ev_exists(self, binders, body, env) -> Value:
         if len(binders) > 1:
-            body = ["forall" if is_forall else "exists", binders[1:], body]
-            binders = binders[:1]
-        name, sort = binders[0][0], binders[0][1]
-        if is_forall:
-            r = self.ev_exists(name, sort, ["not", body], env)
-            return None if r is None else (not r)
-        return self.ev_exists(name, sort, body, env)
-
-    def ev_exists(self, v: str, sort, body, env) -> Value:
+            body = ["exists", binders[1:], body]
+        v, sort = binders[0][0], binders[0][1]
+        if sort not in ("Int", "Real"):
+            raise ShimError(f"unsupported sort {sort!r}")
         window = self.bounds(body, v, env, positive=True)
         if window.empty:
             return False
+        complete = True
         if sort == "Int":
-            return self._exists_int(v, body, env, window)
-        return self._exists_real(v, body, env, window)
+            if window.lo is None or window.hi is None:
+                return None
+            lo = -(-window.lo.numerator // window.lo.denominator)  # ceil
+            hi = window.hi.numerator // window.hi.denominator  # floor
+            if hi - lo > INT_ENUM_CAP:
+                return None
+            candidates = map(Fraction, range(lo, hi + 1))
+        else:
+            candidates, complete = self._real_candidates(v, body, env, window)
+        out = _any(self.ev(body, {**env, v: c}) for c in candidates)
+        return out if complete or out else None
 
-    def _exists_int(self, v, body, env, window: _Iv) -> Value:
-        if window.lo is None or window.hi is None:
-            return None
-        lo = -(-window.lo.numerator // window.lo.denominator)  # ceil
-        hi = window.hi.numerator // window.hi.denominator  # floor
-        if hi - lo > INT_ENUM_CAP:
-            return None
-        saw_unknown = False
-        for j in range(lo, hi + 1):
-            r = self.ev(body, {**env, v: Fraction(j)})
-            if r is True:
-                return True
-            if r is None:
-                saw_unknown = True
-        return None if saw_unknown else False
-
-    def _exists_real(self, v, body, env, window: _Iv) -> Value:
+    def _real_candidates(self, v, body, env, window: _Iv) -> Tuple[List[Fraction], bool]:
+        """The points to evaluate `body` at, and whether they are exhaustive."""
         roots, complete = self.real_roots(body, v, env, window)
         pts = sorted(roots)
         lo, hi = window.lo, window.hi
@@ -431,26 +380,13 @@ class _Eval:
         candidates: List[Fraction] = list(fence)
         for a, b in zip(fence, fence[1:]):
             candidates.append((a + b) / 2)
-        saw_unknown = False
-        for c in sorted(set(candidates)):
-            r = self.ev(body, {**env, v: c})
-            if r is True:
-                return True
-            if r is None:
-                saw_unknown = True
-        if saw_unknown or not complete:
-            return None
-        return False
+        return sorted(set(candidates)), complete
 
     # --- bound extraction (sound overapproximation of the true set) ---
 
     def bounds(self, e, v: str, env, positive: bool) -> _Iv:
-        if isinstance(e, str):
-            if e == "true":
-                return _Iv.full() if positive else _Iv.none()
-            if e == "false":
-                return _Iv.none() if positive else _Iv.full()
-            return _Iv.full()
+        if e == "false":
+            return _Iv.none() if positive else _Iv.full()
         if not isinstance(e, list) or not e:
             return _Iv.full()
         head = e[0]
@@ -463,14 +399,10 @@ class _Eval:
             for p in parts[1:]:
                 out = out.intersect(p) if meet else out.hull(p)
             return out
-        if head == "=>" and len(e) == 3:
-            left = self.bounds(e[1], v, env, not positive)
-            right = self.bounds(e[2], v, env, positive)
-            return left.hull(right) if positive else left.intersect(right)
         if head in _RELATIONS and len(e) == 3:
             return self._atom_bounds(head, e[1], e[2], v, env, positive)
-        if head in ("exists", "forall") and len(e) == 3:
-            # sound for either quantifier: truth (or falsity) of the block
+        if head == "exists" and len(e) == 3:
+            # sound under either polarity: truth (or falsity) of the block
             # at some v still needs the body's pure-v atoms to hold, and
             # atoms touching the inner binder decompose to no constraint
             if any(b[0] == v for b in e[1]):
@@ -513,8 +445,6 @@ class _Eval:
             if e in env:
                 val = env[e]
                 return (Fraction(0), val) if _is_num(val) else None
-            if e in self.scalar_pins:
-                return (Fraction(0), self.scalar_pins[e])
             return None
         if not isinstance(e, list) or not e:
             return None
@@ -529,10 +459,10 @@ class _Eval:
             for name, bound in e[1]:
                 new_lenv[name] = self.affine(bound, v, env, lenv)
             return self.affine(e[2], v, env, new_lenv)
-        # select / ite / quantifier: usable only when entirely ground;
+        # select / ite: usable only when entirely ground;
         # a stray inner binder (possible when bounds extraction looks
         # inside nested quantifier bodies) just means no constraint
-        if self._occurs_any((v,), e, set()):
+        if self._occurs(v, e, set()):
             return None
         try:
             val = self.ev(e, env)
@@ -540,24 +470,25 @@ class _Eval:
             return None
         return (Fraction(0), val) if _is_num(val) else None
 
-    def _occurs_any(self, names: Sequence[str], e, shadowed: Set[str]) -> bool:
+    def _occurs(self, name: str, e, shadowed: Set[str]) -> bool:
+        """Whether `name` occurs free in `e`, outside the `shadowed` names."""
         if isinstance(e, str):
-            return e in names and e not in shadowed
+            return e == name and e not in shadowed
         if not isinstance(e, list) or not e:
             return False
         head = e[0]
         if head == "let":
             inner = set(shadowed)
-            for name, bound in e[1]:
-                if self._occurs_any(names, bound, shadowed):
+            for bound_name, bound in e[1]:
+                if self._occurs(name, bound, shadowed):
                     return True
-                inner.add(name)
-            return self._occurs_any(names, e[2], inner)
-        if head in ("exists", "forall"):
+                inner.add(bound_name)
+            return self._occurs(name, e[2], inner)
+        if head == "exists":
             inner = shadowed | {b[0] for b in e[1]}
-            return self._occurs_any(names, e[2], inner)
+            return self._occurs(name, e[2], inner)
         for a in e[1:]:  # a loop, not any(): keeps the recursion off the C stack
-            if self._occurs_any(names, a, shadowed):
+            if self._occurs(name, a, shadowed):
                 return True
         return False
 
@@ -603,14 +534,10 @@ class _Eval:
             if kinds >= {PW, QVAR} and id(node) not in covered:
                 complete = False
                 return
-            if kinds <= {AFFINE, GROUND}:
-                for x, y in zip(infos, infos[1:]):
-                    if x[0] != AFFINE or y[0] != AFFINE:
-                        continue  # an opaque ground side never yields a root
-                    a = x[1][0] - y[1][0]
-                    b = x[1][1] - y[1][1]
-                    if a != 0:
-                        roots.add(-b / a)
+            if kinds == {AFFINE}:  # an unknown ground side never yields a root
+                (_, (xa, xb)), (_, (ya, yb)) = infos
+                if xa != ya:
+                    roots.add(-(xb - yb) / (xa - ya))
 
         def grid(binder: str, inner_body, lenv, vals, qvars):
             """Add grid crossings for the (<= (* sr (to_real k)) x) pattern."""
@@ -638,7 +565,7 @@ class _Eval:
                         isinstance(mul, list)
                         and len(mul) == 3
                         and mul[0] == "*"
-                        and self._occurs_any((binder,), mul, set())
+                        and self._occurs(binder, mul, set())
                     ):
                         continue
                     sr = self.literal_value(mul[1])
@@ -648,7 +575,7 @@ class _Eval:
                         continue
                     dec = self.affine(x_expr, v, env, pairs)
                     if dec is None:
-                        if self._occurs_any((v,), x_expr, set()):
+                        if self._occurs(v, x_expr, set()):
                             complete = False
                         continue
                     a, b = dec
@@ -674,7 +601,7 @@ class _Eval:
             if not isinstance(node, list) or not node:
                 return
             head = node[0]
-            if head in _RELATIONS and len(node) >= 3:
+            if head in _RELATIONS and len(node) == 3:
                 note_atom(node, lenv, vals, qvars)
                 for child in node[1:]:
                     walk(child, lenv, vals, qvars)
@@ -691,7 +618,7 @@ class _Eval:
                         new_vals[name] = new_lenv[name][1]
                 walk(node[2], new_lenv, new_vals, qvars)
                 return
-            if head in ("exists", "forall"):
+            if head == "exists":
                 names = {b[0] for b in node[1]}
                 if v in names:
                     return  # our v is shadowed below this point
@@ -724,19 +651,11 @@ class _Eval:
                 return (QVAR,)
             if e in env:
                 return (GROUND, env[e])
-            if e == "true":
-                return (GROUND, True)
-            if e == "false":
-                return (GROUND, False)
-            if e in self.scalar_pins:
-                return (GROUND, self.scalar_pins[e])
-            if e in self.consts or e in self.arrays:
-                return (GROUND, _opaque(e))
             return (BAD,)
         if not isinstance(e, list) or not e:
             return (BAD,)
         head = e[0]
-        if head in ("+", "-", "*", "/", "to_real", "to_int"):
+        if head in ("+", "-", "*", "/", "to_real"):
             parts = [
                 self.classify(a, v, env, lenv, vals, qvars, covered) for a in e[1:]
             ]
@@ -752,8 +671,6 @@ class _Eval:
                     p[0] == GROUND and not _is_num(p[1]) for p in parts
                 ):
                     return (VUNK,)
-                if head == "to_int":
-                    return (BAD,)
                 pairs = [
                     p[1] if p[0] == AFFINE else (Fraction(0), p[1]) for p in parts
                 ]
@@ -804,56 +721,34 @@ class _Eval:
                 if new_lenv[name][0] == GROUND:
                     new_vals[name] = new_lenv[name][1]
             return self.classify(e[2], v, env, new_lenv, new_vals, qvars, covered)
-        if head in ("exists", "forall"):
-            if not self._occurs_any((v,), e, set()):
-                return (GROUND, None)
-            return (BAD,)
         return (BAD,)
 
     def _bool_class(self, e, v, env, lenv, vals, qvars, covered) -> int:
-        """How a condition's truth can vary with v."""
-        if not isinstance(e, list):
-            return GROUND  # a symbol or a numeral
-        if not e:
+        """How an ite condition's truth can vary with v.
+
+        The translator's ite conditions are all relations; any other
+        condition is BAD, which makes the caller's answer at most unknown.
+        """
+        if not (isinstance(e, list) and len(e) == 3 and e[0] in _RELATIONS):
             return BAD
-        head = e[0]
-        if head == "not":
-            return self._bool_class(e[1], v, env, lenv, vals, qvars, covered)
-        if head in ("and", "or", "=>"):
-            out = GROUND
-            for a in e[1:]:
-                c = self._bool_class(a, v, env, lenv, vals, qvars, covered)
-                if c == BAD:
-                    return BAD
-                if c == VUNK or out == VUNK:
-                    out = VUNK
-                elif out == GROUND:
-                    out = c
-                elif c not in (GROUND, out):
-                    return BAD
-            return out
-        if head in _RELATIONS:
-            parts = [
-                self.classify(a, v, env, lenv, vals, qvars, covered) for a in e[1:]
-            ]
-            kinds = {p[0] for p in parts}
-            if BAD in kinds:
-                return BAD
-            if VUNK in kinds:
-                return VUNK
-            if any(p[0] == GROUND and not _is_num(p[1]) for p in parts) and kinds != {GROUND}:
-                return VUNK
-            if AFFINE in kinds:
-                sloped = any(p[0] == AFFINE and p[1][0] != 0 for p in parts)
-                if not sloped:
-                    return self._bool_class_from(kinds - {AFFINE})
-                if kinds & {PW, QVAR}:
-                    # affine against a stepping side: exact only under the
-                    # covered floor pattern
-                    return PW if id(e) in covered else BAD
-                return PW  # the crossing is collected by the walk
-            return self._bool_class_from(kinds)
-        return BAD
+        parts = [self.classify(a, v, env, lenv, vals, qvars, covered) for a in e[1:]]
+        kinds = {p[0] for p in parts}
+        if BAD in kinds:
+            return BAD
+        if VUNK in kinds:
+            return VUNK
+        if any(p[0] == GROUND and not _is_num(p[1]) for p in parts) and kinds != {GROUND}:
+            return VUNK
+        if AFFINE in kinds:
+            sloped = any(p[0] == AFFINE and p[1][0] != 0 for p in parts)
+            if not sloped:
+                return self._bool_class_from(kinds - {AFFINE})
+            if kinds & {PW, QVAR}:
+                # affine against a stepping side: exact only under the
+                # covered floor pattern
+                return PW if id(e) in covered else BAD
+            return PW  # the crossing is collected by the walk
+        return self._bool_class_from(kinds)
 
     @staticmethod
     def _bool_class_from(kinds: Set[int]) -> int:
@@ -909,16 +804,13 @@ def run_script(text: str) -> List[str]:
         if not isinstance(form, list) or not form:
             raise ShimError(f"bad top-level form {form!r}")
         head = form[0]
-        if head in ("set-logic", "set-option", "set-info", "push", "pop", "exit"):
+        if head == "set-logic":
             continue
         if head == "declare-const":
-            state.declare(form[1], form[2])
+            if form[2:] != [["Array", "Int", "Real"]]:
+                raise ShimError("only (Array Int Real) constants are supported")
+            state.arrays.add(form[1])
             continue
-        if head == "declare-fun":
-            if form[2] == []:
-                state.declare(form[1], form[3])
-                continue
-            raise ShimError("uninterpreted functions with arguments are not supported")
         if head == "assert":
             if not state.try_pin(form[1]):
                 asserts.append(form[1])
@@ -936,16 +828,10 @@ def run_script(text: str) -> List[str]:
 
 
 def _decide(state: _Eval, asserts: List) -> str:
-    if state.conflict:
+    r = state.ev(["and", *asserts], {})
+    if r is False or state.conflict:
         return "unsat"
-    saw_unknown = False
-    for e in asserts:
-        r = state.ev(e, {})
-        if r is False:
-            return "unsat"
-        if r is None:
-            saw_unknown = True
-    return "unknown" if saw_unknown else "sat"
+    return "unknown" if r is None else "sat"
 
 
 def solve(path: str) -> Tuple[int, str, str]:

@@ -67,10 +67,7 @@ class TestGroundAssertions:
             ("(assert (= (- 2.5) (- 2.5))) (check-sat)", "sat"),
             ("(assert (= (+ 1 2 3) 6)) (check-sat)", "sat"),
             ("(assert (not (= 1 2))) (check-sat)", "sat"),
-            ("(assert (=> false (= 1 2))) (check-sat)", "sat"),
-            ("(assert (distinct 1 2)) (check-sat)", "sat"),
             ("(assert (= (to_real 3) 3.0)) (check-sat)", "sat"),
-            ("(assert (= (to_int 3.7) 3)) (check-sat)", "sat"),
         ],
     )
     def test_literal_scripts(self, text, want):
@@ -96,26 +93,11 @@ class TestRelations:
     }
 
     @pytest.mark.parametrize("op", sorted(RELATIONS))
-    def test_numeral_chains(self, op):
-        for n in (2, 3, 4):
-            for chain in itertools.product(self.NUMERALS, repeat=n):
-                values = [Fraction(x) for x in chain]
-                holds = all(self.RELATIONS[op](a, b) for a, b in zip(values, values[1:]))
-                text = f"(assert ({op} {' '.join(chain)})) (check-sat)"
-                assert status(text) == ("sat" if holds else "unsat"), text
-
-    def test_distinct(self):
+    def test_numeral_pairs(self, op):
         for a, b in itertools.product(self.NUMERALS, repeat=2):
-            want = "sat" if Fraction(a) != Fraction(b) else "unsat"
-            assert status(f"(assert (distinct {a} {b})) (check-sat)") == want
-
-    @pytest.mark.parametrize("op", sorted(RELATIONS))
-    @pytest.mark.parametrize("term", ["x", "(+ x 1.5)"])
-    def test_reflexive_symbolic(self, op, term):
-        text = f"(declare-const x Real) (assert ({op} {term} {term})) (check-sat)"
-        assert status(text) == ("sat" if op in ("<=", "=", ">=") else "unsat")
-        text = f"(declare-const x Real) (assert (distinct {term} {term})) (check-sat)"
-        assert status(text) == "unsat"
+            holds = self.RELATIONS[op](Fraction(a), Fraction(b))
+            text = f"(assert ({op} {a} {b})) (check-sat)"
+            assert status(text) == ("sat" if holds else "unsat"), text
 
 
 class TestNumerals:
@@ -160,38 +142,7 @@ class TestNumerals:
         assert 0 < len(calls) <= len(distinct)
 
 
-class TestOpaqueConstants:
-    def test_reflexive_equality(self):
-        assert status("(declare-const x Real) (assert (= x x)) (check-sat)") == "sat"
-
-    def test_irreflexive_order(self):
-        assert status("(declare-const x Real) (assert (< x x)) (check-sat)") == "unsat"
-
-    def test_reflexive_le(self):
-        assert status("(declare-const x Real) (assert (<= x x)) (check-sat)") == "sat"
-
-    def test_distinct_opaques_unknown(self):
-        text = "(declare-const x Real) (declare-const y Real) (assert (= x y)) (check-sat)"
-        assert status(text) == "unknown"
-
-    def test_structural_compound_equality(self):
-        text = "(declare-const x Real) (assert (= (+ x 1.0) (+ x 1.0))) (check-sat)"
-        assert status(text) == "sat"
-
-
 class TestPins:
-    def test_scalar_pin_used(self):
-        text = "(declare-const y Real) (assert (= y 1.5)) (assert (< y 2.0)) (check-sat)"
-        assert status(text) == "sat"
-
-    def test_scalar_pin_reversed_sides(self):
-        text = "(declare-const y Real) (assert (= 1.5 y)) (assert (< y 2.0)) (check-sat)"
-        assert status(text) == "sat"
-
-    def test_conflicting_scalar_pins(self):
-        text = "(declare-const y Real) (assert (= y 1.0)) (assert (= y 2.0)) (check-sat)"
-        assert status(text) == "unsat"
-
     def test_array_pin(self):
         text = """
         (declare-const a (Array Int Real))
@@ -248,14 +199,6 @@ class TestIntQuantifiers:
 
     def test_unbounded_exists_unknown(self):
         assert status("(assert (exists ((n Int)) (< 0 n))) (check-sat)") == "unknown"
-
-    def test_forall_over_range(self):
-        text = "(assert (forall ((n Int)) (=> (and (<= 0 n) (<= n 3)) (< n 4)))) (check-sat)"
-        assert status(text) == "sat"
-
-    def test_forall_counterexample(self):
-        text = "(assert (forall ((n Int)) (=> (and (<= 0 n) (<= n 3)) (< n 3)))) (check-sat)"
-        assert status(text) == "unsat"
 
     def test_multiple_binders_peel(self):
         text = """
@@ -317,13 +260,6 @@ class TestRealQuantifiers:
     def test_unbounded_tautology(self):
         assert status("(assert (exists ((r Real)) (= r r))) (check-sat)") == "sat"
 
-    def test_forall_guarded(self):
-        text = """
-        (assert (forall ((t Real)) (=> (and (<= 0.0 t) (<= t 5.0)) (<= t 5.0))))
-        (check-sat)
-        """
-        assert status(text) == "sat"
-
     def test_floor_pattern_grid_hit(self):
         # floor(t / 0.5) = 2 exactly on t in [1.0, 1.4]
         text = """
@@ -361,30 +297,19 @@ class TestRealQuantifiers:
         """
         assert status(text) == "sat"
 
-    def test_unclassifiable_body_degrades_to_unknown(self):
-        # to_int breaks the piecewise analysis; the body is really never
-        # true, but the honest answer without the analysis is unknown
-        text = """
-        (assert (exists ((t Real)) (and (and (<= 0.0 t) (<= t 1.0))
-          (= (to_real (to_int t)) 0.5))))
-        (check-sat)
-        """
-        assert status(text) == "unknown"
+    def test_unclassifiable_body_degrades_to_unknown(self, fig_trace):
+        # a side sloped in tau0 against a side stepping with the inner
+        # sigma1 flips off the collected roots; the property is really
+        # false (i2t(σ1) is at most 1.8), but the honest answer is unknown
+        f = parse(
+            "exists τ0 in [0.0, 1.0] such that exists σ1 in [0, 3] such that "
+            "i2t(σ1) > τ0 + 100.0",
+            signature=fig_trace.signals,
+        )
+        assert run_script(translate(fig_trace, f, negate=False).text) == ["unknown"]
 
 
 class TestCommands:
-    def test_ignored_commands(self):
-        text = """
-        (set-logic AUFLIRA)
-        (set-option :produce-models true)
-        (set-info :status unknown)
-        (push) (pop)
-        (assert (= 1 1))
-        (check-sat)
-        (exit)
-        """
-        assert status(text) == "sat"
-
     def test_get_model_after_sat(self):
         out = run_script("(assert (= 1 1)) (check-sat) (get-model)")
         assert out == ["sat", "(model )"]
@@ -393,21 +318,58 @@ class TestCommands:
         out = run_script("(assert (= 1 2)) (check-sat) (get-model)")
         assert out == ["unsat"]
 
-    def test_declare_fun_nullary(self):
-        text = "(declare-fun x () Real) (assert (= x x)) (check-sat)"
-        assert status(text) == "sat"
-
-    def test_declare_fun_with_args_rejected(self):
-        with pytest.raises(ShimError, match="uninterpreted functions"):
-            run_script("(declare-fun f (Int) Real) (check-sat)")
-
-    def test_unknown_command_rejected(self):
-        with pytest.raises(ShimError, match="unsupported command"):
-            run_script("(frobnicate)")
-
     def test_unknown_symbol_rejected(self):
         with pytest.raises(ShimError, match="unknown symbol"):
             run_script("(assert (= zork 1)) (check-sat)")
+
+
+# SMT-LIB that smt.translate never emits, and ill-sorted formulas: each must
+# stop with an error, never answer sat or unsat.
+OUT_OF_FRAGMENT = {
+    "forall": "(assert (forall ((n Int)) (< n 4)))",
+    "implies": "(assert (=> false (= 1 2)))",
+    "distinct": "(assert (distinct 1 2))",
+    "to_int": "(assert (= (to_int 3.7) 3))",
+    "true": "(assert true)",
+    "declare-fun nullary": "(declare-fun x () Real)",
+    "declare-fun with args": "(declare-fun f (Int) Real)",
+    "declare-const Real": "(declare-const x Real)",
+    "declare-const Int array": "(declare-const a (Array Int Int))",
+    "set-option": "(set-option :produce-models true)",
+    "set-info": "(set-info :status unknown)",
+    "push": "(push 1)",
+    "pop": "(pop 1)",
+    "exit": "(exit)",
+    "unknown command": "(frobnicate)",
+    "array as a value": "(declare-const a (Array Int Real)) (assert (= a a))",
+    "undeclared array": "(assert (= (select b 0) 1.0))",
+    "Bool binder": "(assert (exists ((b Bool)) false))",
+    "relation of one": "(assert (< 1))",
+    **{
+        f"chain {op} {' '.join(chain)}": f"(assert ({op} {' '.join(chain)}))"
+        for op in ("<", "<=", "=", ">=", ">")
+        for chain in (("0.5", "1", "2"), ("2", "1", "1.0", "0.5"))
+    },
+    "Real assert": "(assert 1.0)",
+    "Real under not": "(assert (not 0.0))",
+    "Real under or": "(assert (or 0.0 2.0))",
+    "Real under and": "(assert (and (= 1 1) 2.0))",
+    "Real ite condition": "(assert (= (ite 1.0 1.0 2.0) 1.0))",
+    "Real exists body": "(assert (exists ((x Real)) 1.0))",
+    "Bool compared": "(assert (= false false))",
+    "Bool summed": "(assert (< (+ false 1.0) 2.0))",
+}
+
+
+@pytest.mark.parametrize("text", list(OUT_OF_FRAGMENT.values()), ids=list(OUT_OF_FRAGMENT))
+def test_out_of_fragment(tmp_path, text):
+    script = f"{text} (check-sat)\n"
+    with pytest.raises(ShimError):
+        run_script(script)
+    path = tmp_path / "q.smt2"
+    path.write_text(script)
+    code, out, err = shim.solve(str(path))
+    assert (code, out) == (1, "") and err.strip()
 
 
 class TestMain:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import R1_TEXT, make_fig_trace
+from genrand import pair
 
 from tracecheck.preprocess import PreprocessConfig, apply_a2
 from tracecheck.semantics import check_direct
@@ -366,3 +367,103 @@ class TestExpansionCap:
 
     def test_default_cap_is_generous(self):
         assert DEFAULT_EXPANSION_CAP == 50_000
+
+
+# The SMT-LIB fragment tracecheck.shim reads: each operator head with the
+# argument counts it may have.  `select`, `let`, `exists` and the leaves are
+# checked on their own below.
+FRAGMENT_OPS = {
+    "+": {2}, "-": {1, 2}, "*": {2}, "/": {2}, "to_real": {1},
+    "<": {2}, "<=": {2}, "=": {2}, ">=": {2}, ">": {2},
+    "not": {1}, "and": {2}, "or": {2}, "ite": {3},
+}
+
+
+def fragment_violations(text):
+    """The forms and nodes of a script that lie outside the shim's fragment."""
+    bad = []
+    arrays = set()
+    stack = []  # (node, names bound around it); iterative, scripts nest deep
+    for form in parse_script(text):
+        head, args = form[0], form[1:]
+        if head == "declare-const" and len(args) == 2 and args[1] == ["Array", "Int", "Real"]:
+            arrays.add(args[0])
+        elif head == "assert" and len(args) == 1:
+            stack.append((args[0], frozenset()))
+        elif not ((head in ("check-sat", "get-model") and not args) or form == ["set-logic", "AUFLIRA"]):
+            bad.append(form)
+    while stack:
+        node, scope = stack.pop()
+        if type(node) is Fraction:
+            continue
+        if isinstance(node, str):
+            if node != "false" and node not in scope:
+                bad.append(node)
+            continue
+        head, args = node[0], node[1:]
+        if not isinstance(head, str):
+            bad.append(node)
+        elif head == "select" and len(args) == 2 and args[0] in arrays:
+            stack.append((args[1], scope))
+        elif head == "let" and len(args) == 2 and len(args[0]) == 1 and len(args[0][0]) == 2:
+            name, bound = args[0][0]
+            stack += [(bound, scope), (args[1], scope | {name})]
+        elif head == "exists" and len(args) == 2 and args[0] and all(
+            len(b) == 2 and b[1] in ("Int", "Real") for b in args[0]
+        ):
+            stack.append((args[1], scope | {b[0] for b in args[0]}))
+        elif len(args) in FRAGMENT_OPS.get(head, ()):
+            stack += [(a, scope) for a in args]
+        else:
+            bad.append(node)
+    return bad
+
+
+class TestShimFragment:
+    """Every script the translator emits stays inside the fragment the
+    bundled evaluator reads; something new must fail here first."""
+
+    @staticmethod
+    def scripts(trace, f):
+        modes = [VariableRate()]
+        if isinstance(trace.rate, Fixed) and trace.t0 == 0:
+            modes.append(FixedRate(trace.rate.sr))
+        for mode in modes:
+            for negate in (True, False):
+                yield translate(trace, f, mode=mode, negate=negate).text
+
+    def test_the_walk_flags_what_the_shim_does_not_read(self):
+        for form in (
+            "(declare-const x Real)", "(exit)", "(assert true)", "(assert (< 0 1 2))",
+            "(assert (forall ((n Int)) false))", "(assert (=> false false))",
+            "(assert (distinct 1 2))", "(assert (= (to_int 1.5) 1))",
+            "(assert (and false false false))", "(assert (let ((x 1) (y 2)) (= x y)))",
+            "(assert (exists ((b Bool)) false))", "(assert (= (select t 0) 1.0))",
+        ):
+            assert fragment_violations(form), form
+
+    def test_genrand_seeds(self):
+        for seed in range(100):
+            trace, f, prop_text = pair(seed)
+            for text in self.scripts(trace, f):
+                assert fragment_violations(text) == [], (seed, prop_text)
+
+    def test_r1_and_the_settle_shape(self, fig_trace, grid_trace):
+        for trace in (fig_trace, grid_trace):
+            for text in self.scripts(trace, parse(R1_TEXT, trace.signals)):
+                assert fragment_violations(text) == []
+        n = 60
+        settle = Trace(
+            records=tuple(
+                Record(F(j, 100), {"mode": F(int(j % 20 == 0)), "spd": F(4 if j % 20 == 5 else 10, 10)})
+                for j in range(n)
+            ),
+            signals=("mode", "spd"),
+        )
+        f = parse(
+            f"forall sigma0 in [0, {n - 2}] such that ((mode @i sigma0) = 1) implies "
+            "(exists tau0 in [0.0, 1.0] such that ((spd @t (tau0 + i2t(sigma0))) < 0.5))",
+            settle.signals,
+        )
+        for text in self.scripts(settle, f):
+            assert fragment_violations(text) == []
