@@ -231,16 +231,6 @@ def _affine_in(
         raise _SkipProbe() from None
 
 
-def _term_sort(term: Term) -> Sort:
-    if isinstance(term, (Var, Lit, Arith)):
-        return term.sort if term.sort is not None else Sort.VALUE
-    if isinstance(term, I2T):
-        return Sort.TIME
-    if isinstance(term, T2I):
-        return Sort.INDEX
-    return Sort.VALUE
-
-
 def _breakpoints(
     trace: Trace, body: Formula, v: str, env: Assignment, dom: Interval
 ) -> Set[Fraction]:
@@ -284,7 +274,7 @@ def _breakpoints(
 
     def crossing(rel: Rel):
         # a direct comparison of time terms flips where the sides meet
-        if _term_sort(rel.left) is not Sort.TIME and _term_sort(rel.right) is not Sort.TIME:
+        if rel.left.sort is not Sort.TIME and rel.right.sort is not Sort.TIME:
             return
         if v not in free_vars(rel.left) | free_vars(rel.right):
             return

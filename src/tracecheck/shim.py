@@ -1,13 +1,14 @@
 """A small SMT-LIB evaluator for scripts over fully pinned trace arrays.
 
 It answers the default solver command, `tracecheck-solve`.  The solver
-driver runs this module as `python -m tracecheck.shim --serve`: a small
-single-threaded server that reads one request per line and forks one child
-per script, which sets up its own session and address-space cap, reads the
-script back from disk and evaluates it.  The server enforces the deadline,
-reaps the child and replies with one JSON line.  `tracecheck-solve FILE`
-(or `python -m tracecheck.shim FILE`) evaluates one script and prints the
-answer.  Any SMT-LIB solver binary can replace it via --solver.
+driver runs `serve` in a process of its own: a small single-threaded server
+that reads one request per line and forks one child per script.  The child
+sets up its own session, the caller's working directory and an
+address-space cap, then either reads the script back from disk and
+evaluates it or, for a `--solver CMD`, execs `CMD <script>` in the caller's
+environment.  The server enforces the deadline, reaps the child and replies
+with one JSON line.  `tracecheck-solve FILE` (or `python -m tracecheck.shim
+FILE`) evaluates one script and prints the answer.
 
 This is an evaluator, not a general solver: it assumes the interesting
 structure lives in the quantifiers while the arrays are pinned cell by cell
@@ -58,6 +59,7 @@ import json
 import operator
 import os
 import re
+import signal
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -328,7 +330,11 @@ class _Eval:
             if type(arr) is not str or arr not in self.arrays:
                 raise ShimError(f"select from {arr!r}, which is not a declared array")
             idx = self.ev(e[2], env)
-            if not _is_num(idx) or idx.denominator != 1:
+            if not _is_num(idx):
+                if type(idx) is bool:
+                    raise ShimError(f"select index {e[2]!r} is not a number")
+                return None
+            if idx.denominator != 1:
                 return None
             return self.pins.get((arr, int(idx)))
         if head == "exists":
@@ -866,50 +872,77 @@ def solve(path: str) -> Tuple[int, str, str]:
     return 0, "".join(f"{line}\n" for line in out), ""
 
 
-def _solve_in_child(path: str, timeout_s: float, mem_mb: int) -> dict:
-    """`solve(path)` in a forked child with its own session and address-space cap.
+def _solve_in_child(
+    argv: Optional[List[str]], env: Optional[Dict[str, str]], cwd: str,
+    timeout_s: float, mem_mb: int, path: str,
+) -> dict:
+    """One script in a forked child: the evaluator (`argv` None) or `argv + [path]`.
 
-    A hang-up on this server's stdin (the caller is gone) kills the child
-    too; the reply's code is then HANGUP.
+    The child reads /dev/null, writes to two pipes, takes its own session,
+    moves to `cwd` and caps its address space.  A hang-up on this server's
+    stdin (the caller is gone) kills the child's group too; the reply's
+    code is then HANGUP.
     """
-    read_end, write_end = os.pipe()
+    out_r, out_w = os.pipe()
+    err_r, err_w = os.pipe()
     pid = os.fork()
     if pid == 0:
         # The child must end here whatever happens, never back in the serve loop.
         try:
-            os.close(read_end)
+            os.dup2(os.open(os.devnull, os.O_RDONLY), 0)
+            os.dup2(out_w, 1)
+            os.dup2(err_w, 2)
             os.setsid()
+            os.chdir(cwd)
             limit_address_space(mem_mb)
-            code, out, err = solve(path)
-            with os.fdopen(write_end, "w", encoding="utf-8") as pipe:
-                json.dump([out, err], pipe)
+            if argv is None:
+                code, out, err = solve(path)
+                sys.stdout.write(out)
+                sys.stderr.write(err)
+            else:
+                code = _exec(argv + [path], env)
+            sys.stdout.flush()
+            sys.stderr.flush()
         except BaseException:  # noqa: BLE001 - the exit status reports it
             os._exit(70)
         os._exit(code)
-    os.close(write_end)
+    os.close(out_w)
+    os.close(err_w)
     try:
-        code, (data,), rss_mb = drain(pid, [read_end], timeout_s, sys.stdin.fileno())
+        code, outputs, rss_mb = drain(pid, [out_r, err_r], timeout_s, sys.stdin.fileno())
     finally:
-        os.close(read_end)
-    try:
-        out, err = json.loads(data)
-    except ValueError:  # the child died before its reply was complete
-        out, err = "", ""
+        os.close(out_r)
+        os.close(err_r)
+    out, err = (data.decode(errors="replace") for data in outputs)
     return {"code": code, "stdout": out, "stderr": err, "max_rss_mb": rss_mb}
+
+
+def _exec(argv: List[str], env: Dict[str, str]) -> int:
+    """Replace this process with `argv`; if that fails, say why on stderr and return 127."""
+    # the signal dispositions a program expects, which Python changed at startup
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    signal.signal(signal.SIGXFSZ, signal.SIG_DFL)
+    try:
+        os.execvpe(argv[0], argv, env)
+    except FileNotFoundError:
+        sys.stderr.write(f"solver command not found: {argv[0]}\n")
+    except OSError as exc:
+        sys.stderr.write(f"could not start solver: {exc}\n")
+    return 127
 
 
 def serve() -> int:
     """Answer solve requests from stdin, one JSON line each, until EOF.
 
-    A request is `[timeout_s, mem_mb, absolute script path]`.  Each script
-    runs in a child forked from this single-threaded process; the reply is
-    one JSON line with the child's exit code (or "timeout"), its stdout and
-    stderr and its peak resident set in MB.  A caller that hangs up while
-    its script runs ends the script and the server.
+    A request is `[argv, env, cwd, timeout_s, mem_mb, script path]`, with
+    `argv` and `env` None for the bundled evaluator.  Each script runs in a
+    child forked from this single-threaded process; the reply is one JSON
+    line with the child's exit code (or "timeout"), its stdout and stderr
+    and its peak resident set in MB.  A caller that hangs up while its
+    script runs ends the script and the server.
     """
     for line in sys.stdin:
-        timeout_s, mem_mb, path = json.loads(line)
-        reply = _solve_in_child(path, timeout_s, mem_mb)
+        reply = _solve_in_child(*json.loads(line))
         if reply["code"] == HANGUP:
             break
         sys.stdout.write(json.dumps(reply) + "\n")
@@ -922,15 +955,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="tracecheck-solve",
         description="evaluate an SMT-LIB script over pinned trace arrays",
     )
-    parser.add_argument("script", nargs="?", help="path to the .smt2 file, or - for stdin")
-    parser.add_argument(
-        "--serve", action="store_true", help="answer solve requests on stdin, one per line"
-    )
+    parser.add_argument("script", help="path to the .smt2 file, or - for stdin")
     args = parser.parse_args(argv)
-    if args.serve:
-        return serve()
-    if args.script is None:
-        parser.error("the script argument is required")
     code, out, err = solve(args.script)
     sys.stdout.write(out)
     sys.stderr.write(err)

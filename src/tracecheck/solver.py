@@ -6,12 +6,15 @@ maps to satisfied and `sat` to violated.  Every script runs in a fresh
 process under a wall-clock timeout and an address-space cap; timeouts and
 resource exhaustion are reported as inconclusive rather than as answers.
 
-The default command, `tracecheck-solve`, is the bundled evaluator.  It is
-served by long-lived `python -m tracecheck.shim --serve` processes started
-with the current interpreter, one per calling thread at most, that fork one
-child per script: a call costs a fork, not an interpreter start.  Any other
-command runs as a subprocess of its own, `cmd <script>`, per call.  Both
-routes feed the same classifier.
+Every command takes one route.  Long-lived `tracecheck.shim.serve`
+processes, started with the current interpreter, one per calling thread at
+most, fork one child per script: a call costs a fork of a small process,
+not an interpreter start.  For the default command, `tracecheck-solve`, the
+child runs the bundled evaluator; any other command `CMD` replaces the
+child as `CMD <script>`, in the caller's working directory and environment.
+Either way the child has its own session and address-space cap, is killed
+with its process group at the deadline or when the caller hangs up, and
+what it prints goes to one classifier.
 """
 
 from __future__ import annotations
@@ -43,9 +46,14 @@ DEFAULT_SOLVER_CMD = "tracecheck-solve"
 DEFAULT_TIMEOUT_S = 3600.0
 DEFAULT_MEM_MB = 4096
 
-# the directory that holds this `tracecheck` package, absolute so that a
-# relative PYTHONPATH in the caller cannot break the server
+# the directory that holds this `tracecheck` package
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# `tracecheck.shim.serve` with that directory first on sys.path, so that the
+# server runs in the caller's environment whatever its PYTHONPATH holds
+_SERVE = (
+    f"import sys; sys.path.insert(0, {_PACKAGE_ROOT!r}); "
+    "from tracecheck.shim import serve; sys.exit(serve())"
+)
 
 # stderr fragments that identify resource exhaustion inside the solver
 _RESOURCE_PATTERNS = (
@@ -84,7 +92,7 @@ def limit_address_space(mem_mb: int) -> None:
 
 
 def drain(
-    pid: int, fds: Sequence[int], timeout_s: float, hangup_fd: Optional[int] = None
+    pid: int, fds: Sequence[int], timeout_s: float, hangup_fd: int
 ) -> Tuple[ExitCode, List[bytes], float]:
     """Read `fds` to EOF while child `pid` runs, for at most `timeout_s`, then reap it.
 
@@ -98,8 +106,7 @@ def drain(
     poller = select.poll()
     for fd in fds:
         poller.register(fd, select.POLLIN)
-    if hangup_fd is not None:
-        poller.register(hangup_fd, 0)  # poll reports a hang-up whatever the mask
+    poller.register(hangup_fd, 0)  # poll reports a hang-up whatever the mask
     reading = len(fds)
     cut = None  # TIMEOUT or HANGUP once the wait is cut short
     while reading and cut is None:
@@ -131,33 +138,8 @@ def drain(
     return code, [b"".join(chunks[fd]) for fd in fds], usage.ru_maxrss / 1024
 
 
-def _run_command(argv: List[str], timeout_s: float, mem_mb: int):
-    """`argv` as a subprocess in its own session: (code, stdout, stderr, max_rss_mb)."""
-    try:
-        proc = subprocess.Popen(
-            argv,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            start_new_session=True,
-            preexec_fn=lambda: limit_address_space(mem_mb),
-        )
-    except FileNotFoundError:
-        raise SolverUnavailable(f"solver command not found: {argv[0]}") from None
-    except OSError as exc:
-        raise SolverUnavailable(f"could not start solver: {exc}") from None
-    try:
-        code, (stdout, stderr), rss_mb = drain(
-            proc.pid, [proc.stdout.fileno(), proc.stderr.fileno()], timeout_s
-        )
-    finally:
-        proc.stdout.close()
-        proc.stderr.close()
-    proc.returncode = code  # reaped by drain; keeps Popen from waiting again
-    return code, stdout.decode(errors="replace"), stderr.decode(errors="replace"), rss_mb
-
-
 class _ServerPool:
-    """Idle `tracecheck.shim --serve` processes, shared by the threads of this process.
+    """Idle `tracecheck.shim.serve` processes, shared by the threads of this process.
 
     A call takes an idle server or starts one, and puts it back after a
     complete reply, so N concurrent calls run at most N servers.  Servers
@@ -169,29 +151,33 @@ class _ServerPool:
         self._lock = threading.Lock()
 
     def _start(self) -> subprocess.Popen:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p
-        )
         try:
             return subprocess.Popen(
-                [sys.executable, "-m", "tracecheck.shim", "--serve"],
+                [sys.executable, "-c", _SERVE],
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 text=True,
-                env=env,
                 start_new_session=True,
             )
         except OSError as exc:
             raise SolverUnavailable(f"could not start solver: {exc}") from None
 
-    def ask(self, script_path: str, timeout_s: float, mem_mb: int):
-        """One script through a server: (code, stdout, stderr, max_rss_mb)."""
+    def ask(self, argv: Optional[List[str]], script_path: str, timeout_s: float, mem_mb: int):
+        """One script through a server: (code, stdout, stderr, max_rss_mb).
+
+        `argv` is the command to run on the script, None for the bundled
+        evaluator.  A command gets this process's environment as it is now.
+        """
         with self._lock:
             server = self._idle.pop() if self._idle else None
         if server is None:
             server = self._start()
-        request = json.dumps([timeout_s, mem_mb, os.path.abspath(script_path)])
+        env = None if argv is None else dict(os.environ)
+        try:
+            cwd = os.getcwd()
+        except FileNotFoundError:  # this directory was deleted: run in the server's
+            cwd = "."
+        request = json.dumps([argv, env, cwd, timeout_s, mem_mb, script_path])
         try:
             server.stdin.write(request + "\n")
             server.stdin.flush()
@@ -261,12 +247,9 @@ def run_solver(
 ) -> SolverOutcome:
     """Run the solver on `script_path` and classify what came back."""
     started = time.monotonic()
+    argv = None if cmd == DEFAULT_SOLVER_CMD else shlex.split(cmd)
     try:
-        if cmd == DEFAULT_SOLVER_CMD:
-            code, stdout, stderr, rss_mb = _SERVERS.ask(str(script_path), timeout_s, mem_mb)
-        else:
-            argv = shlex.split(cmd) + [str(script_path)]
-            code, stdout, stderr, rss_mb = _run_command(argv, timeout_s, mem_mb)
+        code, stdout, stderr, rss_mb = _SERVERS.ask(argv, str(script_path), timeout_s, mem_mb)
     except SolverUnavailable as exc:
         return SolverOutcome("error", detail=str(exc))
     elapsed = time.monotonic() - started

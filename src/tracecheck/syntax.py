@@ -629,9 +629,6 @@ def _prefix_sort(name: str) -> Optional[Sort]:
     return None
 
 
-_FIXED_SORTS = {I2T: Sort.TIME, T2I: Sort.INDEX, AtIndex: Sort.VALUE, AtTime: Sort.VALUE}
-
-
 class _Checker:
     """Two-round sort inference.
 
@@ -685,7 +682,7 @@ class _Checker:
             if expect is Sort.INDEX and not term.integral_text:
                 raise self.err("index term holds a non-integer literal", term)
         elif isinstance(term, (I2T, T2I, AtIndex, AtTime)):
-            own = _FIXED_SORTS[type(term)]
+            own = term.sort
             if expect is not None and expect is not own:
                 raise self.err(
                     f"sort mismatch: {own.value} term used as {expect.value}", term
@@ -721,7 +718,7 @@ class _Checker:
             return None
         if isinstance(term, Arith):
             return self.term_sort(term.left) or self.term_sort(term.right)
-        return _FIXED_SORTS[type(term)]
+        return term.sort
 
     def constrain_rel(self, f: Rel):
         self.constrain_term(f.left, None)

@@ -358,6 +358,7 @@ OUT_OF_FRAGMENT = {
     "Real exists body": "(assert (exists ((x Real)) 1.0))",
     "Bool compared": "(assert (= false false))",
     "Bool summed": "(assert (< (+ false 1.0) 2.0))",
+    "Bool index": "(declare-const a (Array Int Real)) (assert (= (select a false) 1.0))",
 }
 
 

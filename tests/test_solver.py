@@ -1,7 +1,9 @@
-"""Tests for the solver driver (server and command routes) and verdict mapping."""
+"""Tests for the solver driver (its one server route, for any command) and verdict mapping."""
 
+import ast
 import importlib.metadata
 import os
+import re
 import shutil
 import signal
 import stat
@@ -141,6 +143,19 @@ class TestRunSolver:
         assert DEFAULT_MEM_MB == 4096
 
 
+def test_only_the_single_threaded_server_forks():
+    # preexec_fn and a fork in a threaded caller run Python in a half-copied process
+    for path in Path(solver.__file__).resolve().parent.glob("*.py"):
+        text = path.read_text()
+        assert "preexec_fn" not in text, path.name
+        called = {
+            getattr(node.func, "attr", getattr(node.func, "id", ""))
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Call)
+        }
+        assert path.name == "shim.py" or not called & {"fork", "forkpty"}, path.name
+
+
 class TestVerdictOf:
     @pytest.mark.parametrize(
         "outcome,verdict,reason",
@@ -261,6 +276,14 @@ def running(pid):
     return line.rsplit(")", 1)[1].split()[0] != "Z"
 
 
+def wait_until_ended(pids, within_s=5):
+    """Wait until none of `pids` is running, then assert that none is."""
+    deadline = time.monotonic() + within_s
+    while time.monotonic() < deadline and any(map(running, pids)):
+        time.sleep(0.05)
+    assert not [pid for pid in pids if running(pid)]
+
+
 SLOW_SCRIPT = (
     "(assert (exists ((k Int)) (and (<= 0 k) (<= k 900000) (= (* k k) (- 0 1)))))\n"
     "(check-sat)\n"
@@ -275,9 +298,17 @@ def server(script_file):
 
 
 class TestServerRoute:
-    def test_timeout_kills_the_child_group(self, tmp_path, script_file, server):
+    # the stub needs time to start its grandchild and write its pid
+    @pytest.mark.parametrize(
+        "route,timeout_s", [("default", 0.2), ("command", 1.0)], ids=["default", "command"]
+    )
+    def test_timeout_kills_the_child_group(self, tmp_path, script_file, server, route, timeout_s):
         slow = tmp_path / "slow.smt2"
         slow.write_text(SLOW_SCRIPT)
+        grandchild = tmp_path / "grandchild.pid"
+        cmd = DEFAULT_SOLVER_CMD
+        if route == "command":
+            cmd = make_stub(tmp_path, f"sleep 30 &\necho $! > {grandchild}\nwait\n")
         seen = []
         done = threading.Event()
 
@@ -290,18 +321,23 @@ class TestServerRoute:
         watcher.start()
         started = time.monotonic()
         try:
-            out = run_solver(str(slow), timeout_s=0.2)
+            out = run_solver(str(slow), cmd=cmd, timeout_s=timeout_s)
         finally:
             done.set()
             watcher.join(timeout=5)
         assert not watcher.is_alive()
         assert out.status == "timeout"
-        assert out.detail == "solver exceeded 0.2s"
-        assert time.monotonic() - started < 2
+        assert out.detail == f"solver exceeded {timeout_s:g}s"
+        assert time.monotonic() - started < timeout_s + 1.8
         assert seen, "no child was forked for the script"
-        for child in seen:
-            with pytest.raises(ProcessLookupError):
-                os.killpg(child, 0)
+        if route == "command":
+            # the killed grandchild is init's to reap, which not every init does
+            seen.append(int(grandchild.read_text()))
+            wait_until_ended(seen)
+        else:
+            for child in seen:
+                with pytest.raises(ProcessLookupError):
+                    os.killpg(child, 0)
         assert run_solver(script_file).status == "sat"
         assert _SERVERS._idle[-1].pid == server
 
@@ -328,11 +364,50 @@ class TestServerRoute:
         assert run_solver(script_file).status == "sat"
         assert _SERVERS._idle[-1].pid == server
 
-    def test_relative_path_after_chdir(self, tmp_path, server, monkeypatch):
+    @pytest.mark.parametrize("route", ["default", "command"])
+    def test_relative_path_after_chdir(self, tmp_path, server, monkeypatch, route):
         (tmp_path / "here").mkdir()
         (tmp_path / "here" / "q.smt2").write_text("(assert (= 1 2)) (check-sat)\n")
+        cmd = DEFAULT_SOLVER_CMD
+        if route == "command":
+            make_stub(tmp_path / "here", 'test -f "$1" && echo unsat\n')
+            cmd = "./stub.sh"
         monkeypatch.chdir(tmp_path / "here")
-        assert run_solver("q.smt2").status == "unsat"
+        assert run_solver("q.smt2", cmd=cmd).status == "unsat"
+        assert _SERVERS._idle[-1].pid == server
+
+    @pytest.mark.parametrize("route", ["default", "command"])
+    def test_a_deleted_working_directory(self, tmp_path, script_file, server, monkeypatch, route):
+        cmd = DEFAULT_SOLVER_CMD if route == "default" else make_stub(tmp_path, "echo sat\n")
+        (tmp_path / "gone").mkdir()
+        monkeypatch.chdir(tmp_path / "gone")
+        (tmp_path / "gone").rmdir()
+        assert run_solver(script_file, cmd=cmd).status == "sat"
+        assert _SERVERS._idle[-1].pid == server
+
+    def test_a_command_reading_stdin_still_answers(self, tmp_path, script_file, server):
+        cmd = make_stub(tmp_path, "cat >/dev/null\necho unsat\n")
+        assert run_solver(script_file, cmd=cmd, timeout_s=10).status == "unsat"
+        assert run_solver(script_file).status == "sat"
+        assert _SERVERS._idle[-1].pid == server
+
+    def test_a_command_gets_the_callers_signals_and_environment(
+        self, tmp_path, script_file, server, monkeypatch
+    ):
+        monkeypatch.setenv("TRACECHECK_PROBE", "set after the server started")
+        cmd = make_stub(
+            tmp_path,
+            "echo sat\ngrep SigIgn /proc/$$/status\n"
+            'echo "${PYTHONPATH-unset}"\necho "$TRACECHECK_PROBE"\n',
+        )
+        out = run_solver(script_file, cmd=cmd)
+        ignored = re.search(r"^SigIgn:\s*(\w+)$", Path("/proc/self/status").read_text(), re.M)
+        # the two dispositions Python sets at startup are a program's defaults again
+        restored = 1 << (signal.SIGPIPE - 1) | 1 << (signal.SIGXFSZ - 1)
+        sig_ign, pythonpath, probe = out.model.splitlines()
+        assert int(sig_ign.split()[1], 16) == int(ignored.group(1), 16) & ~restored
+        assert pythonpath == os.environ.get("PYTHONPATH", "unset")
+        assert probe == "set after the server started"
         assert _SERVERS._idle[-1].pid == server
 
     def test_deep_script_leaves_the_caller_limit(self, tmp_path):
@@ -390,9 +465,14 @@ class TestServerRoute:
         assert pids
         assert not [pid for pid in map(int, pids) if alive(pid)]
 
-    def test_a_dead_caller_ends_its_solve(self, tmp_path):
+    @pytest.mark.parametrize("route", ["default", "command"])
+    def test_a_dead_caller_ends_its_solve(self, tmp_path, route):
         slow = tmp_path / "slow.smt2"
         slow.write_text(SLOW_SCRIPT)
+        solver_pid = tmp_path / "solver.pid"
+        cmd = DEFAULT_SOLVER_CMD
+        if route == "command":
+            cmd = make_stub(tmp_path, f"echo $$ > {solver_pid}\nexec sleep 20\n")
         src = str(Path(solver.__file__).resolve().parents[1])
         caller = (
             "import sys\n"
@@ -400,10 +480,10 @@ class TestServerRoute:
             "server = _SERVERS._start()\n"
             "_SERVERS._idle.append(server)\n"
             "print(server.pid, flush=True)\n"
-            "run_solver(sys.argv[1], timeout_s=30)\n"
+            "run_solver(sys.argv[1], cmd=sys.argv[2], timeout_s=30)\n"
         )
         proc = subprocess.Popen(
-            [sys.executable, "-c", caller, str(slow)],
+            [sys.executable, "-c", caller, str(slow), cmd],
             stdout=subprocess.PIPE, text=True,
             env={**os.environ, "PYTHONPATH": src},
         )
@@ -411,13 +491,12 @@ class TestServerRoute:
         try:
             time.sleep(0.5)
             children = children_of(server)
+            if route == "command":
+                children.append(int(solver_pid.read_text()))
             proc.kill()
             proc.wait()
             assert children, "no child was forked for the script"
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline and any(map(running, [server, *children])):
-                time.sleep(0.05)
-            assert not [pid for pid in [server, *children] if running(pid)]
+            wait_until_ended([server, *children])
         finally:
             proc.stdout.close()
             for pid in [server, *children]:
