@@ -98,9 +98,9 @@ def _options_from(args: argparse.Namespace) -> CheckOptions:
         options = apply_config_keys(options, {"strategy": args.strategy})
     if getattr(args, "iota", None):
         options = replace(options, iota=args.iota)
-    if getattr(args, "solver", None):
-        options = replace(options, solver_cmd=args.solver)
-    for flag, key in (("timeout", "solver.timeout_s"), ("mem", "solver.mem_mb")):
+    for flag, key in (
+        ("solver", "solver.cmd"), ("timeout", "solver.timeout_s"), ("mem", "solver.mem_mb")
+    ):
         value = getattr(args, flag, None)
         if value is not None:
             with stage("config", PreprocessError, path=f"--{flag}"):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import shlex
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -269,6 +270,12 @@ def apply_config_keys(options: CheckOptions, keys: Dict[str, str]) -> CheckOptio
         elif key == "default":
             pre.default_kind = InterpolationKind.parse(value)
         elif key == "solver.cmd":
+            try:
+                words = shlex.split(value)
+            except ValueError:  # an unbalanced quote or a trailing backslash
+                words = []
+            if not words:
+                raise PreprocessError(f"solver.cmd must be a command line, got {value!r}")
             out.solver_cmd = value
         elif key == "solver.timeout_s":
             out.timeout_s = _positive(key, value, float, "a positive number")

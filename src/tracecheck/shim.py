@@ -14,21 +14,25 @@ This is an evaluator, not a general solver: it assumes the interesting
 structure lives in the quantifiers while the arrays are pinned cell by cell
 by equality assertions, which is exactly the shape of the scripts this
 package emits.  It reads the SMT-LIB fragment `smt.translate` emits
-(tests/test_smt.py checks that the translator stays inside it):
+(tests/test_smt.py checks that the translator stays inside it), at exactly
+the translator's arities:
 
-* commands `set-logic`, `declare-const NAME (Array Int Real)`, `assert`,
-  `check-sat` and `get-model`;
-* terms: numerals, names bound by `let` or `exists`, `+ - * /` and unary
-  `-`, `to_real`, `select` from a declared array, `ite` and `let`;
-* formulas: `false`, `< <= = >= >` on two terms, `not`, `and`, `or` and
-  `exists` over `Int` or `Real` binders.
+* commands `(set-logic AUFLIRA)`, `declare-const NAME (Array Int Real)`,
+  `assert`, `check-sat` and `get-model`;
+* terms: numerals, names bound by `let` or `exists`, binary `+ - * /`,
+  unary `-`, `to_real`, `select` from a declared array with a numeric
+  index, `ite` with a formula condition, and `let` with one binding
+  (around a term or a formula);
+* formulas: `false`, `< <= = >= >` on two terms, `not`, binary `and` and
+  `or`, and `exists` over `Int` or `Real` binders.
 
-`and`, `or`, `+`, `-`, `*`, `/` and `let` may take more operands or
-bindings than the translator's two or one.  Anything else (another command,
-sort or operator, a relation without exactly two arguments, a symbol
-nothing binds, or a non-Boolean value where a formula is expected once
-evaluation reaches it) is a `ShimError`: exit code 1, a message on stderr
-and nothing on stdout, so the solver status is `error` and the verdict
+Each assertion is checked against that fragment when the script is read,
+before anything is evaluated (`check_form`), except the array pins, whose
+shape `try_pin` already fixes.  Anything else (another command, sort or
+operator, another arity, a symbol nothing binds, or a term where a formula
+is expected or the other way round) is a `ShimError`, even where
+evaluation would never reach it: exit code 1, a message on stderr and
+nothing on stdout, so the solver status is `error` and the verdict
 `inconclusive`.  Within the fragment it is exact:
 
 * every numeral is parsed once, when the script is read, into an exact
@@ -54,7 +58,6 @@ three-valued throughout (True / False / None).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import operator
 import os
@@ -134,19 +137,15 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator
 
 
 def _arith(op: str, args: List[Value]) -> Value:
-    """`op` (an _ARITH key or to_real) on numbers; None when an operand is
-    unknown or a divisor is zero."""
-    if any(a is None for a in args):
+    """`op` (an _ARITH key or to_real) on its one or two numbers; None when
+    an operand is unknown or a divisor is zero."""
+    a = args[0]
+    if len(args) == 1:  # unary minus or to_real
+        return -a if op == "-" and a is not None else a
+    b = args[1]
+    if a is None or b is None or (op == "/" and b == 0):
         return None
-    if not all(_is_num(a) for a in args):
-        raise ShimError(f"non-numeric operand of {op!r}")
-    if len(args) == 1 and op in ("-", "to_real"):
-        return -args[0] if op == "-" else args[0]
-    if len(args) < 2 or op == "to_real":
-        raise ShimError(f"wrong number of arguments to {op!r}")
-    if op == "/" and 0 in args[1:]:
-        return None
-    return functools.reduce(_ARITH[op], args)
+    return _ARITH[op](a, b)
 
 
 _RELATIONS = {
@@ -155,31 +154,105 @@ _RELATIONS = {
 _FLIP = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}  # the relation, sides swapped
 
 
-def _compare(rel, a: Value, b: Value) -> Optional[bool]:
-    """`rel` (one of _RELATIONS' values) on two numbers, None when unknown."""
-    if a is None or b is None:
-        return None
-    if _is_num(a) and _is_num(b):
-        return rel(a, b)
-    raise ShimError("comparison of non-numeric values")
-
-
-def _truth(r: Value) -> Optional[bool]:
-    """`r` where a formula is expected: a truth value, or None when unknown."""
-    if r is True or r is False or r is None:
-        return r
-    raise ShimError(f"non-Boolean value {r} where a formula is expected")
-
-
 def _any(results) -> Optional[bool]:
     """Three-valued disjunction, stopping at the first True."""
     out: Optional[bool] = False
     for r in results:
         if r is True:
             return True
-        if r is not False:
-            out = _truth(r)
+        if r is None:
+            out = None
     return out
+
+
+# ---------------------------------------------------------------------------
+# The fragment, checked once per assertion before evaluation
+# ---------------------------------------------------------------------------
+
+NUM, BOOL = "number", "formula"  # the two sorts: Int and Real are both numbers
+
+# Each operator of the fragment at an arity the translator writes it:
+# (head, argument count) -> (sort, argument sorts).  `select`, `let`,
+# `exists` and the leaves are checked on their own in check_form.
+FRAGMENT_OPS = {
+    **{(op, 2): (NUM, (NUM, NUM)) for op in _ARITH},
+    ("-", 1): (NUM, (NUM,)),
+    ("to_real", 1): (NUM, (NUM,)),
+    ("ite", 3): (NUM, (BOOL, NUM, NUM)),
+    **{(rel, 2): (BOOL, (NUM, NUM)) for rel in _RELATIONS},
+    ("not", 1): (BOOL, (BOOL,)),
+    ("and", 2): (BOOL, (BOOL, BOOL)),
+    ("or", 2): (BOOL, (BOOL, BOOL)),
+}
+
+
+def _brief(node) -> str:
+    """`node` for a message: a leaf, or a list by its head."""
+    if type(node) is list:
+        return f"({node[0]} ...)" if node and type(node[0]) is str else "(...)"
+    return str(node)
+
+
+def _bindings(node, sorts=None) -> bool:
+    """Whether `node` is a non-empty list of (name x) pairs, each x one of
+    `sorts` when given."""
+    return type(node) is list and node != [] and all(
+        type(b) is list and len(b) == 2 and type(b[0]) is str and (sorts is None or b[1] in sorts)
+        for b in node
+    )
+
+
+def check_form(form, arrays: Set[str]) -> None:
+    """Raise ShimError unless `form` is a command of the fragment and any
+    formula it asserts is well sorted.  `arrays` holds the arrays declared
+    so far; a `declare-const` adds its own."""
+    if form in (["set-logic", "AUFLIRA"], ["check-sat"], ["get-model"]):
+        return
+    head = form[0] if type(form) is list and form else None
+    if head == "declare-const" and len(form) == 3 and type(form[1]) is str \
+            and form[2] == ["Array", "Int", "Real"]:
+        arrays.add(form[1])
+        return
+    if head != "assert" or len(form) != 2:
+        raise ShimError(f"unsupported command {_brief(form)}")
+    # iterative: the translator's terms nest tens of thousands deep
+    stack = [(form[1], BOOL, frozenset())]  # (node, expected sort, bound names)
+    while stack:
+        node, want, scope = stack.pop()
+        if type(node) is Fraction:
+            sort = NUM
+        elif type(node) is str:
+            if node == "false":
+                sort = BOOL
+            elif node in scope:
+                sort = NUM
+            else:
+                raise ShimError(f"unknown symbol {node!r}")
+        elif not node or type(node[0]) is not str:
+            raise ShimError(f"bad expression {_brief(node)}")
+        else:
+            head, args = node[0], node[1:]
+            signature = FRAGMENT_OPS.get((head, len(args)))
+            if signature is not None:
+                sort, arg_sorts = signature
+                stack += [(a, s, scope) for a, s in zip(args, arg_sorts)]
+            elif head == "select" and len(args) == 2:
+                arr = args[0]
+                if type(arr) is not str or arr not in arrays or arr in scope:
+                    raise ShimError(f"select from {_brief(arr)}, which is not a declared array")
+                sort = NUM
+                stack.append((args[1], NUM, scope))
+            elif head == "let" and len(args) == 2 and _bindings(args[0]) and len(args[0]) == 1:
+                [[name, bound]], body = args
+                sort = want
+                stack += [(bound, NUM, scope), (body, want, scope | {name})]
+            elif head == "exists" and len(args) == 2 and _bindings(args[0], ("Int", "Real")):
+                sort = BOOL
+                stack.append((args[1], BOOL, scope | {b[0] for b in args[0]}))
+            else:
+                raise ShimError(f"unsupported operator {head!r} with {len(args)} arguments")
+        if sort != want:
+            raise ShimError(f"{_brief(node)} is a {sort} where a {want} is expected")
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +309,20 @@ class _Iv:
 GROUND, AFFINE, PW, QVAR, VUNK, BAD = range(6)
 
 
+def literal_value(e) -> Optional[Fraction]:
+    """The value of a literal as `smt.smt_real` writes it: n, (- n),
+    (/ p q) or (- (/ p q)) with numerals n, p and q != 0; else None."""
+    negative = type(e) is list and len(e) == 2 and e[0] == "-"
+    if negative:
+        e = e[1]
+    if type(e) is list and len(e) == 3 and e[0] == "/" and type(e[1]) is type(e[2]) is Fraction \
+            and e[2] != 0:
+        e = e[1] / e[2]
+    if type(e) is not Fraction:
+        return None
+    return -e if negative else e
+
+
 class _Eval:
     """One script's state: declared arrays, pins, and the evaluator."""
 
@@ -246,23 +333,12 @@ class _Eval:
 
     # --- pins ---
 
-    def literal_value(self, e) -> Optional[Fraction]:
-        """Constant-fold a ground literal expression, else None."""
-        if type(e) is Fraction:
-            return e
-        if not isinstance(e, list) or not e:
-            return None
-        head = e[0]
-        if head in ("+", "-", "*", "/", "to_real"):
-            return _arith(head, [self.literal_value(a) for a in e[1:]])
-        return None
-
     def try_pin(self, e) -> bool:
         """Record the (= (select arr j) lit) shape, either side first, as a binding."""
         if not (isinstance(e, list) and len(e) == 3 and e[0] == "="):
             return False
         for lhs, rhs in ((e[1], e[2]), (e[2], e[1])):
-            value = self.literal_value(rhs)
+            value = literal_value(rhs)
             if (
                 value is not None
                 and isinstance(lhs, list)
@@ -283,26 +359,21 @@ class _Eval:
     # --- evaluation ---
 
     def ev(self, e, env: Dict[str, Value]) -> Value:
+        """The value of a checked term or formula; a name `env` lacks is unknown."""
         if type(e) is Fraction:
             return e
         if type(e) is str:
-            if e in env:
-                return env[e]
-            if e == "false":
-                return False
-            raise ShimError(f"unknown symbol {e!r}")
-        if not isinstance(e, list) or not e:
-            raise ShimError(f"bad expression {e!r}")
+            return False if e == "false" else env.get(e)
         head = e[0]
         if head in ("+", "-", "*", "/", "to_real"):
             return _arith(head, [self.ev(a, env) for a in e[1:]])
         rel = _RELATIONS.get(head)
         if rel is not None:
-            if len(e) != 3:
-                raise ShimError(f"{head!r} needs two arguments")
-            return _compare(rel, self.ev(e[1], env), self.ev(e[2], env))
+            a = self.ev(e[1], env)
+            b = self.ev(e[2], env)
+            return None if a is None or b is None else rel(a, b)
         if head == "not":
-            r = _truth(self.ev(e[1], env))
+            r = self.ev(e[1], env)
             return None if r is None else (not r)
         if head == "and":
             out: Optional[bool] = True
@@ -310,45 +381,32 @@ class _Eval:
                 r = self.ev(a, env)
                 if r is False:
                     return False
-                if r is not True:
-                    out = _truth(r)
+                if r is None:
+                    out = None
             return out
         if head == "or":
             return _any(self.ev(a, env) for a in e[1:])
         if head == "ite":
-            cond = _truth(self.ev(e[1], env))
+            cond = self.ev(e[1], env)
             if cond is None:
                 return None
             return self.ev(e[2] if cond else e[3], env)
         if head == "let":
-            new_env = dict(env)
-            for name, bound in e[1]:
-                new_env[name] = self.ev(bound, env)
-            return self.ev(e[2], new_env)
+            [[name, bound]] = e[1]
+            return self.ev(e[2], {**env, name: self.ev(bound, env)})
         if head == "select":
-            arr = e[1]
-            if type(arr) is not str or arr not in self.arrays:
-                raise ShimError(f"select from {arr!r}, which is not a declared array")
             idx = self.ev(e[2], env)
-            if not _is_num(idx):
-                if type(idx) is bool:
-                    raise ShimError(f"select index {e[2]!r} is not a number")
+            if idx is None or idx.denominator != 1:
                 return None
-            if idx.denominator != 1:
-                return None
-            return self.pins.get((arr, int(idx)))
-        if head == "exists":
-            return self.ev_exists(e[1], e[2], env)
-        raise ShimError(f"unsupported operator {head!r}")
+            return self.pins.get((e[1], int(idx)))
+        return self.ev_exists(e[1], e[2], env)  # exists, the one head left
 
     # --- quantifiers ---
 
     def ev_exists(self, binders, body, env) -> Value:
         if len(binders) > 1:
             body = ["exists", binders[1:], body]
-        v, sort = binders[0][0], binders[0][1]
-        if sort not in ("Int", "Real"):
-            raise ShimError(f"unsupported sort {sort!r}")
+        v, sort = binders[0]
         window = self.bounds(body, v, env, positive=True)
         if window.empty:
             return False
@@ -393,8 +451,6 @@ class _Eval:
     def bounds(self, e, v: str, env, positive: bool) -> _Iv:
         if e == "false":
             return _Iv.none() if positive else _Iv.full()
-        if not isinstance(e, list) or not e:
-            return _Iv.full()
         head = e[0]
         if head == "not":
             return self.bounds(e[1], v, env, not positive)
@@ -405,16 +461,16 @@ class _Eval:
             for p in parts[1:]:
                 out = out.intersect(p) if meet else out.hull(p)
             return out
-        if head in _RELATIONS and len(e) == 3:
+        if head in _RELATIONS:
             return self._atom_bounds(head, e[1], e[2], v, env, positive)
-        if head == "exists" and len(e) == 3:
+        if head == "exists":
             # sound under either polarity: truth (or falsity) of the block
             # at some v still needs the body's pure-v atoms to hold, and
             # atoms touching the inner binder decompose to no constraint
             if any(b[0] == v for b in e[1]):
                 return _Iv.full()
             return self.bounds(e[2], v, env, positive)
-        return _Iv.full()
+        return _Iv.full()  # a let
 
     def _atom_bounds(self, op, lhs, rhs, v, env, positive) -> _Iv:
         la = self.affine(lhs, v, env, {})
@@ -452,8 +508,6 @@ class _Eval:
                 val = env[e]
                 return (Fraction(0), val) if _is_num(val) else None
             return None
-        if not isinstance(e, list) or not e:
-            return None
         head = e[0]
         if head in ("+", "-", "*", "/", "to_real"):
             parts = [self.affine(a, v, env, lenv) for a in e[1:]]
@@ -461,19 +515,14 @@ class _Eval:
                 return None
             return self._affine_op(head, parts)
         if head == "let":
-            new_lenv = dict(lenv)
-            for name, bound in e[1]:
-                new_lenv[name] = self.affine(bound, v, env, lenv)
-            return self.affine(e[2], v, env, new_lenv)
-        # select / ite: usable only when entirely ground;
-        # a stray inner binder (possible when bounds extraction looks
-        # inside nested quantifier bodies) just means no constraint
+            [[name, bound]] = e[1]
+            return self.affine(e[2], v, env, {**lenv, name: self.affine(bound, v, env, lenv)})
+        # select / ite: usable only when entirely ground; a stray inner
+        # binder (possible when bounds extraction looks inside nested
+        # quantifier bodies) evaluates to unknown, which means no constraint
         if self._occurs(v, e, set()):
             return None
-        try:
-            val = self.ev(e, env)
-        except ShimError:
-            return None
+        val = self.ev(e, env)
         return (Fraction(0), val) if _is_num(val) else None
 
     def _occurs(self, name: str, e, shadowed: Set[str]) -> bool:
@@ -484,12 +533,10 @@ class _Eval:
             return False
         head = e[0]
         if head == "let":
-            inner = set(shadowed)
-            for bound_name, bound in e[1]:
-                if self._occurs(name, bound, shadowed):
-                    return True
-                inner.add(bound_name)
-            return self._occurs(name, e[2], inner)
+            [[bound_name, bound]] = e[1]
+            return self._occurs(name, bound, shadowed) or self._occurs(
+                name, e[2], shadowed | {bound_name}
+            )
         if head == "exists":
             inner = shadowed | {b[0] for b in e[1]}
             return self._occurs(name, e[2], inner)
@@ -564,19 +611,18 @@ class _Eval:
                 for name, cls in lenv.items()
             }
             for c in conjuncts:
-                if not (isinstance(c, list) and len(c) == 3 and c[0] in ("<", "<=")):
+                if not (isinstance(c, list) and c[0] in ("<", "<=")):
                     continue
                 for mul, x_expr in ((c[1], c[2]), (c[2], c[1])):
                     if not (
                         isinstance(mul, list)
-                        and len(mul) == 3
                         and mul[0] == "*"
                         and self._occurs(binder, mul, set())
                     ):
                         continue
-                    sr = self.literal_value(mul[1])
+                    sr = literal_value(mul[1])
                     if sr is None:
-                        sr = self.literal_value(mul[2])
+                        sr = literal_value(mul[2])
                     if sr is None or sr <= 0:
                         continue
                     dec = self.affine(x_expr, v, env, pairs)
@@ -607,22 +653,17 @@ class _Eval:
             if not isinstance(node, list) or not node:
                 return
             head = node[0]
-            if head in _RELATIONS and len(node) == 3:
+            if head in _RELATIONS:
                 note_atom(node, lenv, vals, qvars)
                 for child in node[1:]:
                     walk(child, lenv, vals, qvars)
                 return
             if head == "let":
-                new_lenv = dict(lenv)
-                new_vals = dict(vals)
-                for name, bound in node[1]:
-                    walk(bound, lenv, vals, qvars)
-                    new_lenv[name] = self.classify(
-                        bound, v, env, lenv, vals, qvars, covered
-                    )
-                    if new_lenv[name][0] == GROUND:
-                        new_vals[name] = new_lenv[name][1]
-                walk(node[2], new_lenv, new_vals, qvars)
+                [[name, bound]] = node[1]
+                walk(bound, lenv, vals, qvars)
+                cls = self.classify(bound, v, env, lenv, vals, qvars, covered)
+                new_vals = {**vals, name: cls[1]} if cls[0] == GROUND else vals
+                walk(node[2], {**lenv, name: cls}, new_vals, qvars)
                 return
             if head == "exists":
                 names = {b[0] for b in node[1]}
@@ -657,8 +698,6 @@ class _Eval:
                 return (QVAR,)
             if e in env:
                 return (GROUND, env[e])
-            return (BAD,)
-        if not isinstance(e, list) or not e:
             return (BAD,)
         head = e[0]
         if head in ("+", "-", "*", "/", "to_real"):
@@ -720,13 +759,10 @@ class _Eval:
             # condition varies only with an inner bound integer
             return (QVAR,) if kinds <= {GROUND, QVAR} else (BAD,)
         if head == "let":
-            new_lenv = dict(lenv)
-            new_vals = dict(vals)
-            for name, bound in e[1]:
-                new_lenv[name] = self.classify(bound, v, env, lenv, vals, qvars, covered)
-                if new_lenv[name][0] == GROUND:
-                    new_vals[name] = new_lenv[name][1]
-            return self.classify(e[2], v, env, new_lenv, new_vals, qvars, covered)
+            [[name, bound]] = e[1]
+            cls = self.classify(bound, v, env, lenv, vals, qvars, covered)
+            new_vals = {**vals, name: cls[1]} if cls[0] == GROUND else vals
+            return self.classify(e[2], v, env, {**lenv, name: cls}, new_vals, qvars, covered)
         return (BAD,)
 
     def _bool_class(self, e, v, env, lenv, vals, qvars, covered) -> int:
@@ -735,7 +771,7 @@ class _Eval:
         The translator's ite conditions are all relations; any other
         condition is BAD, which makes the caller's answer at most unknown.
         """
-        if not (isinstance(e, list) and len(e) == 3 and e[0] in _RELATIONS):
+        if not (isinstance(e, list) and e[0] in _RELATIONS):
             return BAD
         parts = [self.classify(a, v, env, lenv, vals, qvars, covered) for a in e[1:]]
         kinds = {p[0] for p in parts}
@@ -767,33 +803,18 @@ class _Eval:
 
     @staticmethod
     def _affine_op(head, pairs):
-        if head in ("+", "-"):
+        """`head` on affine (a, b) pairs; None when the result is not affine."""
+        if len(pairs) == 1:  # unary minus or to_real
             a, b = pairs[0]
-            if head == "-" and len(pairs) == 1:
-                return (-a, -b)
-            for pa, pb in pairs[1:]:
-                a, b = (a + pa, b + pb) if head == "+" else (a - pa, b - pb)
-            return (a, b)
+            return (-a, -b) if head == "-" else (a, b)
+        (a, b), (pa, pb) = pairs
+        if head == "+":
+            return (a + pa, b + pb)
+        if head == "-":
+            return (a - pa, b - pb)
         if head == "*":
-            a, b = pairs[0]
-            for pa, pb in pairs[1:]:
-                if a != 0 and pa != 0:
-                    return None
-                if pa == 0:
-                    a, b = a * pb, b * pb
-                else:
-                    a, b = pa * b, pb * b
-            return (a, b)
-        if head == "/":
-            a, b = pairs[0]
-            for pa, pb in pairs[1:]:
-                if pa != 0 or pb == 0:
-                    return None
-                a, b = a / pb, b / pb
-            return (a, b)
-        if head == "to_real":
-            return pairs[0]
-        return None
+            return None if a != 0 and pa != 0 else (a * pb + pa * b, b * pb)
+        return None if pa != 0 or pb == 0 else (a / pb, b / pb)
 
 
 # ---------------------------------------------------------------------------
@@ -801,35 +822,22 @@ class _Eval:
 # ---------------------------------------------------------------------------
 
 def run_script(text: str) -> List[str]:
-    forms = parse_script(text)
     state = _Eval()
     asserts: List = []
     out: List[str] = []
     last_status: Optional[str] = None
-    for form in forms:
-        if not isinstance(form, list) or not form:
-            raise ShimError(f"bad top-level form {form!r}")
+    for form in parse_script(text):
+        if type(form) is list and len(form) == 2 and form[0] == "assert" and state.try_pin(form[1]):
+            continue
+        check_form(form, state.arrays)
         head = form[0]
-        if head == "set-logic":
-            continue
-        if head == "declare-const":
-            if form[2:] != [["Array", "Int", "Real"]]:
-                raise ShimError("only (Array Int Real) constants are supported")
-            state.arrays.add(form[1])
-            continue
         if head == "assert":
-            if not state.try_pin(form[1]):
-                asserts.append(form[1])
-            continue
-        if head == "check-sat":
+            asserts.append(form[1])
+        elif head == "check-sat":
             last_status = _decide(state, asserts)
             out.append(last_status)
-            continue
-        if head == "get-model":
-            if last_status == "sat":
-                out.append("(model )")
-            continue
-        raise ShimError(f"unsupported command {head!r}")
+        elif head == "get-model" and last_status == "sat":
+            out.append("(model )")
     return out
 
 

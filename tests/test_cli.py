@@ -2,6 +2,7 @@
 
 import json
 import re
+import shlex
 import time
 
 import pytest
@@ -289,6 +290,8 @@ def write_error_inputs(d):
     (d / "neg.cfg").write_text("solver.timeout_s = -5\n")
     (d / "nan.cfg").write_text("solver.timeout_s = nan\n")
     (d / "nomem.cfg").write_text("solver.mem_mb = 0\n")
+    (d / "quote.cfg").write_text('solver.cmd = "z3\n')
+    (d / "blank.cfg").write_text("solver.cmd =\n")
     (d / "m.csv").write_text("id,trace,property,strategy,config\ne1,fig1.csv,r1.prop,,\n")
     (d / "badm.csv").write_text("id,trace\nz,1\n")
 
@@ -339,6 +342,13 @@ STAGE_ERRORS = [
     ("check fig1.csv r1.prop --config neg.cfg", "config: neg.cfg: solver.timeout_s must be a positive"),
     ("check fig1.csv r1.prop --config nan.cfg", "config: nan.cfg: solver.timeout_s must be a positive"),
     ("batch m.csv --config nomem.cfg", "config: nomem.cfg: solver.mem_mb must be a positive"),
+    ("check fig1.csv r1.prop --solver '\"z3'", "config: --solver: solver.cmd must be a command line"),
+    ("check fig1.csv r1.prop --solver ' '", "config: --solver: solver.cmd must be a command line"),
+    ("batch m.csv --solver '\"z3'", "config: --solver: solver.cmd must be a command line"),
+    ("batch m.csv --solver ''", "config: --solver: solver.cmd must be a command line"),
+    ("check fig1.csv r1.prop --config quote.cfg", "config: quote.cfg: solver.cmd must be a command line"),
+    ("check fig1.csv r1.prop --config blank.cfg", "config: blank.cfg: solver.cmd must be a command line"),
+    ("batch m.csv --config quote.cfg", "config: quote.cfg: solver.cmd must be a command line"),
     ("preprocess one.csv", "preprocess: strategy A2 needs at least 2 records"),
     ("translate one.csv r1.prop", "preprocess:"),
     ("check one.csv r1.prop", "preprocess:"),
@@ -361,7 +371,7 @@ class TestStageErrors:
     ):
         write_error_inputs(workdir)
         monkeypatch.chdir(workdir)
-        argv = line.split()
+        argv = shlex.split(line)
         if argv[0] != "validate" and "--out" not in argv:
             argv += ["--out", "o"]
         assert main(argv) == 4

@@ -26,6 +26,26 @@ def status(text):
     return out[0]
 
 
+def settle_script(n):
+    """The settle property's script on an n-record 100 Hz trace (unsat)."""
+    trace = Trace(
+        records=tuple(
+            Record(
+                Fraction(j, 100),
+                {"mode": Fraction(int(j == 0)), "spd": Fraction(4 if j == 50 else 10, 10)},
+            )
+            for j in range(n)
+        ),
+        signals=("mode", "spd"),
+    )
+    prop = parse(
+        f"forall σ0 in [0, {n - 2}] such that ((mode @i σ0) = 1) implies "
+        "(exists τ0 in [0.0, 1.0] such that ((spd @t (τ0 + i2t(σ0))) < 0.5))",
+        signature=trace.signals,
+    )
+    return translate(trace, prop, mode=FixedRate(Fraction(1, 100))).text
+
+
 class TestParsing:
     def test_nested_lists(self):
         forms = parse_script("(a (b c) 1.5) (d)")
@@ -65,7 +85,6 @@ class TestGroundAssertions:
             ("(assert (< 0.2 0.3)) (check-sat)", "sat"),
             ("(assert (= (/ 1.0 3.0) (/ 2.0 6.0))) (check-sat)", "sat"),
             ("(assert (= (- 2.5) (- 2.5))) (check-sat)", "sat"),
-            ("(assert (= (+ 1 2 3) 6)) (check-sat)", "sat"),
             ("(assert (not (= 1 2))) (check-sat)", "sat"),
             ("(assert (= (to_real 3) 3.0)) (check-sat)", "sat"),
         ],
@@ -73,9 +92,10 @@ class TestGroundAssertions:
     def test_literal_scripts(self, text, want):
         assert status(text) == want
 
-    def test_let_bindings_are_parallel(self):
+    def test_inner_let_shadows_outer(self):
+        # y keeps the outer x; the inner x hides it only in its own body
         text = """
-        (assert (let ((x 1)) (let ((x 2) (y x)) (= y 1))))
+        (assert (let ((x 1)) (let ((y x)) (let ((x 2)) (and (= y 1) (= x 2))))))
         (check-sat)
         """
         assert status(text) == "sat"
@@ -112,23 +132,7 @@ class TestNumerals:
         assert run_solver(str(p)).status == "error"
 
     def test_each_numeral_is_parsed_once(self, monkeypatch):
-        n = 1000
-        trace = Trace(
-            records=tuple(
-                Record(
-                    Fraction(j, 100),
-                    {"mode": Fraction(int(j == 0)), "spd": Fraction(4 if j == 50 else 10, 10)},
-                )
-                for j in range(n)
-            ),
-            signals=("mode", "spd"),
-        )
-        prop = parse(
-            f"forall σ0 in [0, {n - 2}] such that ((mode @i σ0) = 1) implies "
-            "(exists τ0 in [0.0, 1.0] such that ((spd @t (τ0 + i2t(σ0))) < 0.5))",
-            signature=trace.signals,
-        )
-        text = translate(trace, prop, mode=FixedRate(Fraction(1, 100))).text
+        text = settle_script(1000)
         body = "\n".join(line.split(";")[0] for line in text.splitlines())
         distinct = {t for t in re.findall(r"[^\s()]+", body) if re.fullmatch(r"\d+(\.\d+)?", t)}
         calls = []
@@ -178,6 +182,18 @@ class TestPins:
         (check-sat)
         """
         assert status(text) == "sat"
+
+    @pytest.mark.parametrize(
+        "literal, value",
+        [
+            ("0.2", Fraction(1, 5)), ("(- 2.5)", Fraction(-5, 2)),
+            ("(/ 1.0 3.0)", Fraction(1, 3)), ("(- (/ 1.0 3.0))", Fraction(-1, 3)),
+            ("(/ 1.0 0.0)", None), ("(+ 1.0 2.0)", None), ("(- (- 1.0))", None),
+            ("(to_real 1)", None), ("(- 3.0 1.0)", None),
+        ],
+    )
+    def test_pin_values_are_the_translators_literals(self, literal, value):
+        assert shim.literal_value(parse_script(literal)[0]) == value
 
     def test_unpinned_cell_is_unknown(self):
         text = """
@@ -289,9 +305,9 @@ class TestRealQuantifiers:
         (declare-const a (Array Int Real))
         (assert (= (select a 0) 1)) (assert (= (select a 1) 2))
         (assert (= (select a 2) 3))
-        (assert (exists ((x Real)) (and (<= 0 x) (<= x 1)
-          (let ((y x)) (exists ((k Int)) (and (<= (* 0.5 (to_real k)) y)
-                                              (< y (* 0.5 (to_real (+ k 1))))
+        (assert (exists ((x Real)) (and (and (<= 0 x) (<= x 1))
+          (let ((y x)) (exists ((k Int)) (and (and (<= (* 0.5 (to_real k)) y)
+                                                   (< y (* 0.5 (to_real (+ k 1)))))
                                               (= (select a k) 2)))))))
         (check-sat)
         """
@@ -341,6 +357,8 @@ OUT_OF_FRAGMENT = {
     "pop": "(pop 1)",
     "exit": "(exit)",
     "unknown command": "(frobnicate)",
+    "numeral as a command": "1.0",
+    "empty command": "()",
     "array as a value": "(declare-const a (Array Int Real)) (assert (= a a))",
     "undeclared array": "(assert (= (select b 0) 1.0))",
     "Bool binder": "(assert (exists ((b Bool)) false))",
@@ -359,6 +377,18 @@ OUT_OF_FRAGMENT = {
     "Bool compared": "(assert (= false false))",
     "Bool summed": "(assert (< (+ false 1.0) 2.0))",
     "Bool index": "(declare-const a (Array Int Real)) (assert (= (select a false) 1.0))",
+    "three-operand +": "(assert (= (+ 1 2 3) 6))",
+    "three-operand and": "(assert (and false false false))",
+    "two-binding let": "(assert (let ((x 1) (y 2)) (= x y)))",
+    # checked before evaluation, so no short circuit hides these
+    "Real under or after true": "(assert (or (= 1 1) 0.0))",
+    "Real assert after false": "(assert false) (assert 1.0)",
+    "unknown symbol after false": "(assert (and false (= zork 1)))",
+    "unknown operator after false": "(assert (and false (frob 1)))",
+    "relation of one after false": "(assert (and false (< 1)))",
+    "Bool index after false": (
+        "(declare-const t (Array Int Real)) (assert (and false (= (select t false) 1.0)))"
+    ),
 }
 
 
@@ -371,6 +401,25 @@ def test_out_of_fragment(tmp_path, text):
     path.write_text(script)
     code, out, err = shim.solve(str(path))
     assert (code, out) == (1, "") and err.strip()
+
+
+def test_the_check_skips_pins(monkeypatch):
+    n = 200
+    text = settle_script(n)
+    pins = len(re.findall(r"^\(assert \(= \(select ", text, re.M))
+    others = len(re.findall(r"^\(assert ", text, re.M)) - pins
+    assert pins == 3 * n and others >= 1
+    checked = []
+    check_form = shim.check_form
+
+    def counting(form, arrays):
+        if form[0] == "assert":
+            checked.append(form)
+        check_form(form, arrays)
+
+    monkeypatch.setattr(shim, "check_form", counting)
+    assert run_script(text) == ["unsat"]
+    assert len(checked) == others
 
 
 class TestMain:
@@ -455,7 +504,7 @@ class TestDeepScriptsInAFreshProcess:
         text = (
             "(declare-const a (Array Int Real))\n"
             "(assert (= (select a 0) 1.0))\n"
-            "(assert (exists ((x Real)) (and (<= 0.0 x) (<= x 1.0) "
+            "(assert (exists ((x Real)) (and (and (<= 0.0 x) (<= x 1.0)) "
             f"(= (select a {index}) 1.0))))\n"
             "(check-sat)\n"
         )

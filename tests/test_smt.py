@@ -9,7 +9,7 @@ from genrand import pair
 
 from tracecheck.preprocess import PreprocessConfig, apply_a2
 from tracecheck.semantics import check_direct
-from tracecheck.shim import parse_script
+from tracecheck.shim import check_form, parse_script
 from tracecheck.smt import (
     DEFAULT_EXPANSION_CAP,
     ExpansionCapError,
@@ -369,54 +369,11 @@ class TestExpansionCap:
         assert DEFAULT_EXPANSION_CAP == 50_000
 
 
-# The SMT-LIB fragment tracecheck.shim reads: each operator head with the
-# argument counts it may have.  `select`, `let`, `exists` and the leaves are
-# checked on their own below.
-FRAGMENT_OPS = {
-    "+": {2}, "-": {1, 2}, "*": {2}, "/": {2}, "to_real": {1},
-    "<": {2}, "<=": {2}, "=": {2}, ">=": {2}, ">": {2},
-    "not": {1}, "and": {2}, "or": {2}, "ite": {3},
-}
-
-
-def fragment_violations(text):
-    """The forms and nodes of a script that lie outside the shim's fragment."""
-    bad = []
+def check_fragment(text):
+    """The shim's fragment check on every form of a script, pins included."""
     arrays = set()
-    stack = []  # (node, names bound around it); iterative, scripts nest deep
     for form in parse_script(text):
-        head, args = form[0], form[1:]
-        if head == "declare-const" and len(args) == 2 and args[1] == ["Array", "Int", "Real"]:
-            arrays.add(args[0])
-        elif head == "assert" and len(args) == 1:
-            stack.append((args[0], frozenset()))
-        elif not ((head in ("check-sat", "get-model") and not args) or form == ["set-logic", "AUFLIRA"]):
-            bad.append(form)
-    while stack:
-        node, scope = stack.pop()
-        if type(node) is Fraction:
-            continue
-        if isinstance(node, str):
-            if node != "false" and node not in scope:
-                bad.append(node)
-            continue
-        head, args = node[0], node[1:]
-        if not isinstance(head, str):
-            bad.append(node)
-        elif head == "select" and len(args) == 2 and args[0] in arrays:
-            stack.append((args[1], scope))
-        elif head == "let" and len(args) == 2 and len(args[0]) == 1 and len(args[0][0]) == 2:
-            name, bound = args[0][0]
-            stack += [(bound, scope), (args[1], scope | {name})]
-        elif head == "exists" and len(args) == 2 and args[0] and all(
-            len(b) == 2 and b[1] in ("Int", "Real") for b in args[0]
-        ):
-            stack.append((args[1], scope | {b[0] for b in args[0]}))
-        elif len(args) in FRAGMENT_OPS.get(head, ()):
-            stack += [(a, scope) for a in args]
-        else:
-            bad.append(node)
-    return bad
+        check_form(form, arrays)
 
 
 class TestShimFragment:
@@ -432,26 +389,16 @@ class TestShimFragment:
             for negate in (True, False):
                 yield translate(trace, f, mode=mode, negate=negate).text
 
-    def test_the_walk_flags_what_the_shim_does_not_read(self):
-        for form in (
-            "(declare-const x Real)", "(exit)", "(assert true)", "(assert (< 0 1 2))",
-            "(assert (forall ((n Int)) false))", "(assert (=> false false))",
-            "(assert (distinct 1 2))", "(assert (= (to_int 1.5) 1))",
-            "(assert (and false false false))", "(assert (let ((x 1) (y 2)) (= x y)))",
-            "(assert (exists ((b Bool)) false))", "(assert (= (select t 0) 1.0))",
-        ):
-            assert fragment_violations(form), form
-
     def test_genrand_seeds(self):
         for seed in range(100):
-            trace, f, prop_text = pair(seed)
+            trace, f, _ = pair(seed)
             for text in self.scripts(trace, f):
-                assert fragment_violations(text) == [], (seed, prop_text)
+                check_fragment(text)
 
     def test_r1_and_the_settle_shape(self, fig_trace, grid_trace):
         for trace in (fig_trace, grid_trace):
             for text in self.scripts(trace, parse(R1_TEXT, trace.signals)):
-                assert fragment_violations(text) == []
+                check_fragment(text)
         n = 60
         settle = Trace(
             records=tuple(
@@ -466,4 +413,4 @@ class TestShimFragment:
             settle.signals,
         )
         for text in self.scripts(settle, f):
-            assert fragment_violations(text) == []
+            check_fragment(text)

@@ -285,7 +285,7 @@ def wait_until_ended(pids, within_s=5):
 
 
 SLOW_SCRIPT = (
-    "(assert (exists ((k Int)) (and (<= 0 k) (<= k 900000) (= (* k k) (- 0 1)))))\n"
+    "(assert (exists ((k Int)) (and (and (<= 0 k) (<= k 900000)) (= (* k k) (- 0 1)))))\n"
     "(check-sat)\n"
 )
 
@@ -418,7 +418,7 @@ class TestServerRoute:
         deep.write_text(
             "(declare-const a (Array Int Real))\n"
             "(assert (= (select a 0) 1.0))\n"
-            "(assert (exists ((x Real)) (and (<= 0.0 x) (<= x 1.0) "
+            "(assert (exists ((x Real)) (and (and (<= 0.0 x) (<= x 1.0)) "
             f"(= (select a {index}) 1.0))))\n"
             "(check-sat)\n"
         )
