@@ -28,17 +28,22 @@ the translator's arities:
 
 Each assertion is checked against that fragment when the script is read,
 before anything is evaluated (`check_form`), except the array pins, whose
-shape `try_pin` already fixes.  Anything else (another command, sort or
-operator, another arity, a symbol nothing binds, or a term where a formula
-is expected or the other way round) is a `ShimError`, even where
-evaluation would never reach it: exit code 1, a message on stderr and
-nothing on stdout, so the solver status is `error` and the verdict
-`inconclusive`.  Within the fragment it is exact:
+shape `try_pin`, or for a pin line the regex that reads it, already fixes.
+Anything else (another command, sort or operator, another arity, a symbol
+nothing binds, or a term where a formula is expected or the other way
+round) is a `ShimError`, even where evaluation would never reach it: exit
+code 1, a message on stderr and nothing on stdout, so the solver status is
+`error` and the verdict `inconclusive`.  Within the fragment it is exact:
 
 * every numeral is parsed once, when the script is read, into an exact
-  rational (a `Fraction` leaf of the parsed script);
+  rational: an `int` leaf when it is integral, else a `Fraction`; a
+  division makes a `Fraction`, never a float;
 * assertions of the form (= (select arr j) literal) become bindings;
-  contradictory bindings are unsat;
+  contradictory bindings are unsat.  A line holding nothing but such a pin
+  with a numeral value, as the translator writes each trace cell, is read
+  by one regex and skips the tokenizer;
+* each checked node is compiled once into a closure env -> value, so
+  evaluation never dispatches on a head string again;
 * integer quantifiers are decided by interval bounds extracted from the
   body with polarity tracking, then finite enumeration;
 * real quantifiers are decided by evaluating finitely many candidates:
@@ -66,7 +71,7 @@ import signal
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .solver import HANGUP, drain, limit_address_space
 from .trace import parse_rational
@@ -85,21 +90,38 @@ class ShimError(Exception):
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
-_NUMERAL_RE = re.compile(r"^\d+(\.\d+)?$")
+_NUMERAL = r"[0-9]+(?:\.[0-9]+)?"  # SMT-LIB numerals are ASCII digits
+_NUMERAL_RE = re.compile(_NUMERAL)
+# A pin line as smt.translate writes it; the array group cannot be a numeral.
+_PIN_RE = re.compile(
+    rf"\s*\(assert \(= \(select ([^\s()0-9][^\s()]*) ([0-9]+)\) ({_NUMERAL})\)\)\s*"
+)
+
+Number = Union[int, Fraction]  # an exact rational; integral ones are `int`
+Pin = Tuple[str, int, Number]  # (array, index, value) of a pin line
 
 
-def parse_script(text: str) -> List[list]:
-    """S-expressions as nested lists; numerals become `Fraction` leaves."""
-    lines = []
-    for line in text.splitlines():
-        cut = line.find(";")
-        lines.append(line if cut < 0 else line[:cut])
-    # Each distinct atom is classified, and a numeral parsed, once: a
-    # script repeats a few numerals (0.0, 1.0, each index) many times.
-    atoms: Dict[str, Union[str, Fraction]] = {}
-    top: list = []  # the innermost open list, stack[-1]
-    stack: List[list] = [top]
-    for tok in _TOKEN_RE.findall("\n".join(lines)):
+class _Atoms(dict):
+    """A script's distinct atoms, each read once: a numeral becomes an
+    `int` or `Fraction` leaf, anything else stays a symbol."""
+
+    def __missing__(self, tok: str) -> Union[str, Number]:
+        leaf: Union[str, Number] = tok
+        if _NUMERAL_RE.fullmatch(tok):
+            try:
+                value = parse_rational(tok)
+            except ValueError:
+                raise ShimError(f"numeral out of range: {tok[:20]}...") from None
+            leaf = value.numerator if value.denominator == 1 else value
+        self[tok] = leaf
+        return leaf
+
+
+def _tokenize(text: str, stack: List[list], atoms: _Atoms) -> None:
+    """Read the S-expressions in `text` onto `stack`, whose last list is
+    the innermost open one."""
+    top = stack[-1]
+    for tok in _TOKEN_RE.findall(text):
         if tok == "(":
             top = []
             stack.append(top)
@@ -110,30 +132,64 @@ def parse_script(text: str) -> List[list]:
             top = stack[-1]
             top.append(done)
         else:
-            leaf = atoms.get(tok)
-            if leaf is None:
-                try:
-                    leaf = atoms[tok] = parse_rational(tok) if _NUMERAL_RE.match(tok) else tok
-                except ValueError:
-                    raise ShimError(f"numeral out of range: {tok[:20]}...") from None
-            top.append(leaf)
+            top.append(atoms[tok])
+
+
+def parse_script(text: str) -> List[Union[list, Pin]]:
+    """The script's top-level forms: S-expressions as nested lists with
+    `int` and `Fraction` numerals, except that a pin line at paren depth 0
+    becomes a `Pin` without going through the tokenizer."""
+    atoms = _Atoms()
+    forms: List[Union[list, Pin]] = []
+    stack: List[list] = [forms]
+    pending: List[str] = []  # lines not yet tokenized; they begin at depth 0
+    depth = 0
+    for line in text.splitlines():
+        cut = line.find(";")
+        if cut >= 0:
+            line = line[:cut]
+        pin = _PIN_RE.fullmatch(line) if depth == 0 else None
+        if pin is None:
+            pending.append(line)
+            depth += line.count("(") - line.count(")")
+            continue
+        if pending:
+            _tokenize("\n".join(pending), stack, atoms)
+            pending = []
+        array, index, value = pin.groups()
+        forms.append((array, atoms[index], atoms[value]))
+    _tokenize("\n".join(pending), stack, atoms)
     if len(stack) != 1:
         raise ShimError("unbalanced '('")
-    return stack[0]
+    return forms
+
+
+def pin_form(pin: Pin) -> list:
+    """The `assert` form a pin line reads as."""
+    array, index, value = pin
+    return ["assert", ["=", ["select", array, index], value]]
 
 
 # ---------------------------------------------------------------------------
-# Values: Fraction | bool | None (unknown)
+# Values: int | Fraction | bool | None (unknown)
 # ---------------------------------------------------------------------------
 
-Value = Union[Fraction, bool, None]
+Value = Union[Number, bool, None]
 
 
-def _is_num(v: Value) -> bool:
-    return type(v) is Fraction  # every shim number is a plain Fraction
+def _is_num(v) -> bool:
+    return type(v) is int or type(v) is Fraction  # never a bool
 
 
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+def _div(a: Number, b: Number) -> Optional[Fraction]:
+    """a / b, exact (two ints make a Fraction, never a float); None, the
+    unknown value, for a zero divisor."""
+    if b == 0:
+        return None
+    return Fraction(a, b) if type(a) is int and type(b) is int else a / b
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div}
 
 
 def _arith(op: str, args: List[Value]) -> Value:
@@ -143,26 +199,13 @@ def _arith(op: str, args: List[Value]) -> Value:
     if len(args) == 1:  # unary minus or to_real
         return -a if op == "-" and a is not None else a
     b = args[1]
-    if a is None or b is None or (op == "/" and b == 0):
-        return None
-    return _ARITH[op](a, b)
+    return None if a is None or b is None else _ARITH[op](a, b)
 
 
 _RELATIONS = {
     "<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge, ">": operator.gt,
 }
 _FLIP = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}  # the relation, sides swapped
-
-
-def _any(results) -> Optional[bool]:
-    """Three-valued disjunction, stopping at the first True."""
-    out: Optional[bool] = False
-    for r in results:
-        if r is True:
-            return True
-        if r is None:
-            out = None
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +262,7 @@ def check_form(form, arrays: Set[str]) -> None:
     stack = [(form[1], BOOL, frozenset())]  # (node, expected sort, bound names)
     while stack:
         node, want, scope = stack.pop()
-        if type(node) is Fraction:
+        if _is_num(node):
             sort = NUM
         elif type(node) is str:
             if node == "false":
@@ -263,8 +306,8 @@ def check_form(form, arrays: Set[str]) -> None:
 class _Iv:
     """Interval with optional infinite ends; a None bound means unbounded."""
 
-    lo: Optional[Fraction]
-    hi: Optional[Fraction]
+    lo: Optional[Number]
+    hi: Optional[Number]
     empty: bool = False
 
     @staticmethod
@@ -309,16 +352,16 @@ class _Iv:
 GROUND, AFFINE, PW, QVAR, VUNK, BAD = range(6)
 
 
-def literal_value(e) -> Optional[Fraction]:
+def literal_value(e) -> Optional[Number]:
     """The value of a literal as `smt.smt_real` writes it: n, (- n),
     (/ p q) or (- (/ p q)) with numerals n, p and q != 0; else None."""
     negative = type(e) is list and len(e) == 2 and e[0] == "-"
     if negative:
         e = e[1]
-    if type(e) is list and len(e) == 3 and e[0] == "/" and type(e[1]) is type(e[2]) is Fraction \
+    if type(e) is list and len(e) == 3 and e[0] == "/" and _is_num(e[1]) and _is_num(e[2]) \
             and e[2] != 0:
-        e = e[1] / e[2]
-    if type(e) is not Fraction:
+        e = _div(e[1], e[2])
+    if not _is_num(e):
         return None
     return -e if negative else e
 
@@ -328,8 +371,9 @@ class _Eval:
 
     def __init__(self):
         self.arrays: Set[str] = set()
-        self.pins: Dict[Tuple[str, int], Fraction] = {}
+        self.pins: Dict[Tuple[str, int], Number] = {}
         self.conflict = False
+        self.compiled: Dict[int, tuple] = {}  # id(node) -> (node, closure)
 
     # --- pins ---
 
@@ -346,67 +390,107 @@ class _Eval:
                 and lhs[0] == "select"
                 and isinstance(lhs[1], str)
                 and lhs[1] in self.arrays
-                and type(lhs[2]) is Fraction
-                and lhs[2].denominator == 1
+                and type(lhs[2]) is int
             ):
-                key = (lhs[1], int(lhs[2]))
-                if key in self.pins and self.pins[key] != value:
-                    self.conflict = True
-                self.pins[key] = value
+                self.pin(lhs[1], lhs[2], value)
                 return True
         return False
 
-    # --- evaluation ---
+    def pin(self, array: str, index: int, value: Number) -> None:
+        """Bind one array cell; a second, different value is a conflict."""
+        if self.pins.setdefault((array, index), value) != value:
+            self.conflict = True
+
+    # --- evaluation: each checked node is compiled once into a closure ---
 
     def ev(self, e, env: Dict[str, Value]) -> Value:
-        """The value of a checked term or formula; a name `env` lacks is unknown."""
-        if type(e) is Fraction:
-            return e
+        """The value of a checked term or formula of the script; a name `env`
+        lacks is unknown.  The cache holds each node it compiled, so the id
+        it is keyed by is never reused."""
+        hit = self.compiled.get(id(e))
+        if hit is None:
+            hit = self.compiled[id(e)] = (e, self.compile(e))
+        return hit[1](env)
+
+    def compile(self, e) -> Callable[[Dict[str, Value]], Value]:
+        """`e` as a closure env -> value."""
+        if _is_num(e):
+            return lambda env: e
         if type(e) is str:
-            return False if e == "false" else env.get(e)
-        head = e[0]
-        if head in ("+", "-", "*", "/", "to_real"):
-            return _arith(head, [self.ev(a, env) for a in e[1:]])
-        rel = _RELATIONS.get(head)
-        if rel is not None:
-            a = self.ev(e[1], env)
-            b = self.ev(e[2], env)
-            return None if a is None or b is None else rel(a, b)
-        if head == "not":
-            r = self.ev(e[1], env)
-            return None if r is None else (not r)
-        if head == "and":
-            out: Optional[bool] = True
-            for a in e[1:]:
-                r = self.ev(a, env)
-                if r is False:
-                    return False
-                if r is None:
-                    out = None
-            return out
-        if head == "or":
-            return _any(self.ev(a, env) for a in e[1:])
-        if head == "ite":
-            cond = self.ev(e[1], env)
-            if cond is None:
-                return None
-            return self.ev(e[2] if cond else e[3], env)
-        if head == "let":
-            [[name, bound]] = e[1]
-            return self.ev(e[2], {**env, name: self.ev(bound, env)})
-        if head == "select":
-            idx = self.ev(e[2], env)
-            if idx is None or idx.denominator != 1:
-                return None
-            return self.pins.get((e[1], int(idx)))
-        return self.ev_exists(e[1], e[2], env)  # exists, the one head left
+            return (lambda env: False) if e == "false" else (lambda env: env.get(e))
+        return self.COMPILERS[e[0], len(e) - 1](self, e)
+
+    def _unary(self, e):
+        a = self.compile(e[1])
+        if e[0] == "to_real":
+            return a
+        op = operator.not_ if e[0] == "not" else operator.neg
+
+        def unary(env):
+            x = a(env)
+            return None if x is None else op(x)
+        return unary
+
+    def _binary(self, e):
+        op = _ARITH.get(e[0]) or _RELATIONS[e[0]]
+        a, b = self.compile(e[1]), self.compile(e[2])
+
+        def binary(env):
+            x, y = a(env), b(env)
+            return None if x is None or y is None else op(x, y)
+        return binary
+
+    def _and_or(self, e):
+        stop = e[0] == "or"  # the value that decides at once
+        a, b = self.compile(e[1]), self.compile(e[2])
+
+        def junction(env):
+            x = a(env)
+            if x is stop:
+                return stop
+            y = b(env)  # decides unless x is unknown and y is not `stop`
+            return y if x is not None or y is stop else None
+        return junction
+
+    def _ite(self, e):
+        cond, then, other = self.compile(e[1]), self.compile(e[2]), self.compile(e[3])
+
+        def ite(env):
+            c = cond(env)
+            return None if c is None else then(env) if c else other(env)
+        return ite
+
+    def _let(self, e):
+        [[name, bound]], body = e[1], e[2]
+        value, run = self.compile(bound), self.compile(body)
+        return lambda env: run({**env, name: value(env)})
+
+    def _select(self, e):
+        array, index, pins = e[1], self.compile(e[2]), self.pins
+        # a pin's index is an int, equal to an integral Fraction; an unknown
+        # or non-integral index matches no pin
+        return lambda env: pins.get((array, index(env)))
+
+    def _exists(self, e):
+        binders, body = e[1], e[2]
+        if len(binders) > 1:
+            body = ["exists", binders[1:], body]  # the closure keeps it alive
+        v, sort = binders[0]
+        run = self.compile(body)
+        return lambda env: self.ev_exists(v, sort, body, run, env)
+
+    # (head, argument count) -> compiler, the shapes FRAGMENT_OPS admits
+    COMPILERS = {
+        **dict.fromkeys([(op, 2) for op in [*_ARITH, *_RELATIONS]], _binary),
+        **dict.fromkeys([("-", 1), ("to_real", 1), ("not", 1)], _unary),
+        ("and", 2): _and_or, ("or", 2): _and_or, ("ite", 3): _ite,
+        ("let", 2): _let, ("select", 2): _select, ("exists", 2): _exists,
+    }
 
     # --- quantifiers ---
 
-    def ev_exists(self, binders, body, env) -> Value:
-        if len(binders) > 1:
-            body = ["exists", binders[1:], body]
-        v, sort = binders[0]
+    def ev_exists(self, v: str, sort: str, body, run, env) -> Value:
+        """Whether `body` (compiled: `run`) holds for some `v` of `sort`."""
         window = self.bounds(body, v, env, positive=True)
         if window.empty:
             return False
@@ -418,32 +502,40 @@ class _Eval:
             hi = window.hi.numerator // window.hi.denominator  # floor
             if hi - lo > INT_ENUM_CAP:
                 return None
-            candidates = map(Fraction, range(lo, hi + 1))
+            candidates = range(lo, hi + 1)
         else:
             candidates, complete = self._real_candidates(v, body, env, window)
-        out = _any(self.ev(body, {**env, v: c}) for c in candidates)
-        return out if complete or out else None
+        out: Optional[bool] = False
+        env = dict(env)  # one copy, rebound per candidate
+        for c in candidates:
+            env[v] = c
+            r = run(env)
+            if r is True:
+                return True
+            if r is None:
+                out = None
+        return out if complete else None
 
-    def _real_candidates(self, v, body, env, window: _Iv) -> Tuple[List[Fraction], bool]:
+    def _real_candidates(self, v, body, env, window: _Iv) -> Tuple[List[Number], bool]:
         """The points to evaluate `body` at, and whether they are exhaustive."""
         roots, complete = self.real_roots(body, v, env, window)
         pts = sorted(roots)
         lo, hi = window.lo, window.hi
-        fence: List[Fraction] = []
+        fence: List[Number] = []
         if lo is None:
-            fence.append((pts[0] if pts else Fraction(0)) - 1)
+            fence.append((pts[0] if pts else 0) - 1)
         else:
             fence.append(lo)
         fence.extend(p for p in pts if fence[0] < p and (hi is None or p < hi))
         if hi is None:
-            tail = (pts[-1] if pts else Fraction(0)) + 1
+            tail = (pts[-1] if pts else 0) + 1
             if tail > fence[-1]:
                 fence.append(tail)
         elif hi > fence[0]:
             fence.append(hi)
-        candidates: List[Fraction] = list(fence)
+        candidates: List[Number] = list(fence)
         for a, b in zip(fence, fence[1:]):
-            candidates.append((a + b) / 2)
+            candidates.append(_div(a + b, 2))
         return sorted(set(candidates)), complete
 
     # --- bound extraction (sound overapproximation of the true set) ---
@@ -485,7 +577,7 @@ class _Eval:
             if op == "=":
                 return _Iv.full()
             op = _FLIP[op]  # not (x < c) == x >= c; bounds ignore openness
-        point = -b / a
+        point = _div(-b, a)
         if op == "=":
             return _Iv(point, point)
         if (op in ("<", "<=")) == (a > 0):
@@ -495,18 +587,18 @@ class _Eval:
     # --- affine decomposition: e == a*v + b with everything else ground ---
 
     def affine(
-        self, e, v: str, env, lenv: Dict[str, Optional[Tuple[Fraction, Fraction]]]
-    ) -> Optional[Tuple[Fraction, Fraction]]:
-        if type(e) is Fraction:
-            return (Fraction(0), e)
+        self, e, v: str, env, lenv: Dict[str, Optional[Tuple[Number, Number]]]
+    ) -> Optional[Tuple[Number, Number]]:
+        if _is_num(e):
+            return (0, e)
         if isinstance(e, str):
             if e == v:
-                return (Fraction(1), Fraction(0))
+                return (1, 0)
             if e in lenv:
                 return lenv[e]
             if e in env:
                 val = env[e]
-                return (Fraction(0), val) if _is_num(val) else None
+                return (0, val) if _is_num(val) else None
             return None
         head = e[0]
         if head in ("+", "-", "*", "/", "to_real"):
@@ -523,7 +615,7 @@ class _Eval:
         if self._occurs(v, e, set()):
             return None
         val = self.ev(e, env)
-        return (Fraction(0), val) if _is_num(val) else None
+        return (0, val) if _is_num(val) else None
 
     def _occurs(self, name: str, e, shadowed: Set[str]) -> bool:
         """Whether `name` occurs free in `e`, outside the `shadowed` names."""
@@ -549,7 +641,7 @@ class _Eval:
 
     def real_roots(
         self, body, v: str, env, window: _Iv
-    ) -> Tuple[Set[Fraction], bool]:
+    ) -> Tuple[Set[Number], bool]:
         """Points where some comparison's truth can flip, with completeness.
 
         The walk classifies every term and keeps `complete` True only while
@@ -559,14 +651,14 @@ class _Eval:
         grid crossings of their bound pattern.  Anything else clears the
         flag, and the caller reports unknown instead of trusting a False.
         """
-        roots: Set[Fraction] = set()
+        roots: Set[Number] = set()
         complete = True
         covered: Set[int] = set()
 
         def side_info(e, lenv, vals, qvars):
             cls = self.classify(e, v, env, lenv, vals, qvars, covered)
             if cls[0] == GROUND and _is_num(cls[1]):
-                return (AFFINE, (Fraction(0), cls[1]))
+                return (AFFINE, (0, cls[1]))
             return cls
 
         def note_atom(node, lenv, vals, qvars):
@@ -590,7 +682,7 @@ class _Eval:
             if kinds == {AFFINE}:  # an unknown ground side never yields a root
                 (_, (xa, xb)), (_, (ya, yb)) = infos
                 if xa != ya:
-                    roots.add(-(xb - yb) / (xa - ya))
+                    roots.add(_div(yb - xb, xa - ya))
 
         def grid(binder: str, inner_body, lenv, vals, qvars):
             """Add grid crossings for the (<= (* sr (to_real k)) x) pattern."""
@@ -638,15 +730,15 @@ class _Eval:
                         complete = False
                         continue
                     x_ends = (a * window.lo + b, a * window.hi + b)
-                    ratio_lo = min(x_ends) / sr
-                    ratio_hi = max(x_ends) / sr
+                    ratio_lo = _div(min(x_ends), sr)
+                    ratio_hi = _div(max(x_ends), sr)
                     j_lo = ratio_lo.numerator // ratio_lo.denominator
                     j_hi = ratio_hi.numerator // ratio_hi.denominator + 1
                     if j_hi - j_lo > GRID_CAP:
                         complete = False
                         continue
                     for j in range(j_lo, j_hi + 1):
-                        roots.add((j * sr - b) / a)
+                        roots.add(_div(j * sr - b, a))
                     covered.add(id(c))
 
         def walk(node, lenv, vals, qvars: Set[str]):
@@ -687,11 +779,11 @@ class _Eval:
         (VUNK,) | (BAD,).  `vals` carries concrete values for let names
         whose bindings are ground, so ground subterms can be evaluated.
         """
-        if type(e) is Fraction:
+        if _is_num(e):
             return (GROUND, e)
         if isinstance(e, str):
             if e == v:
-                return (AFFINE, (Fraction(1), Fraction(0)))
+                return (AFFINE, (1, 0))
             if e in lenv:
                 return lenv[e]
             if e in qvars:
@@ -717,7 +809,7 @@ class _Eval:
                 ):
                     return (VUNK,)
                 pairs = [
-                    p[1] if p[0] == AFFINE else (Fraction(0), p[1]) for p in parts
+                    p[1] if p[0] == AFFINE else (0, p[1]) for p in parts
                 ]
                 pair = self._affine_op(head, pairs)
                 return (AFFINE, pair) if pair is not None else (BAD,)
@@ -814,7 +906,7 @@ class _Eval:
             return (a - pa, b - pb)
         if head == "*":
             return None if a != 0 and pa != 0 else (a * pb + pa * b, b * pb)
-        return None if pa != 0 or pb == 0 else (a / pb, b / pb)
+        return None if pa != 0 or pb == 0 else (_div(a, pb), _div(b, pb))
 
 
 # ---------------------------------------------------------------------------
@@ -827,6 +919,11 @@ def run_script(text: str) -> List[str]:
     out: List[str] = []
     last_status: Optional[str] = None
     for form in parse_script(text):
+        if type(form) is tuple:
+            if form[0] in state.arrays:
+                state.pin(*form)
+                continue
+            form = pin_form(form)  # undeclared: the check below says so
         if type(form) is list and len(form) == 2 and form[0] == "assert" and state.try_pin(form[1]):
             continue
         check_form(form, state.arrays)
@@ -842,10 +939,17 @@ def run_script(text: str) -> List[str]:
 
 
 def _decide(state: _Eval, asserts: List) -> str:
-    r = state.ev(["and", *asserts], {})
-    if r is False or state.conflict:
+    truth: Optional[bool] = True  # the assertions' conjunction, left to right
+    for e in asserts:
+        r = state.ev(e, {})
+        if r is False:
+            truth = False
+            break
+        if r is None:
+            truth = None
+    if truth is False or state.conflict:
         return "unsat"
-    return "unknown" if r is None else "sat"
+    return "unknown" if truth is None else "sat"
 
 
 def solve(path: str) -> Tuple[int, str, str]:

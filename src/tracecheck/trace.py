@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -41,6 +42,11 @@ RATE_TOLERANCE = Fraction(1, 10**9)
 MAX_EXPONENT = 1000
 MAX_DIGITS = 1000
 
+# A plain ASCII decimal such as a trace cell; at most PLAIN_DIGITS characters
+# long, it is read without Decimal and stays far inside both bounds above.
+_PLAIN_DECIMAL_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
+PLAIN_DIGITS = 30
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse decimal, scientific or p/q text into an exact rational.
@@ -49,6 +55,9 @@ def parse_rational(text: str) -> Fraction:
     ValueError.
     """
     text = text.strip()
+    if len(text) <= PLAIN_DIGITS and _PLAIN_DECIMAL_RE.fullmatch(text):
+        whole, _, frac = text.partition(".")
+        return Fraction(int(whole + frac), 10 ** len(frac))
     try:
         if "/" in text:
             return Fraction(text)

@@ -67,6 +67,27 @@ class TestParsing:
         with pytest.raises(ShimError, match="unbalanced"):
             parse_script("(a))")
 
+    def test_a_pin_line_at_depth_0_is_a_pin(self):
+        forms = parse_script("(assert (= (select t 7) 0.25)) ; cell 7\n(check-sat)")
+        assert forms == [("t", 7, Fraction(1, 4)), ["check-sat"]]
+        assert shim.pin_form(forms[0]) == parse_script("(assert (= (select t 7) 0.25) )")[0]
+
+    def test_a_pin_shaped_line_inside_an_open_form_is_tokenized(self):
+        forms = parse_script("(a\n(assert (= (select t 0) 1.0))\n)")
+        assert forms == [["a", ["assert", ["=", ["select", "t", 0], 1]]]]
+
+    @pytest.mark.parametrize(
+        "line", ["(assert (= (select t 0) (- 1.0)))", "(assert (= (select t 0) (/ 1 3)))",
+                 "(assert (= 1.0 (select t 0)))", "(assert (= (select 1.0 0) 1.0))"],
+    )
+    def test_other_pin_shapes_take_the_generic_path(self, line):
+        assert type(parse_script(line)[0]) is list
+
+    def test_integral_numerals_are_ints(self):
+        forms = parse_script("(a 3 3.0 007 0.5)")
+        assert forms == [["a", 3, 3, 7, Fraction(1, 2)]]
+        assert [type(x) for x in forms[0][1:]] == [int, int, int, Fraction]
+
     def test_deep_nesting_is_iterative(self):
         # the parser must not recurse per paren
         deep = "(" * 50_000 + "x" + ")" * 50_000
@@ -102,6 +123,30 @@ class TestGroundAssertions:
 
     def test_division_by_zero_is_unknown(self):
         assert status("(assert (= (/ 1.0 0.0) 5.0)) (check-sat)") == "unknown"
+
+
+class TestExactness:
+    """Integral numerals are ints, and every quotient is an exact Fraction:
+    a float anywhere would flip each of these answers."""
+
+    def test_sum_of_tenths(self):
+        assert status("(assert (= (+ (/ 1 10) (/ 2 10)) (/ 3 10))) (check-sat)") == "sat"
+
+    def test_affine_root_with_integer_coefficients(self):
+        text = """
+        (assert (exists ((x Real)) (and (= (* 10 x) 1) (= (+ x (/ 2 10)) (/ 3 10)))))
+        (check-sat)
+        """
+        assert status(text) == "sat"
+
+    def test_midpoint_of_an_integer_window(self):
+        # 10^17 + 1/2 is the only candidate inside; as a float it rounds to 10^17
+        text = """
+        (assert (exists ((x Real))
+          (and (< 100000000000000000 x) (< x 100000000000000001))))
+        (check-sat)
+        """
+        assert status(text) == "sat"
 
 
 class TestRelations:
@@ -194,6 +239,33 @@ class TestPins:
     )
     def test_pin_values_are_the_translators_literals(self, literal, value):
         assert shim.literal_value(parse_script(literal)[0]) == value
+
+    def test_comment_after_a_pin_line(self):
+        text = """
+        (declare-const a (Array Int Real))
+        (assert (= (select a 0) 3.5)) ; the first cell
+        (assert (> (select a 0) 3.0))
+        (check-sat)
+        """
+        assert status(text) == "sat"
+
+    def test_pin_line_before_its_declaration_is_an_error(self):
+        text = """
+        (assert (= (select a 0) 3.5))
+        (declare-const a (Array Int Real))
+        (check-sat)
+        """
+        with pytest.raises(ShimError, match="not a declared array"):
+            run_script(text)
+
+    def test_pin_line_conflicts_with_a_negative_pin(self):
+        text = """
+        (declare-const a (Array Int Real))
+        (assert (= (select a 0) 1.0))
+        (assert (= (select a 0) (- 1.0)))
+        (check-sat)
+        """
+        assert status(text) == "unsat"
 
     def test_unpinned_cell_is_unknown(self):
         text = """
@@ -334,6 +406,41 @@ class TestCommands:
         out = run_script("(assert (= 1 2)) (check-sat) (get-model)")
         assert out == ["unsat"]
 
+    @pytest.mark.parametrize(
+        "asserts, want",
+        [
+            ([], "sat"),
+            (["(= 1 1)"], "sat"),
+            (["(= 1 2)"], "unsat"),
+            (["(< (select a 5) 1.0)"], "unknown"),
+            (["(= 1 1)", "(< 0 (select a 0))", "(= (select a 0) 2.0)"], "sat"),
+            (["(< (select a 5) 1.0)", "(= 1 2)", "(= 1 1)"], "unsat"),
+            (["(< (select a 5) 1.0)", "(= 1 1)", "(= 1 1)"], "unknown"),
+            (["(= 1 1)", "(= 1 1)", "(= 1 2)"], "unsat"),
+        ],
+    )
+    def test_assertions_fold_left_to_right(self, asserts, want):
+        # cell 0 is pinned to 2.0; cell 5 is never pinned, so reading it is unknown
+        text = "(declare-const a (Array Int Real))\n(assert (= (select a 0) 2.0))\n"
+        text += "".join(f"(assert {a})\n" for a in asserts) + "(check-sat)\n"
+        assert status(text) == want
+
+    @pytest.mark.parametrize(
+        "formula, want",
+        [
+            ("(and U (= 1 1))", "unknown"), ("(and (= 1 1) U)", "unknown"),
+            ("(and U (= 1 2))", "unsat"), ("(and (= 1 2) U)", "unsat"),
+            ("(or U (= 1 2))", "unknown"), ("(or (= 1 2) U)", "unknown"),
+            ("(or U (= 1 1))", "sat"), ("(or (= 1 1) U)", "sat"),
+            ("(not U)", "unknown"),
+        ],
+    )
+    def test_connectives_are_three_valued(self, formula, want):
+        # U reads a cell nothing pins, so its truth is unknown
+        text = "(declare-const a (Array Int Real))\n"
+        text += f"(assert {formula.replace('U', '(< (select a 5) 1.0)')})\n(check-sat)\n"
+        assert status(text) == want
+
     def test_unknown_symbol_rejected(self):
         with pytest.raises(ShimError, match="unknown symbol"):
             run_script("(assert (= zork 1)) (check-sat)")
@@ -380,6 +487,12 @@ OUT_OF_FRAGMENT = {
     "three-operand +": "(assert (= (+ 1 2 3) 6))",
     "three-operand and": "(assert (and false false false))",
     "two-binding let": "(assert (let ((x 1) (y 2)) (= x y)))",
+    # SMT-LIB numerals are ASCII: other digits make an unknown symbol
+    "non-ASCII numeral": "(assert (= 1 \u0661))",
+    "non-ASCII pin index": (
+        "(declare-const a (Array Int Real))\n(assert (= (select a \u0660) 1.0))\n"
+        "(assert (= (select a 0) 2.0))"
+    ),
     # checked before evaluation, so no short circuit hides these
     "Real under or after true": "(assert (or (= 1 1) 0.0))",
     "Real assert after false": "(assert false) (assert 1.0)",

@@ -9,7 +9,7 @@ from genrand import pair
 
 from tracecheck.preprocess import PreprocessConfig, apply_a2
 from tracecheck.semantics import check_direct
-from tracecheck.shim import check_form, parse_script
+from tracecheck.shim import check_form, parse_script, pin_form
 from tracecheck.smt import (
     DEFAULT_EXPANSION_CAP,
     ExpansionCapError,
@@ -370,10 +370,11 @@ class TestExpansionCap:
 
 
 def check_fragment(text):
-    """The shim's fragment check on every form of a script, pins included."""
+    """The shim's fragment check on every form of a script, pins included:
+    a pin line is checked as the `assert` form it reads as."""
     arrays = set()
     for form in parse_script(text):
-        check_form(form, arrays)
+        check_form(pin_form(form) if type(form) is tuple else form, arrays)
 
 
 class TestShimFragment:

@@ -1,5 +1,6 @@
 """Trace model: loading, rate classification, iota lookups, serialization."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from tracecheck.trace import (
     DomainError,
     Fixed,
+    PLAIN_DIGITS,
     RATE_TOLERANCE,
     Record,
     Trace,
@@ -237,9 +239,26 @@ class TestInvariantsAndRoundtrip:
         with pytest.raises(ValueError):
             parse_rational("abc")
 
+    @given(st.from_regex(r"-?[0-9]{1,16}(\.[0-9]{1,14})?", fullmatch=True))
+    def test_plain_decimals_read_as_the_decimal_path_does(self, text):
+        assert parse_rational(text) == Fraction(Decimal(text))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["007", "-0.0", "0.000", "-00.50", "1" * PLAIN_DIGITS, "-" + "9" * (PLAIN_DIGITS - 1),
+         "0." + "0" * (PLAIN_DIGITS - 3) + "1", "1" * (PLAIN_DIGITS + 1),
+         "0." + "0" * (PLAIN_DIGITS - 2) + "1"],
+    )
+    def test_plain_decimals_at_the_length_edge(self, text):
+        assert parse_rational(text) == Fraction(Decimal(text))
+
+    def test_other_forms_keep_the_decimal_path(self):
+        got = [parse_rational(t) for t in ("1e3", "1/3", ".5", "5.", "+5", " 2.5 ")]
+        assert got == [1000, Fraction(1, 3), Fraction(1, 2), 5, 5, Fraction(5, 2)]
+
     def test_parse_rational_rejects_non_finite_and_extreme_text(self):
         for text in ("inf", "-Infinity", "nan", "sNaN", "1/0", "1e-1001", "1e1001",
-                     "1" * 1001):
+                     "1" * 1001, "0." + "0" * 1000 + "1"):
             with pytest.raises(ValueError, match="not a number"):
                 parse_rational(text)
         assert parse_rational("1e-1000") == Fraction(1, 10**1000)
