@@ -35,8 +35,8 @@ print(
 )
 
 # After resampling to a fixed rate the map is just a floor division,
-# encoded with one auxiliary integer per conversion - much smaller for
-# long traces.
+# encoded as one (to_int ...) term per conversion - much smaller for long
+# traces.
 grid = apply_a2(trace, PreprocessConfig())
 mode = choose_iota_mode(grid)
 assert isinstance(mode, FixedRate)

@@ -20,9 +20,9 @@ the translator's arities:
 * commands `(set-logic AUFLIRA)`, `declare-const NAME (Array Int Real)`,
   `assert`, `check-sat` and `get-model`;
 * terms: numerals, names bound by `let` or `exists`, binary `+ - * /`,
-  unary `-`, `to_real`, `select` from a declared array with a numeric
-  index, `ite` with a formula condition, and `let` with one binding
-  (around a term or a formula);
+  unary `-`, `to_real`, `to_int` (the floor), `select` from a declared
+  array with a numeric index, `ite` with a formula condition, and `let`
+  with one binding (around a term or a formula);
 * formulas: `false`, `< <= = >= >` on two terms, `not`, binary `and` and
   `or`, and `exists` over `Int` or `Real` binders.
 
@@ -48,12 +48,11 @@ code 1, a message on stderr and nothing on stdout, so the solver status is
   body with polarity tracking, then finite enumeration;
 * real quantifiers are decided by evaluating finitely many candidates:
   the window bounds, every point where some comparison affine in the
-  variable can flip, every point where a floor-pinned integer can step
-  (the (<= (* sr (to_real k)) x) pattern), and a midpoint inside each
-  gap.  That set is exhaustive because between consecutive candidates
-  every comparison keeps a constant truth value, which a term
-  classification pass verifies; when it cannot, the result degrades to
-  unknown rather than to a guess.
+  variable can flip, every point where a `to_int` of a term affine in the
+  variable steps, and a midpoint inside each gap.  That set is exhaustive
+  because between consecutive candidates every comparison keeps a constant
+  truth value, which a term classification pass verifies; when it cannot,
+  the result degrades to unknown rather than to a guess.
 
 Reads of unpinned cells, unbounded integer ranges, and real bodies the
 classifier cannot account for all evaluate to unknown.  Truth values are
@@ -64,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import os
 import re
@@ -221,6 +221,7 @@ FRAGMENT_OPS = {
     **{(op, 2): (NUM, (NUM, NUM)) for op in _ARITH},
     ("-", 1): (NUM, (NUM,)),
     ("to_real", 1): (NUM, (NUM,)),
+    ("to_int", 1): (NUM, (NUM,)),
     ("ite", 3): (NUM, (BOOL, NUM, NUM)),
     **{(rel, 2): (BOOL, (NUM, NUM)) for rel in _RELATIONS},
     ("not", 1): (BOOL, (BOOL,)),
@@ -258,7 +259,7 @@ def check_form(form, arrays: Set[str]) -> None:
         return
     if head != "assert" or len(form) != 2:
         raise ShimError(f"unsupported command {_brief(form)}")
-    # iterative: the translator's terms nest tens of thousands deep
+    # iterative, so a deeply nested hand-written script cannot exhaust the stack
     stack = [(form[1], BOOL, frozenset())]  # (node, expected sort, bound names)
     while stack:
         node, want, scope = stack.pop()
@@ -345,11 +346,11 @@ class _Iv:
 # classified by how it can depend on the quantified variable v:
 #   GROUND  fixed once the outer environment is fixed (no v, no inner binder)
 #   AFFINE  a*v + b with exact rational coefficients
-#   PW      piecewise constant in v, jumping only at collected roots
-#   QVAR    depends on an inner bound integer but not on v
+#   PW      for each value of the inner binders, piecewise constant in v,
+#           jumping only at collected roots (an inner binder itself is PW)
 #   VUNK    depends on v but evaluates to an unknown/symbolic value
 #   BAD     a dependence the analysis cannot bound
-GROUND, AFFINE, PW, QVAR, VUNK, BAD = range(6)
+GROUND, AFFINE, PW, VUNK, BAD = range(5)
 
 
 def literal_value(e) -> Optional[Number]:
@@ -420,11 +421,13 @@ class _Eval:
             return (lambda env: False) if e == "false" else (lambda env: env.get(e))
         return self.COMPILERS[e[0], len(e) - 1](self, e)
 
+    _UNARY = {"-": operator.neg, "not": operator.not_, "to_int": math.floor}
+
     def _unary(self, e):
         a = self.compile(e[1])
         if e[0] == "to_real":
             return a
-        op = operator.not_ if e[0] == "not" else operator.neg
+        op = self._UNARY[e[0]]
 
         def unary(env):
             x = a(env)
@@ -482,7 +485,7 @@ class _Eval:
     # (head, argument count) -> compiler, the shapes FRAGMENT_OPS admits
     COMPILERS = {
         **dict.fromkeys([(op, 2) for op in [*_ARITH, *_RELATIONS]], _binary),
-        **dict.fromkeys([("-", 1), ("to_real", 1), ("not", 1)], _unary),
+        **dict.fromkeys([("-", 1), ("to_real", 1), ("to_int", 1), ("not", 1)], _unary),
         ("and", 2): _and_or, ("or", 2): _and_or, ("ite", 3): _ite,
         ("let", 2): _let, ("select", 2): _select, ("exists", 2): _exists,
     }
@@ -647,16 +650,16 @@ class _Eval:
         The walk classifies every term and keeps `complete` True only while
         each comparison stays piecewise constant between the collected
         roots: affine sides contribute their crossings, index chains the
-        crossings of their branch conditions, and floor-pinned integers the
-        grid crossings of their bound pattern.  Anything else clears the
+        crossings of their branch conditions, and each `to_int` of an
+        affine term its steps inside the window.  Anything else clears the
         flag, and the caller reports unknown instead of trusting a False.
         """
         roots: Set[Number] = set()
         complete = True
-        covered: Set[int] = set()
+        grid = (window, roots)
 
         def side_info(e, lenv, vals, qvars):
-            cls = self.classify(e, v, env, lenv, vals, qvars, covered)
+            cls = self.classify(e, v, env, lenv, vals, qvars, grid)
             if cls[0] == GROUND and _is_num(cls[1]):
                 return (AFFINE, (0, cls[1]))
             return cls
@@ -665,81 +668,15 @@ class _Eval:
             nonlocal complete
             infos = [side_info(s, lenv, vals, qvars) for s in node[1:]]
             kinds = {i[0] for i in infos}
-            if BAD in kinds:
-                if id(node) not in covered:
-                    complete = False
-                return
             sloped = any(i[0] == AFFINE and i[1][0] != 0 for i in infos)
-            if sloped and (kinds & {PW, QVAR}):
+            if BAD in kinds or (sloped and PW in kinds):
                 # a sloped side against a stepping side flips off the
-                # collected roots; only the covered floor pattern is exact
-                if id(node) not in covered:
-                    complete = False
-                return
-            if kinds >= {PW, QVAR} and id(node) not in covered:
+                # collected roots
                 complete = False
-                return
-            if kinds == {AFFINE}:  # an unknown ground side never yields a root
+            elif kinds == {AFFINE}:  # an unknown ground side never yields a root
                 (_, (xa, xb)), (_, (ya, yb)) = infos
                 if xa != ya:
                     roots.add(_div(yb - xb, xa - ya))
-
-        def grid(binder: str, inner_body, lenv, vals, qvars):
-            """Add grid crossings for the (<= (* sr (to_real k)) x) pattern."""
-            nonlocal complete
-            conjuncts: List = []
-
-            def flatten(x):
-                if isinstance(x, list) and x[:1] == ["and"]:
-                    for part in x[1:]:
-                        flatten(part)
-                else:
-                    conjuncts.append(x)
-
-            flatten(inner_body)
-            # affine() takes (a, b) pairs, not the walk's class-tagged lenv
-            pairs = {
-                name: cls[1] if cls[0] == AFFINE else None
-                for name, cls in lenv.items()
-            }
-            for c in conjuncts:
-                if not (isinstance(c, list) and c[0] in ("<", "<=")):
-                    continue
-                for mul, x_expr in ((c[1], c[2]), (c[2], c[1])):
-                    if not (
-                        isinstance(mul, list)
-                        and mul[0] == "*"
-                        and self._occurs(binder, mul, set())
-                    ):
-                        continue
-                    sr = literal_value(mul[1])
-                    if sr is None:
-                        sr = literal_value(mul[2])
-                    if sr is None or sr <= 0:
-                        continue
-                    dec = self.affine(x_expr, v, env, pairs)
-                    if dec is None:
-                        if self._occurs(v, x_expr, set()):
-                            complete = False
-                        continue
-                    a, b = dec
-                    if a == 0:
-                        covered.add(id(c))
-                        continue
-                    if window.lo is None or window.hi is None:
-                        complete = False
-                        continue
-                    x_ends = (a * window.lo + b, a * window.hi + b)
-                    ratio_lo = _div(min(x_ends), sr)
-                    ratio_hi = _div(max(x_ends), sr)
-                    j_lo = ratio_lo.numerator // ratio_lo.denominator
-                    j_hi = ratio_hi.numerator // ratio_hi.denominator + 1
-                    if j_hi - j_lo > GRID_CAP:
-                        complete = False
-                        continue
-                    for j in range(j_lo, j_hi + 1):
-                        roots.add(_div(j * sr - b, a))
-                    covered.add(id(c))
 
         def walk(node, lenv, vals, qvars: Set[str]):
             if not isinstance(node, list) or not node:
@@ -753,7 +690,7 @@ class _Eval:
             if head == "let":
                 [[name, bound]] = node[1]
                 walk(bound, lenv, vals, qvars)
-                cls = self.classify(bound, v, env, lenv, vals, qvars, covered)
+                cls = self.classify(bound, v, env, lenv, vals, qvars, grid)
                 new_vals = {**vals, name: cls[1]} if cls[0] == GROUND else vals
                 walk(node[2], {**lenv, name: cls}, new_vals, qvars)
                 return
@@ -761,9 +698,6 @@ class _Eval:
                 names = {b[0] for b in node[1]}
                 if v in names:
                     return  # our v is shadowed below this point
-                for b in node[1]:
-                    if b[1] == "Int":
-                        grid(b[0], node[2], lenv, vals, qvars)
                 walk(node[2], lenv, vals, qvars | names)
                 return
             for child in node[1:]:
@@ -772,12 +706,14 @@ class _Eval:
         walk(body, {}, {}, set())
         return roots, complete
 
-    def classify(self, e, v, env, lenv, vals, qvars, covered):
+    def classify(self, e, v, env, lenv, vals, qvars, grid):
         """Term class for real_roots; see the class constants above.
 
-        Returns (GROUND, value) | (AFFINE, (a, b)) | (PW,) | (QVAR,) |
-        (VUNK,) | (BAD,).  `vals` carries concrete values for let names
+        Returns (GROUND, value) | (AFFINE, (a, b)) | (PW,) | (VUNK,) |
+        (BAD,).  `vals` carries concrete values for let names
         whose bindings are ground, so ground subterms can be evaluated.
+        `grid` is (window of v, roots): a `to_int` of a term affine in v
+        adds the points where it steps inside the window to the roots.
         """
         if _is_num(e):
             return (GROUND, e)
@@ -787,14 +723,14 @@ class _Eval:
             if e in lenv:
                 return lenv[e]
             if e in qvars:
-                return (QVAR,)
+                return (PW,)
             if e in env:
                 return (GROUND, env[e])
             return (BAD,)
         head = e[0]
         if head in ("+", "-", "*", "/", "to_real"):
             parts = [
-                self.classify(a, v, env, lenv, vals, qvars, covered) for a in e[1:]
+                self.classify(a, v, env, lenv, vals, qvars, grid) for a in e[1:]
             ]
             kinds = {p[0] for p in parts}
             if BAD in kinds:
@@ -802,7 +738,7 @@ class _Eval:
             if kinds <= {GROUND}:
                 return (GROUND, _arith(head, [p[1] for p in parts]))
             if AFFINE in kinds:
-                if kinds & {PW, QVAR}:
+                if PW in kinds:
                     return (BAD,)
                 if VUNK in kinds or any(
                     p[0] == GROUND and not _is_num(p[1]) for p in parts
@@ -813,24 +749,20 @@ class _Eval:
                 ]
                 pair = self._affine_op(head, pairs)
                 return (AFFINE, pair) if pair is not None else (BAD,)
-            if VUNK in kinds:
-                return (VUNK,)
-            if kinds >= {PW, QVAR}:
-                return (BAD,)
-            if PW in kinds:
-                return (PW,)
-            return (QVAR,)
+            return (VUNK,) if VUNK in kinds else (PW,)
+        if head == "to_int":
+            return self._floor_class(self.classify(e[1], v, env, lenv, vals, qvars, grid), grid)
         if head == "select":
-            idx = self.classify(e[2], v, env, lenv, vals, qvars, covered)
+            idx = self.classify(e[2], v, env, lenv, vals, qvars, grid)
             if idx[0] == GROUND:
                 return (GROUND, self.ev(e, {**env, **vals}))
-            if idx[0] in (PW, QVAR, VUNK):
+            if idx[0] in (PW, VUNK):
                 return (idx[0],)
             return (BAD,)
         if head == "ite":
-            cond = self._bool_class(e[1], v, env, lenv, vals, qvars, covered)
+            cond = self._bool_class(e[1], v, env, lenv, vals, qvars, grid)
             branches = [
-                self.classify(x, v, env, lenv, vals, qvars, covered) for x in e[2:4]
+                self.classify(x, v, env, lenv, vals, qvars, grid) for x in e[2:4]
             ]
             kinds = {b[0] for b in branches}
             if BAD in kinds or cond == BAD:
@@ -846,18 +778,15 @@ class _Eval:
                 return (BAD,)
             if cond == VUNK or VUNK in kinds:
                 return (VUNK,)
-            if cond == PW:
-                return (PW,) if kinds <= {GROUND, PW} else (BAD,)
-            # condition varies only with an inner bound integer
-            return (QVAR,) if kinds <= {GROUND, QVAR} else (BAD,)
+            return (PW,)  # a PW condition and GROUND or PW branches
         if head == "let":
             [[name, bound]] = e[1]
-            cls = self.classify(bound, v, env, lenv, vals, qvars, covered)
+            cls = self.classify(bound, v, env, lenv, vals, qvars, grid)
             new_vals = {**vals, name: cls[1]} if cls[0] == GROUND else vals
-            return self.classify(e[2], v, env, {**lenv, name: cls}, new_vals, qvars, covered)
+            return self.classify(e[2], v, env, {**lenv, name: cls}, new_vals, qvars, grid)
         return (BAD,)
 
-    def _bool_class(self, e, v, env, lenv, vals, qvars, covered) -> int:
+    def _bool_class(self, e, v, env, lenv, vals, qvars, grid) -> int:
         """How an ite condition's truth can vary with v.
 
         The translator's ite conditions are all relations; any other
@@ -865,33 +794,38 @@ class _Eval:
         """
         if not (isinstance(e, list) and e[0] in _RELATIONS):
             return BAD
-        parts = [self.classify(a, v, env, lenv, vals, qvars, covered) for a in e[1:]]
+        parts = [self.classify(a, v, env, lenv, vals, qvars, grid) for a in e[1:]]
         kinds = {p[0] for p in parts}
         if BAD in kinds:
             return BAD
-        if VUNK in kinds:
+        if VUNK in kinds or (kinds != {GROUND} and any(
+            p[0] == GROUND and not _is_num(p[1]) for p in parts
+        )):
             return VUNK
-        if any(p[0] == GROUND and not _is_num(p[1]) for p in parts) and kinds != {GROUND}:
-            return VUNK
-        if AFFINE in kinds:
-            sloped = any(p[0] == AFFINE and p[1][0] != 0 for p in parts)
-            if not sloped:
-                return self._bool_class_from(kinds - {AFFINE})
-            if kinds & {PW, QVAR}:
-                # affine against a stepping side: exact only under the
-                # covered floor pattern
-                return PW if id(e) in covered else BAD
-            return PW  # the crossing is collected by the walk
-        return self._bool_class_from(kinds)
+        sloped = any(p[0] == AFFINE and p[1][0] != 0 for p in parts)
+        if sloped and PW in kinds:
+            return BAD  # affine against a stepping side
+        # a sloped crossing is collected by the walk
+        return PW if sloped or PW in kinds else GROUND
 
     @staticmethod
-    def _bool_class_from(kinds: Set[int]) -> int:
-        kinds = kinds - {GROUND}
-        if not kinds:
-            return GROUND
-        if len(kinds) == 1:
-            return kinds.pop()
-        return BAD
+    def _floor_class(arg, grid):
+        """The class of `to_int` on an argument of class `arg`."""
+        if arg[0] == GROUND:
+            return (GROUND, None if arg[1] is None else math.floor(arg[1]))
+        if arg[0] != AFFINE:
+            return arg  # PW, VUNK and BAD stay what they are
+        (a, b), (window, roots) = arg[1], grid
+        if a == 0:
+            return (GROUND, math.floor(b))
+        if window.lo is None or window.hi is None:
+            return (BAD,)
+        ends = (a * window.lo + b, a * window.hi + b)
+        j_lo, j_hi = math.ceil(min(ends)), math.floor(max(ends))
+        if j_hi - j_lo > GRID_CAP:
+            return (BAD,)
+        roots.update(_div(j - b, a) for j in range(j_lo, j_hi + 1))
+        return (PW,)
 
     @staticmethod
     def _affine_op(head, pairs):

@@ -11,10 +11,10 @@ expands to a balanced bisection tree of ite selectors over the record
 timestamps, so it nests only log2 of the trace length deep; it is always
 available but costs one ite per record and reading, so a cap guards against
 scripts that would dwarf the solver.  The fixed-rate form is available for
-zero-origin fixed-rate traces (what resampling produces) and introduces one
-existentially bound integer per reading, pinned to floor(t / sr) by two
-linear bounds; since those bounds determine the integer uniquely, the binder
-is sound under either polarity.
+traces whose gaps are all exactly sr (what resampling produces) and is one
+term per reading, floor((t - t0) / sr) written (to_int (* R (- t t0))) with
+the rational literal R = 1 / sr, so it stays linear; the shift is left out
+when t0 = 0.
 
 Index-typed accesses are clamped into [0, m] instead of guarded: a total
 function keeps the encoding in the decidable fragment, and out-of-range
@@ -24,7 +24,7 @@ the routes never contradict each other on a definitive answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Union
 
@@ -79,7 +79,7 @@ class VariableRate:
 
 @dataclass(frozen=True)
 class FixedRate:
-    """Index map as floor(t / sr) for a zero-origin fixed-rate trace."""
+    """Index map as floor((t - t0) / sr) for a fixed-rate trace."""
 
     sr: Fraction
 
@@ -97,7 +97,7 @@ def choose_iota_mode(trace: Trace, requested: Optional[str] = None) -> IotaMode:
     an explicit `fixed` on an unsuitable trace is an error rather than a
     silent fallback.
     """
-    fixed_ok = isinstance(trace.rate, Fixed) and trace.t0 == 0
+    fixed_ok = isinstance(trace.rate, Fixed)
     if requested in (None, "auto"):
         return FixedRate(trace.rate.sr) if fixed_ok else VariableRate()
     if requested == "variable":
@@ -105,8 +105,8 @@ def choose_iota_mode(trace: Trace, requested: Optional[str] = None) -> IotaMode:
     if requested == "fixed":
         if not fixed_ok:
             raise TranslateError(
-                "the fixed-rate index map needs a fixed-rate trace starting "
-                "at time 0; resample first (strategy A2) or use --iota variable"
+                "the fixed-rate index map needs a fixed-rate trace; resample "
+                "first (strategy A2) or use --iota variable"
             )
         return FixedRate(trace.rate.sr)
     raise TranslateError(f"unknown iota mode {requested!r}")
@@ -159,12 +159,6 @@ def _fresh(base: str, taken: set) -> str:
 
 
 @dataclass
-class _Floor:
-    k: str
-    arg: str  # already-emitted time expression
-
-
-@dataclass
 class _Tx:
     trace: Trace
     mode: IotaMode
@@ -175,7 +169,6 @@ class _Tx:
     quantifiers: int = 0
     floors: int = 0
     lets: int = 0
-    pending_floors: List[_Floor] = field(default_factory=list)
 
     @property
     def m(self) -> int:
@@ -200,13 +193,9 @@ class SmtScript:
 # Terms
 # ---------------------------------------------------------------------------
 
-def _clamped_index(j_expr: str, m: int, ctx: _Tx, already_bound: bool = False) -> str:
+def _clamped_index(j_expr: str, ctx: _Tx) -> str:
     """ite-clamp an Int expression into [0, m]."""
-    if already_bound:
-        j = j_expr
-        inner = f"(ite (< {j} 0) 0 (ite (> {j} {m}) {m} {j}))"
-        return inner
-    name = ctx.fresh_let()
+    name, m = ctx.fresh_let(), ctx.m
     inner = f"(ite (< {name} 0) 0 (ite (> {name} {m}) {m} {name}))"
     return f"(let (({name} {j_expr})) {inner})"
 
@@ -238,10 +227,10 @@ def _iota_at(time_expr: str, ctx: _Tx) -> str:
     if isinstance(ctx.mode, VariableRate):
         name = ctx.fresh_let()
         return f"(let (({name} {time_expr})) {_iota_tree(name, ctx)})"
-    k = _fresh(f"k{ctx.floors + 1}", ctx.taken)
     ctx.floors += 1
-    ctx.pending_floors.append(_Floor(k, time_expr))
-    return k
+    t0 = ctx.trace.t0
+    shifted = f"(- {time_expr} {smt_real(t0)})" if t0 else time_expr
+    return f"(to_int (* {smt_real(1 / ctx.mode.sr)} {shifted}))"
 
 
 def emit_term(term: Term, scope: Dict[str, str], ctx: _Tx) -> str:
@@ -255,16 +244,16 @@ def emit_term(term: Term, scope: Dict[str, str], ctx: _Tx) -> str:
         return f"({term.op} {left} {right})"
     if isinstance(term, I2T):
         j = emit_term(term.index, scope, ctx)
-        return f"(select t {_clamped_index(j, ctx.m, ctx)})"
+        return f"(select t {_clamped_index(j, ctx)})"
     if isinstance(term, T2I):
         return _iota_at(emit_term(term.time, scope, ctx), ctx)
     if isinstance(term, AtIndex):
         j = emit_term(term.index, scope, ctx)
-        return f"(select {ctx.arrays[term.signal]} {_clamped_index(j, ctx.m, ctx)})"
+        return f"(select {ctx.arrays[term.signal]} {_clamped_index(j, ctx)})"
     if isinstance(term, AtTime):
         idx = _iota_at(emit_term(term.time, scope, ctx), ctx)
         if isinstance(ctx.mode, FixedRate):
-            idx = _clamped_index(idx, ctx.m, ctx, already_bound=True)
+            idx = _clamped_index(idx, ctx)
         return f"(select {ctx.arrays[term.signal]} {idx})"
     raise TypeError(f"not a term: {term!r}")
 
@@ -273,39 +262,13 @@ def emit_term(term: Term, scope: Dict[str, str], ctx: _Tx) -> str:
 # Formulas (desugared core: Rel / Not / Or / Exists)
 # ---------------------------------------------------------------------------
 
-def _floor_bounds(fl: _Floor, ctx: _Tx) -> List[str]:
-    sr = smt_real(ctx.mode.sr)
-    return [
-        f"(<= (* {sr} (to_real {fl.k})) {fl.arg})",
-        f"(< {fl.arg} (* {sr} (to_real (+ {fl.k} 1))))",
-    ]
-
-
 def emit_formula(f: Formula, scope: Dict[str, str], ctx: _Tx) -> str:
     if isinstance(f, Rel):
-        saved = ctx.pending_floors
-        ctx.pending_floors = []
         left = emit_term(f.left, scope, ctx)
         right = emit_term(f.right, scope, ctx)
-        atom = (
-            f"(not (= {left} {right}))"
-            if f.op == "!="
-            else f"({f.op} {left} {right})"
-        )
-        floors = ctx.pending_floors
-        ctx.pending_floors = saved
-        if floors:
-            parts: List[str] = []
-            for fl in floors:
-                parts.extend(_floor_bounds(fl, ctx))
-            parts.append(atom)
-            body = parts[0]
-            for p in parts[1:]:
-                body = f"(and {body} {p})"
-            return f"(exists (({floors[0].k} Int)" + "".join(
-                f" ({fl.k} Int)" for fl in floors[1:]
-            ) + f") {body})"
-        return atom
+        if f.op == "!=":
+            return f"(not (= {left} {right}))"
+        return f"({f.op} {left} {right})"
     if isinstance(f, Not):
         return f"(not {emit_formula(f.sub, scope, ctx)})"
     if isinstance(f, Or):

@@ -86,7 +86,7 @@ class Lit:
         """True when the literal was written as a plain natural number."""
         if self.text is None:
             return self.value.denominator == 1
-        return bool(re.fullmatch(r"\d+", self.text))
+        return bool(re.fullmatch(r"[0-9]+", self.text))
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ class Interval:
     @property
     def decimal_texts(self) -> bool:
         return any(
-            t is not None and not re.fullmatch(r"-?\d+", t)
+            t is not None and not re.fullmatch(r"-?[0-9]+", t)
             for t in (self.lo_text, self.hi_text)
         )
 
@@ -288,7 +288,7 @@ KEYWORDS = {
     "and", "or", "not", "implies", "i2t", "t2i",
 }
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 _PUNCT = ["@i", "@t", "<=", ">=", "!=", "<", ">", "=", "(", ")", "[", "]", ",", "+", "-", "*"]
 
 

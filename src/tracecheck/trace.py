@@ -34,9 +34,6 @@ class DomainError(TraceError):
     """A lookup outside the trace's defined domain."""
 
 
-# Tolerance for rate classification, relative to the first gap.
-RATE_TOLERANCE = Fraction(1, 10**9)
-
 # Bounds on decimal text, far beyond double range: an exponent such as
 # 1e-99999999 would otherwise build a hundred-million-digit denominator.
 MAX_EXPONENT = 1000
@@ -51,14 +48,16 @@ PLAIN_DIGITS = 30
 def parse_rational(text: str) -> Fraction:
     """Parse decimal, scientific or p/q text into an exact rational.
 
-    Non-finite values and decimals beyond MAX_DIGITS or MAX_EXPONENT raise
-    ValueError.
+    Digits are ASCII only, with no `_` between them.  Non-finite values and
+    decimals beyond MAX_DIGITS or MAX_EXPONENT raise ValueError.
     """
     text = text.strip()
     if len(text) <= PLAIN_DIGITS and _PLAIN_DECIMAL_RE.fullmatch(text):
         whole, _, frac = text.partition(".")
         return Fraction(int(whole + frac), 10 ** len(frac))
     try:
+        if not text.isascii() or "_" in text:
+            raise ValueError("digits other than ASCII 0-9")
         if "/" in text:
             return Fraction(text)
         dec = Decimal(text)
@@ -103,7 +102,7 @@ def format_rational(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Fixed:
-    """Fixed sample rate: consecutive gaps all equal sr (within tolerance)."""
+    """Fixed sample rate: consecutive gaps all equal sr exactly."""
 
     sr: Fraction
 
@@ -164,7 +163,8 @@ class Trace:
 
     @cached_property
     def rate(self) -> Rate:
-        """Fixed(sr) iff every gap equals the first gap sr within RATE_TOLERANCE.
+        """Fixed(sr) iff every gap equals the first gap sr exactly: the
+        fixed-rate index map floor((t - t0) / sr) is right only then.
 
         Traces with fewer than two records are Variable by convention.
         """
@@ -172,10 +172,8 @@ class Trace:
         if len(ts) < 2:
             return Variable()
         sr = ts[1] - ts[0]
-        tol = RATE_TOLERANCE * sr
-        for a, b in zip(ts[1:], ts[2:]):
-            if abs((b - a) - sr) > tol:
-                return Variable()
+        if any(b - a != sr for a, b in zip(ts[1:], ts[2:])):
+            return Variable()
         return Fixed(sr)
 
 
@@ -195,15 +193,17 @@ def iota_variable(trace: Trace, t: Fraction) -> int:
     return bisect_right(ts, t) - 1
 
 
-def iota_fixed(sr: Fraction, t: Fraction) -> int:
-    """floor(t / sr) for a fixed sample rate sr."""
+def iota_fixed(sr: Fraction, t: Fraction, t0: Fraction = Fraction(0)) -> int:
+    """floor((t - t0) / sr) for a fixed sample rate sr and first timestamp t0."""
     sr = Fraction(sr)
     t = Fraction(t)
     if sr <= 0:
         raise DomainError(f"sample rate must be positive, got {format_rational(sr)}")
-    if t < 0:
-        raise DomainError(f"negative timestamp {format_rational(t)}")
-    return int(t / sr)  # int() of a non-negative Fraction truncates = floor
+    if t < t0:
+        raise DomainError(
+            f"timestamp {format_rational(t)} before the first one, {format_rational(t0)}"
+        )
+    return int((t - t0) / sr)  # int() of a non-negative Fraction truncates = floor
 
 
 def value_at(trace: Trace, signal: str, j: int) -> Fraction:
@@ -282,6 +282,8 @@ def load_trace(source: Union[str, bytes, IO], format: str = "csv") -> Trace:
         if index_col is not None:
             cell = row[index_col].strip()
             try:
+                if not cell.isascii() or "_" in cell:
+                    raise ValueError(cell)
                 declared = int(cell)
             except ValueError:
                 raise TraceFormatError(

@@ -23,7 +23,7 @@ from tracecheck.pipeline import (
     slug,
     write_report,
 )
-from tracecheck.preprocess import InterpolationKind, PreprocessError
+from tracecheck.preprocess import InterpolationKind, PreprocessConfig, PreprocessError
 from tracecheck.semantics import DirectResult
 from tracecheck.smt import FixedRate, VariableRate
 from tracecheck.solver import Verdict
@@ -183,6 +183,34 @@ class TestCheckPair:
         )
         assert row.oracle_verdict == "satisfied"
         assert row.oracle_reason == ""
+
+    def test_near_fixed_trace_gets_the_variable_map(self, tmp_path):
+        # the last gap is 10^-10 short of the first: floor(t / 0.1) would
+        # read record 1 at t = 0.1999999999, where record 2 starts
+        (tmp_path / "near.csv").write_text("timestamp,x\n0,0\n0.1,1\n0.1999999999,2\n")
+        (tmp_path / "p.prop").write_text("(x @t 0.1999999999) = 2\n")
+        options = CheckOptions(preprocess=PreprocessConfig(strategy="A1"), oracle=True)
+        row = check_pair(tmp_path / "near.csv", tmp_path / "p.prop", options, tmp_path / "n.smt2")
+        assert row.iota == "variable-rate"
+        assert (row.verdict, row.oracle_verdict) == ("satisfied", "satisfied")
+
+    @pytest.mark.parametrize(
+        "text, verdict",
+        [
+            ("forall τ0 in [5.0, 6.0] such that (x @t τ0) >= 0", "satisfied"),
+            ("exists τ0 in [5.0, 6.0] such that ((x @t τ0) > 1 and t2i(τ0) = 2)", "satisfied"),
+            ("forall τ0 in [5.0, 6.0] such that t2i(τ0) <= 4", "violated"),
+            ("exists τ0 in [5.0, 5.3] such that (x @t τ0) > 2", "violated"),
+        ],
+    )
+    def test_a2_trace_starting_at_5_gets_the_fixed_map(self, tmp_path, text, verdict):
+        # A2 resamples onto 5.0, 5.2, ..., 6.0, read through floor((t - 5) / 0.2)
+        (tmp_path / "late.csv").write_text("timestamp,x\n5,0\n5.3,1\n5.5,3\n6.1,2\n")
+        (tmp_path / "p.prop").write_text(text + "\n")
+        options = CheckOptions(oracle=True)
+        row = check_pair(tmp_path / "late.csv", tmp_path / "p.prop", options, tmp_path / "l.smt2")
+        assert row.iota == "fixed-rate sr=0.2"
+        assert (row.verdict, row.oracle_verdict) == (verdict, verdict)
 
     def test_disagreement_is_cross_check_error(self, workdir, monkeypatch):
         import tracecheck.pipeline as pl

@@ -208,12 +208,12 @@ class TestApplyA2:
         assert apply_a2(trace, PreprocessConfig()) is trace
 
     def test_a_gap_one_step_off_still_resamples(self):
-        # the rate classifier's tolerance calls it fixed; A2 wants exact gaps
+        # the rate classifier and A2 both want exact gaps
         tiny = Fraction(1, 10**13)
         trace = load_trace(
             f"timestamp,a\n0,1\n0.5,2\n{1 + tiny},4\n1.5,0\n"
         )
-        assert trace.rate == Fixed(Fraction(1, 2))
+        assert trace.rate == Variable()
         out = apply_a2(trace, PreprocessConfig())
         assert out is not trace
         assert out.rate == Fixed(Fraction(1, 2) - tiny)

@@ -352,38 +352,81 @@ class TestRealQuantifiers:
         # floor(t / 0.5) = 2 exactly on t in [1.0, 1.4]
         text = """
         (assert (exists ((t Real)) (and (and (<= 0.0 t) (<= t 1.4))
-          (exists ((k Int)) (and (and (<= (* 0.5 (to_real k)) t)
-                                      (< t (* 0.5 (to_real (+ k 1)))))
-                                 (= k 2))))))
+          (= (to_int (* 2.0 t)) 2))))
         (check-sat)
         """
         assert status(text) == "sat"
 
     def test_floor_pattern_grid_miss_stays_decided(self):
-        # floor(t / 0.5) <= 2 throughout [0, 1.4]: k = 5 is impossible, and
-        # the grid coverage keeps that a definite unsat rather than unknown
+        # floor(t / 0.5) <= 2 throughout [0, 1.4]: 5 is impossible, and the
+        # steps collected as roots keep that a definite unsat, not unknown
         text = """
         (assert (exists ((t Real)) (and (and (<= 0.0 t) (<= t 1.4))
-          (exists ((k Int)) (and (and (<= (* 0.5 (to_real k)) t)
-                                      (< t (* 0.5 (to_real (+ k 1)))))
-                                 (= k 5))))))
+          (= (to_int (* 2.0 t)) 5))))
         (check-sat)
         """
         assert status(text) == "unsat"
 
     def test_let_bound_name_in_floor_pattern(self):
-        # the grid pass must see y as the affine term x, not as a class tag
+        # the classifier must see y as the affine term x, not as a class tag
         text = """
         (declare-const a (Array Int Real))
         (assert (= (select a 0) 1)) (assert (= (select a 1) 2))
         (assert (= (select a 2) 3))
         (assert (exists ((x Real)) (and (and (<= 0 x) (<= x 1))
-          (let ((y x)) (exists ((k Int)) (and (and (<= (* 0.5 (to_real k)) y)
-                                                   (< y (* 0.5 (to_real (+ k 1)))))
-                                              (= (select a k) 2)))))))
+          (let ((y x)) (= (select a (to_int (* 2.0 y))) 2)))))
         (check-sat)
         """
         assert status(text) == "sat"
+
+    @pytest.mark.parametrize(
+        "body, want",
+        [
+            ("(= (to_int (- 0.5)) (- 1))", "sat"),
+            ("(= (to_int (- 0.5)) 0)", "unsat"),
+            ("(= (to_int (/ 7 2)) 3)", "sat"),
+            # a step no window end or midpoint hits, and a root at a ground floor
+            ("(exists ((t Real)) (and (and (<= 0.0 t) (<= t 10.0)) (= (to_int t) 3)))", "sat"),
+            ("(exists ((t Real)) (and (and (<= 0.0 t) (<= t 1.0))"
+             " (let ((y (to_int 2.5))) (= (* 4.0 t) y))))", "sat"),
+            # the step at the window's end, an open window short of it, a falling floor
+            ("(exists ((t Real)) (and (and (<= 0.0 t) (<= t 1.0)) (= (to_int (* 3.0 t)) 3)))", "sat"),
+            ("(exists ((t Real)) (and (and (< 0.0 t) (< t 1.0)) (= (to_int (* 3.0 t)) 3)))", "unsat"),
+            ("(exists ((t Real)) (and (and (<= 0.0 t) (<= t 1.0)) (< (to_int (* (- 3.0) t)) (- 2))))", "sat"),
+            # no window to count the steps in
+            ("(exists ((r Real)) (= (to_int r) 7.5))", "unknown"),
+            # more steps in the window than GRID_CAP
+            ("(exists ((t Real)) (and (and (<= 0.0 t) (<= t 1.0)) (= (to_int (* 1000000.0 t)) (- 1))))",
+             "unknown"),
+        ],
+    )
+    def test_to_int(self, body, want):
+        assert status(f"(assert {body}) (check-sat)") == want
+
+    @pytest.mark.parametrize("mode", [VariableRate(), FixedRate(Fraction(1, 2))])
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("exists τ0 in [0.0, 2.0] such that exists σ1 in [0, 4] such that "
+             "(x @t τ0) > (y @i σ1) + 100", "unsat"),
+            ("forall τ0 in [0.0, 2.0] such that exists σ1 in [0, 4] such that "
+             "(x @t τ0) = (y @i σ1)", "sat"),
+            ("exists τ0 in [0.0, 2.0] such that exists τ1 in [0.0, 2.0] such that "
+             "(x @t τ0) > (y @t τ1) + 3", "sat"),
+        ],
+    )
+    def test_read_of_tau_against_an_inner_binder_stays_decided(self, text, want, mode):
+        # for each value of the inner binder the atom only steps where the
+        # outer read does, so the collected roots are still exhaustive
+        trace = Trace(
+            records=tuple(
+                Record(Fraction(j, 2), {"x": Fraction(j + 1), "y": Fraction(5 - j)})
+                for j in range(5)
+            ),
+            signals=("x", "y"),
+        )
+        script = translate(trace, parse(text, signature=trace.signals), mode=mode, negate=False)
+        assert status(script.text) == want
 
     def test_unclassifiable_body_degrades_to_unknown(self, fig_trace):
         # a side sloped in tau0 against a side stepping with the inner
@@ -452,7 +495,8 @@ OUT_OF_FRAGMENT = {
     "forall": "(assert (forall ((n Int)) (< n 4)))",
     "implies": "(assert (=> false (= 1 2)))",
     "distinct": "(assert (distinct 1 2))",
-    "to_int": "(assert (= (to_int 3.7) 3))",
+    "two-operand to_int": "(assert (= (to_int 1 2) 1))",
+    "Bool to_int": "(assert (= (to_int false) 0))",
     "true": "(assert true)",
     "declare-fun nullary": "(declare-fun x () Real)",
     "declare-fun with args": "(declare-fun f (Int) Real)",

@@ -1,5 +1,6 @@
 """Script generation: encodings, folding, determinism, the expansion cap."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from genrand import pair
 
 from tracecheck.preprocess import PreprocessConfig, apply_a2
 from tracecheck.semantics import check_direct
-from tracecheck.shim import check_form, parse_script, pin_form
+from tracecheck.shim import check_form, parse_script, pin_form, run_script
 from tracecheck.smt import (
     DEFAULT_EXPANSION_CAP,
     ExpansionCapError,
@@ -66,14 +67,20 @@ class TestIotaModeChoice:
         assert choose_iota_mode(grid_trace) == FixedRate(F("0.2"))
 
     def test_explicit_fixed_on_variable_trace_is_refused(self, fig_trace):
-        with pytest.raises(TranslateError, match="fixed-rate trace starting"):
+        with pytest.raises(TranslateError, match="needs a fixed-rate trace"):
             choose_iota_mode(fig_trace, "fixed")
 
-    def test_explicit_fixed_needs_zero_origin(self):
+    def test_shifted_fixed_rate_trace_gets_the_floor_encoding(self):
         shifted = load_trace("timestamp,x\n1.0,0\n1.5,1\n2.0,2\n")
-        assert isinstance(shifted.rate, Fixed)
-        with pytest.raises(TranslateError, match="starting"):
-            choose_iota_mode(shifted, "fixed")
+        assert choose_iota_mode(shifted) == choose_iota_mode(shifted, "fixed") == FixedRate(F("0.5"))
+        for t in (F(1), F("1.2"), F("1.5"), F("1.99"), F(2)):
+            # floor((t - 1.0) / 0.5): the shim reads t2i(t) = j as sat only at iota_variable's j
+            for j in range(3):
+                f = parse(f"t2i({format_rational(t)}) = {j}", shifted.signals)
+                script = translate(shifted, f, negate=False)
+                assert "(to_int (* 2.0 (- " in script.text
+                want = "sat" if j == iota_variable(shifted, t) else "unsat"
+                assert run_script(script.text)[0] == want, (t, j)
 
     def test_explicit_variable_always_works(self, grid_trace):
         assert choose_iota_mode(grid_trace, "variable") == VariableRate()
@@ -198,27 +205,35 @@ class TestFormulaEncoding:
         assert script.iota_ite_count == 6
 
     def test_fixed_rate_uses_a_pinned_integer(self, grid_trace):
+        """The @t read's index is one to_int term, floor(t * 5) for sr = 0.2,
+        clamped into [0, m] through a let."""
         script = translate(
             grid_trace, parse(R1_TEXT, grid_trace.signals)
         )
         assert isinstance(script.iota_mode, FixedRate)
         assert script.floor_count == 1  # the @t read; @i reads need no floor
-        assert "(<= (* 0.2 (to_real k1)) " in script.text
-        assert "(< " in script.text and "(to_real (+ k1 1))" in script.text
-        assert "(ite (< k1 0) 0 (ite (> k1 28) 28 k1))" in script.text
+        assert "(let ((x4 (to_int (* 5.0 (+ tau0 (select t " in script.text
+        assert "(ite (< x4 0) 0 (ite (> x4 28) 28 x4))" in script.text
 
     def test_floor_binding_survives_negative_polarity(self, grid_trace):
-        """The floor integer is existential even under a negated read; the
-        bounds pin it uniquely, so polarity cannot change its value."""
-        script = translate(
-            grid_trace,
-            parse("forall τ0 in [0.0, 2.0] such that (mode @t τ0) < 9", grid_trace.signals),
-        )
-        assert "(exists ((k1 Int))" in script.text
+        """The floor is a term, so no read binds an integer of its own, under
+        either polarity: every Int binder is an index quantifier."""
+        for text in (
+            "forall τ0 in [0.0, 2.0] such that (mode @t τ0) < 9",
+            "exists τ0 in [0.0, 2.0] such that not ((mode @t τ0) < 9)",
+            R1_TEXT,
+        ):
+            f = parse(text, grid_trace.signals)
+            for negate in (True, False):
+                script = translate(grid_trace, f, negate=negate)
+                assert script.floor_count >= 1
+                assert "(exists ((k" not in script.text
+                binders = re.findall(r"\(exists \(\((\S+) Int\)\)", script.text)
+                assert binders == ["sigma0"] * ("σ0" in text)
 
     def test_t2i_value_is_the_raw_floor(self, grid_trace):
         script = translate(grid_trace, parse("t2i(2.5) = 12", grid_trace.signals))
-        assert "(= k1 12)" in script.text
+        assert "(= (to_int (* 5.0 2.5)) 12)" in script.text
 
 
 def variable_trace(times):
@@ -340,12 +355,11 @@ class TestDeterminismAndCounts:
             assert script.text.count("(exists (") == script.quantifier_count
 
     def test_fixed_rate_adds_exactly_the_floor_binders(self, grid_trace):
+        """Each fixed-rate conversion is one to_int term and no binder."""
         f = parse(R1_TEXT, grid_trace.signals)
         script = translate(grid_trace, f)
-        assert (
-            script.text.count("(exists (")
-            == script.quantifier_count + script.floor_count
-        )
+        assert script.text.count("(exists (") == script.quantifier_count
+        assert script.text.count("(to_int ") == script.floor_count == 1
 
 
 class TestExpansionCap:

@@ -58,6 +58,14 @@ class TestLexer:
         toks = [t.text for t in tokenize("1 2.5 3e-2") if t.kind != "eof"]
         assert toks == ["1", "2.5", "3e-2"]
 
+    @pytest.mark.parametrize(
+        "text", ["(x @i \u0661) > 2.5", "(x @i 1) > \u0662.\u0665", "(x @i 1) > 1_0",
+                 "exists s in [\u0660, 1] such that (x @i s) > 1", "(x @i 1) > 2\uff15"],
+    )
+    def test_numerals_are_ascii_digits_only(self, text):
+        with pytest.raises(ParseError):
+            parse(text, ["x"])
+
     def test_rejects_stray_character(self):
         with pytest.raises(ParseError, match="unexpected character"):
             tokenize("a & b")

@@ -10,7 +10,6 @@ from tracecheck.trace import (
     DomainError,
     Fixed,
     PLAIN_DIGITS,
-    RATE_TOLERANCE,
     Record,
     Trace,
     TraceError,
@@ -55,6 +54,11 @@ class TestLoad:
         with pytest.raises(TraceFormatError, match="row 2.*index"):
             load_trace("timestamp,index,a\n0,0,1\n1,3,1\n")
 
+    @pytest.mark.parametrize("cell", ["\u0661", "0_1", "\uff11"])
+    def test_index_column_takes_ascii_digits_only(self, cell):
+        with pytest.raises(TraceFormatError, match="row 2: malformed index"):
+            load_trace(f"timestamp,index,a\n0,0,1\n1,{cell},1\n")
+
     def test_index_column_accepted_when_consistent(self):
         trace = load_trace("timestamp,index,a\n0,0,1\n1,1,2\n")
         assert [r.values["a"] for r in trace.records] == [1, 2]
@@ -69,7 +73,11 @@ class TestLoad:
         assert trace.records[1].values.keys() == {"b"}
 
     @pytest.mark.parametrize(
-        "cell", ["inf", "-Infinity", "nan", "sNaN", "1/0", "1e-99999999", "1e99999999"]
+        "cell",
+        ["inf", "-Infinity", "nan", "sNaN", "1/0", "1e-99999999", "1e99999999",
+         # only ASCII digits, and no `_` between them
+         "\u0661", "\u0662.\u0665", "\u0661/\u0663", "1_0", "1_0.5", "1/1_0", "1e1_0",
+         "\uff11", "\u00b2"],
     )
     def test_unusable_number_is_a_format_error(self, cell):
         with pytest.raises(TraceFormatError, match="row 2: malformed value"):
@@ -104,16 +112,20 @@ class TestClassifyRate:
         trace = load_trace("timestamp,a\n0,1\n0.5,1\n1.0,1\n1.5,1\n")
         assert trace.rate == Fixed(Fraction(1, 2))
 
-    def test_within_tolerance_fixed(self):
+    def test_gaps_must_be_exact(self):
+        # the fixed-rate index map is floor((t - t0) / sr): a gap off by
+        # any amount would move some reading to the wrong record
         sr = Fraction(1, 2)
         for jitter, rate in (
-            (RATE_TOLERANCE * sr / 2, Fixed(sr)),
-            (RATE_TOLERANCE * sr * 2, Variable()),
+            (Fraction(0), Fixed(sr)),
+            (Fraction(1, 10**20), Variable()),
+            (Fraction(-1, 10**20), Variable()),
         ):
             trace = load_trace(
                 f"timestamp,a\n0,1\n0.5,1\n{format_rational(2 * sr + jitter)},1\n"
             )
             assert trace.rate == rate
+        assert load_trace("timestamp,x\n0,0\n0.1,1\n0.1999999999,2\n").rate == Variable()
 
     def test_single_record_variable_by_convention(self):
         trace = load_trace("timestamp,a\n1.0,2\n")
@@ -177,6 +189,21 @@ class TestIota:
             for t in (j * sr, j * sr + sr / 3):
                 assert iota_variable(trace, t) == iota_fixed(sr, t)
         assert iota_variable(trace, trace.tm) == iota_fixed(sr, trace.tm)
+
+    @given(st.integers(0, 40), st.integers(1, 9), st.integers(-20, 20))
+    def test_fixed_agrees_with_variable_on_a_shifted_grid(self, steps, srq, t0q):
+        sr, t0 = Fraction(srq, 4), Fraction(t0q, 10)
+        trace = Trace(
+            records=tuple(
+                Record(timestamp=t0 + j * sr, values={"a": Fraction(0)})
+                for j in range(steps + 2)
+            ),
+            signals=("a",),
+        )
+        for t in trace.timestamps + tuple(ts + sr / 3 for ts in trace.timestamps[:-1]):
+            assert iota_variable(trace, t) == iota_fixed(sr, t, t0)
+        with pytest.raises(DomainError):
+            iota_fixed(sr, t0 - sr / 3, t0)
 
     def test_iota_fixed_hits_index_on_exact_grid(self):
         sr = Fraction("0.25")
