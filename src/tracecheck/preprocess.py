@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .trace import Record, Trace, format_rational
+from .trace import Fixed, Record, Trace, format_rational
 
 
 class PreprocessError(Exception):
@@ -215,14 +215,15 @@ def apply_a2(trace: Trace, cfg: PreprocessConfig) -> Trace:
 
     The last grid point is the largest one not exceeding t_m; an off-grid t_m
     is dropped so the output rate is exactly fixed.  A trace already on its
-    grid (every gap exactly sr) with no empty cell is that grid, so it is
-    returned as it is.
+    grid (every gap exactly sr, as the trace's cached `rate` says) with no
+    empty cell is that grid, so it is returned as it is.
     """
     if len(trace) < 2:
         raise PreprocessError("strategy A2 needs at least 2 records")
     ts = trace.timestamps
-    gaps = [b - a for a, b in zip(ts, ts[1:])]
-    sr = min(gaps)
+    rate = trace.rate
+    on_grid = isinstance(rate, Fixed)
+    sr = rate.sr if on_grid else min(b - a for a, b in zip(ts, ts[1:]))
     if sr < SR_FLOOR:
         raise PreprocessError(
             f"degenerate sample rate {format_rational(sr)} (minimum gap below floor)"
@@ -234,7 +235,7 @@ def apply_a2(trace: Trace, cfg: PreprocessConfig) -> Trace:
             f" (limit {MAX_GRID_RECORDS}); use strategy A1"
         )
     signals = set(trace.signals)
-    if all(g == sr for g in gaps) and all(r.values.keys() == signals for r in trace.records):
+    if on_grid and all(r.values.keys() == signals for r in trace.records):
         return trace
     table = _interpolants(trace, cfg)
     records = []

@@ -74,7 +74,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .solver import HANGUP, drain, limit_address_space
-from .trace import parse_rational
+from .trace import PLAIN_DIGITS, parse_rational
 
 RECURSION_LIMIT = 200_000
 INT_ENUM_CAP = 1_000_000
@@ -108,11 +108,14 @@ class _Atoms(dict):
     def __missing__(self, tok: str) -> Union[str, Number]:
         leaf: Union[str, Number] = tok
         if _NUMERAL_RE.fullmatch(tok):
-            try:
-                value = parse_rational(tok)
-            except ValueError:
-                raise ShimError(f"numeral out of range: {tok[:20]}...") from None
-            leaf = value.numerator if value.denominator == 1 else value
+            if len(tok) <= PLAIN_DIGITS and "." not in tok:
+                leaf = int(tok)  # the regex admits ASCII digits only
+            else:
+                try:
+                    value = parse_rational(tok)
+                except ValueError:
+                    raise ShimError(f"numeral out of range: {tok[:20]}...") from None
+                leaf = value.numerator if value.denominator == 1 else value
         self[tok] = leaf
         return leaf
 

@@ -16,6 +16,10 @@ term per reading, floor((t - t0) / sr) written (to_int (* R (- t t0))) with
 the rational literal R = 1 / sr, so it stays linear; the shift is left out
 when t0 = 0.
 
+The trace is pinned cell by cell, one equality assertion per assigned value.
+A signal's literal is rendered again only when its value changes from the
+previous record's, as is the CSV text behind the header's trace digest.
+
 Index-typed accesses are clamped into [0, m] instead of guarded: a total
 function keeps the encoding in the decidable fragment, and out-of-range
 accesses only arise in cases the direct route reports as inconclusive, so
@@ -45,7 +49,7 @@ from .syntax import (
     Var,
     desugar,
 )
-from .trace import Fixed, Trace, format_rational, trace_digest
+from .trace import Fixed, Trace, format_rational, held_renderer, trace_digest
 
 from . import __version__
 
@@ -118,14 +122,16 @@ def choose_iota_mode(trace: Trace, requested: Optional[str] = None) -> IotaMode:
 
 def smt_real(value: Fraction) -> str:
     """Exact Real literal: decimal when finite, (/ p q) otherwise."""
-    mag = -value if value < 0 else value
-    text = format_rational(mag)
+    text = format_rational(value)
+    negative = text.startswith("-")
+    if negative:
+        text = text[1:]
     if "/" in text:
         p, q = text.split("/")
         core = f"(/ {p}.0 {q}.0)"
     else:
         core = text if "." in text else text + ".0"
-    return f"(- {core})" if value < 0 else core
+    return f"(- {core})" if negative else core
 
 
 def smt_int(value: Union[int, Fraction]) -> str:
@@ -350,13 +356,13 @@ def translate(
     lines.append("(declare-const t (Array Int Real))")
     for signal in sorted(arrays):
         lines.append(f"(declare-const {arrays[signal]} (Array Int Real))")
+    columns = [(s, arrays[s], held_renderer(smt_real)) for s in sorted(arrays)]
     for j, record in enumerate(trace.records):
         lines.append(f"(assert (= (select t {j}) {smt_real(record.timestamp)}))")
-        for signal in sorted(arrays):
+        for signal, array, literal in columns:
             if signal in record.values:
                 lines.append(
-                    f"(assert (= (select {arrays[signal]} {j}) "
-                    f"{smt_real(record.values[signal])}))"
+                    f"(assert (= (select {array} {j}) {literal(record.values[signal])}))"
                 )
     lines.append(f"(assert {assertion})")
     lines.append("(check-sat)")

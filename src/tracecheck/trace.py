@@ -5,7 +5,13 @@ partial assignment of signal values; a record's index is its position.
 Timestamps are kept as exact rationals (fractions.Fraction) end to end: rate
 classification, interpolation grids and SMT literal emission all depend on
 exact comparisons, and binary floats would drift at bracket boundaries.  The
-sample rate is derived from the timestamps the first time it is read.
+sample rate is derived from the timestamps the first time it is read, and
+cached for every later reader (A2 resampling, the index-map choice).
+
+Signals often hold still for long runs of records.  The CSV loader parses a
+cell only when its text differs from the same column's previous cell, and
+`held_renderer` renders a value only when it differs from the previous one;
+both keep one cell per column, so memory does not grow with the trace.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from typing import IO, Mapping, Optional, Union
+from typing import IO, Callable, Mapping, Optional, Union
 
 
 class TraceError(Exception):
@@ -78,26 +84,41 @@ def format_rational(value: Fraction) -> str:
     Values with a 2^a*5^b denominator have an exact decimal form and are
     emitted that way; anything else (e.g. thirds from linear interpolation
     over a 0.7 gap) is emitted as p/q, which parse_rational accepts back.
+    A Fraction is used as it is; the factors of 2 are counted from the
+    denominator's lowest set bit, and only the factors of 5 take a loop.
     """
-    value = Fraction(value)
-    den = value.denominator
-    twos = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    num, den = value.numerator, value.denominator
+    if den == 1:
+        return str(num)
+    twos = (den & -den).bit_length() - 1
+    rest = den >> twos
     fives = 0
-    while den % 5 == 0:
-        den //= 5
+    while rest % 5 == 0:
+        rest //= 5
         fives += 1
-    if den != 1:
-        return f"{value.numerator}/{value.denominator}"
+    if rest != 1:
+        return f"{num}/{den}"
     digits = max(twos, fives)
-    if digits == 0:
-        return str(value.numerator)
-    scaled = value.numerator * 10**digits // value.denominator
+    scaled = num * (10**digits // den)
     sign = "-" if scaled < 0 else ""
     body = str(abs(scaled)).rjust(digits + 1, "0")
     return f"{sign}{body[:-digits]}.{body[-digits:]}"
+
+
+def held_renderer(render: Callable[[Fraction], str]) -> Callable[[Fraction], str]:
+    """`render`, keeping the last value and its text: a run of equal values,
+    such as a signal holding still, is rendered once."""
+    last, text = None, ""
+
+    def rendered(value: Fraction) -> str:
+        nonlocal last, text
+        if value is not last and value != last:
+            last, text = value, render(value)
+        return text
+
+    return rendered
 
 
 @dataclass(frozen=True)
@@ -260,6 +281,10 @@ def load_trace(source: Union[str, bytes, IO], format: str = "csv") -> Trace:
         signals.append(name)
         signal_cols.append((col, name))
 
+    # Per signal column, the previous row's cell text and its value (None for
+    # a hole): a run of equal cells is parsed once, in memory that does not
+    # grow with the trace.
+    last = [("", None)] * len(signal_cols)
     records = []
     prev_t: Optional[Fraction] = None
     for row_num, row in enumerate(reader, start=1):
@@ -294,16 +319,20 @@ def load_trace(source: Union[str, bytes, IO], format: str = "csv") -> Trace:
                     f"row {row_num}: index column says {declared}, expected {pos}"
                 )
         values = {}
-        for col, name in signal_cols:
-            cell = row[col].strip()
-            if not cell:
-                continue
-            try:
-                values[name] = parse_rational(cell)
-            except ValueError:
-                raise TraceFormatError(
-                    f"row {row_num}: malformed value {cell!r} for signal {name!r}"
-                ) from None
+        for k, (col, name) in enumerate(signal_cols):
+            text, value = last[k]
+            if row[col] != text:
+                text = row[col]
+                cell = text.strip()
+                try:
+                    value = parse_rational(cell) if cell else None
+                except ValueError:
+                    raise TraceFormatError(
+                        f"row {row_num}: malformed value {cell!r} for signal {name!r}"
+                    ) from None
+                last[k] = (text, value)
+            if value is not None:
+                values[name] = value
         records.append(Record(timestamp=t, values=values))
     return Trace(records=tuple(records), signals=tuple(signals))
 
@@ -318,10 +347,11 @@ def serialize_trace(trace: Trace) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["timestamp"] + list(trace.signals))
+    columns = [(s, held_renderer(format_rational)) for s in trace.signals]
     for rec in trace.records:
         row = [format_rational(rec.timestamp)]
-        for s in trace.signals:
-            row.append(format_rational(rec.values[s]) if s in rec.values else "")
+        for s, render in columns:
+            row.append(render(rec.values[s]) if s in rec.values else "")
         writer.writerow(row)
     return out.getvalue()
 

@@ -8,7 +8,6 @@ blocker, not a flake.
 
 import contextlib
 import random
-import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,16 +85,15 @@ class CorpusRun:
     elapsed_s: float
 
 
-_corpus: List[CorpusRun] = []
-
 WIRE = {"unsat": "satisfied", "sat": "violated", "unknown": "unknown"}
 DEFINITIVE = (Verdict.SATISFIED, Verdict.VIOLATED)
 
 
-def get_corpus() -> CorpusRun:
-    if _corpus:
-        return _corpus[0]
-    base = Path(tempfile.mkdtemp(prefix="tracecheck-corpus-"))
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory) -> CorpusRun:
+    """The corpus, run once per module; its scripts go to a pytest temp
+    directory, which pytest prunes."""
+    base = tmp_path_factory.mktemp("corpus")
     started = time.perf_counter()
     results = []
     for k in range(CORPUS_SIZE):
@@ -114,8 +112,7 @@ def get_corpus() -> CorpusRun:
                 status_plain=run_solver(str(pos_path)).status,
             )
         )
-    _corpus.append(CorpusRun(results, time.perf_counter() - started))
-    return _corpus[0]
+    return CorpusRun(results, time.perf_counter() - started)
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +156,8 @@ def test_criterion_2_r1_end_to_end(tmp_path):
         assert time.perf_counter() - started < R1_END_TO_END_BUDGET_S
 
 
-def test_criterion_3_differential_suite():
+def test_criterion_3_differential_suite(corpus):
     with criterion(3):
-        corpus = get_corpus()
         assert len(corpus.results) == CORPUS_SIZE
         disagreements = []
         both_definitive = 0
@@ -179,9 +175,8 @@ def test_criterion_3_differential_suite():
         assert corpus.elapsed_s < CORPUS_BUDGET_S
 
 
-def test_criterion_4_exclusivity():
+def test_criterion_4_exclusivity(corpus):
     with criterion(4):
-        corpus = get_corpus()
         for r in corpus.results:
             assert not (r.status_negated == "unsat" and r.status_plain == "unsat"), (
                 f"both translations unsat for seed {r.seed}: {r.text}"

@@ -241,6 +241,14 @@ class TestApplyA2:
         with pytest.raises(PreprocessError, match="degenerate sample rate"):
             apply_a2(trace, PreprocessConfig())
 
+    def test_degenerate_rate_rejected_on_grid(self):
+        # Every gap is exactly 10^-10 s and no cell is empty, so the trace is
+        # its own grid; the floor is still checked before it is returned.
+        trace = load_trace("timestamp,a\n0,1\n0.0000000001,2\n0.0000000002,3\n")
+        assert trace.rate == Fixed(Fraction(1, 10**10))
+        with pytest.raises(PreprocessError, match="degenerate sample rate 0.0000000001 "):
+            apply_a2(trace, PreprocessConfig())
+
     def test_oversized_grid_rejected_before_building(self):
         trace = load_trace("timestamp,a\n0,1\n0.000000001,2\n1000,3\n")
         with pytest.raises(PreprocessError, match="1000000000001 grid records.*strategy A1"):

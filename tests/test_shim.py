@@ -17,7 +17,7 @@ from tracecheck.shim import ShimError, parse_script, run_script
 from tracecheck.smt import FixedRate, VariableRate, translate
 from tracecheck.solver import run_solver
 from tracecheck.syntax import parse
-from tracecheck.trace import Record, Trace
+from tracecheck.trace import MAX_DIGITS, PLAIN_DIGITS, Record, Trace
 
 
 def status(text):
@@ -175,6 +175,19 @@ class TestNumerals:
         assert "internal error" not in err
         assert len(err) < 200
         assert run_solver(str(p)).status == "error"
+
+    def test_integral_numerals_read_as_int(self):
+        plain = "9" * PLAIN_DIGITS
+        forms = parse_script(f"(assert (= 007 1.50)) (assert (= {plain} {plain}1))")
+        assert forms == [
+            ["assert", ["=", 7, Fraction(3, 2)]],
+            ["assert", ["=", 10**PLAIN_DIGITS - 1, 10 ** (PLAIN_DIGITS + 1) - 9]],
+        ]
+        assert [type(f[1][1]) for f in forms] == [int, int]
+        assert status("(assert (= 007 7)) (check-sat)") == "sat"
+        assert status(f"(assert (= {'0' * 999}1 1)) (check-sat)") == "sat"
+        with pytest.raises(ShimError, match="numeral out of range"):
+            parse_script(f"(assert (= {'1' * (MAX_DIGITS + 1)} 1))")
 
     def test_each_numeral_is_parsed_once(self, monkeypatch):
         text = settle_script(1000)

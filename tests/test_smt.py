@@ -398,7 +398,7 @@ class TestShimFragment:
     @staticmethod
     def scripts(trace, f):
         modes = [VariableRate()]
-        if isinstance(trace.rate, Fixed) and trace.t0 == 0:
+        if isinstance(trace.rate, Fixed):
             modes.append(FixedRate(trace.rate.sr))
         for mode in modes:
             for negate in (True, False):
@@ -415,17 +415,25 @@ class TestShimFragment:
             for text in self.scripts(trace, parse(R1_TEXT, trace.signals)):
                 check_fragment(text)
         n = 60
-        settle = Trace(
-            records=tuple(
-                Record(F(j, 100), {"mode": F(int(j % 20 == 0)), "spd": F(4 if j % 20 == 5 else 10, 10)})
-                for j in range(n)
-            ),
-            signals=("mode", "spd"),
-        )
-        f = parse(
-            f"forall sigma0 in [0, {n - 2}] such that ((mode @i sigma0) = 1) implies "
-            "(exists tau0 in [0.0, 1.0] such that ((spd @t (tau0 + i2t(sigma0))) < 0.5))",
-            settle.signals,
-        )
-        for text in self.scripts(settle, f):
-            check_fragment(text)
+        # On a grid starting at 5 s the fixed-rate map takes its shifted form.
+        for t0, floor in ((0, "(to_int (* 100.0 (+ tau0"), (5, "(to_int (* 100.0 (- (+ tau0")):
+            f = parse(
+                f"forall sigma0 in [0, {n - 2}] such that ((mode @i sigma0) = 1) implies "
+                f"(exists tau0 in [{t0}.0, {t0 + 1}.0] such that "
+                "((spd @t (tau0 + i2t(sigma0))) < 0.5))",
+                ("mode", "spd"),
+            )
+            settle = Trace(
+                records=tuple(
+                    Record(
+                        t0 + F(j, 100),
+                        {"mode": F(int(j % 20 == 0)), "spd": F(4 if j % 20 == 5 else 10, 10)},
+                    )
+                    for j in range(n)
+                ),
+                signals=("mode", "spd"),
+            )
+            texts = list(self.scripts(settle, f))
+            assert sum(floor in text for text in texts) == 2
+            for text in texts:
+                check_fragment(text)

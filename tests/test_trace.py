@@ -2,6 +2,7 @@
 
 from decimal import Decimal
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -49,6 +50,24 @@ class TestLoad:
     def test_malformed_cell_reports_row(self):
         with pytest.raises(TraceFormatError, match="row 2.*oops"):
             load_trace("timestamp,a\n0,1\n1,oops\n")
+
+    def test_repeated_cells_keep_their_values(self):
+        # a run of equal cells, the same text after a hole, after another
+        # value and with padding, and a hole repeated
+        trace = load_trace(
+            "timestamp,a,b\n0,1.5,2\n1,1.5,\n2,,\n3,1.5,2\n4,7,3\n5,1.5,3\n6, 1.5,2\n"
+        )
+        a = [r.values.get("a") for r in trace.records]
+        b = [r.values.get("b") for r in trace.records]
+        half = Fraction(3, 2)
+        assert a == [half, half, None, half, 7, half, half]
+        assert b == [2, None, None, 2, 3, 3, 2]
+
+    def test_malformed_cell_after_a_run_reports_its_own_row(self):
+        with pytest.raises(TraceFormatError, match="row 4: malformed value 'x1' for signal 'a'"):
+            load_trace("timestamp,a\n0,1\n1,1\n2,\n3,x1\n4,x1\n")
+        with pytest.raises(TraceFormatError, match="row 3: malformed value 'x' for signal 'b'"):
+            load_trace("timestamp,a,b\n0,1,2\n1,1,2\n2,1,x\n")
 
     def test_index_column_mismatch(self):
         with pytest.raises(TraceFormatError, match="row 2.*index"):
@@ -257,6 +276,34 @@ class TestInvariantsAndRoundtrip:
     def test_format_parse_rational_roundtrip(self, values):
         for v in values:
             assert parse_rational(format_rational(v)) == v
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (0, "0"), (7, "7"), (-7, "-7"), (Fraction(12), "12"), (Fraction(-3), "-3"),
+            (Fraction(1, 2), "0.5"), (Fraction(-1, 2), "-0.5"), (Fraction(5, 4), "1.25"),
+            (Fraction(1, 5), "0.2"), (Fraction(-3, 25), "-0.12"), (Fraction(7, 1000), "0.007"),
+            (Fraction(-1, 80), "-0.0125"), (Fraction(1, 1024), "0.0009765625"),
+            (Fraction(3, 3125), "0.00096"), (Fraction(123456789, 100), "1234567.89"),
+            (Fraction(1, 3), "1/3"), (Fraction(-2, 7), "-2/7"), (Fraction(1, 6), "1/6"),
+            (Fraction(5, 12), "5/12"), (Fraction(7, 30), "7/30"), (Fraction(-11, 15), "-11/15"),
+        ],
+    )
+    def test_format_rational_table(self, value, text):
+        assert format_rational(value) == text
+
+    def test_format_rational_roundtrip_on_seeded_rationals(self):
+        rng = Random(0)
+        for _ in range(2000):
+            den = 2 ** rng.randint(0, 40) * 5 ** rng.randint(0, 30) * rng.choice((1, 1, 3, 7, 9, 11))
+            value = Fraction(rng.randint(-(10**15), 10**15), den)
+            text = format_rational(value)
+            assert parse_rational(text) == value
+            rest = value.denominator
+            for p in (2, 5):
+                while rest % p == 0:
+                    rest //= p
+            assert ("/" in text) == (rest != 1), (value, text)
 
     def test_parse_rational_forms(self):
         assert parse_rational("0.2") == Fraction(1, 5)
