@@ -42,17 +42,22 @@ code 1, a message on stderr and nothing on stdout, so the solver status is
   contradictory bindings are unsat.  A line holding nothing but such a pin
   with a numeral value, as the translator writes each trace cell, is read
   by one regex and skips the tokenizer;
-* each checked node is compiled once into a closure env -> value, so
-  evaluation never dispatches on a head string again;
-* integer quantifiers are decided by interval bounds extracted from the
-  body with polarity tracking, then finite enumeration;
+* each checked node, at any depth, is compiled once per script into a
+  closure env -> value, so evaluation never dispatches on a head string
+  again;
+* a quantifier's window is the interval bounds extracted from its body
+  with polarity tracking, the variable itself and any inner binder
+  unknown.  Strong Kleene logic is monotone, so a subterm whose value
+  comes out known anyway has that value for every value of those names;
+* integer quantifiers are decided by finite enumeration of the window;
 * real quantifiers are decided by evaluating finitely many candidates:
   the window bounds, every point where some comparison affine in the
   variable can flip, every point where a `to_int` of a term affine in the
   variable steps, and a midpoint inside each gap.  That set is exhaustive
   because between consecutive candidates every comparison keeps a constant
-  truth value, which a term classification pass verifies; when it cannot,
-  the result degrades to unknown rather than to a guess.
+  truth value, which one classification of each relation, its sides and
+  the conditions nested in them verifies; when it cannot, the result
+  degrades to unknown rather than to a guess.
 
 Reads of unpinned cells, unbounded integer ranges, and real bodies the
 classifier cannot account for all evaluate to unknown.  Truth values are
@@ -409,15 +414,20 @@ class _Eval:
 
     def ev(self, e, env: Dict[str, Value]) -> Value:
         """The value of a checked term or formula of the script; a name `env`
-        lacks is unknown.  The cache holds each node it compiled, so the id
-        it is keyed by is never reused."""
-        hit = self.compiled.get(id(e))
-        if hit is None:
-            hit = self.compiled[id(e)] = (e, self.compile(e))
-        return hit[1](env)
+        lacks is unknown."""
+        return self.compile(e)(env)
 
     def compile(self, e) -> Callable[[Dict[str, Value]], Value]:
-        """`e` as a closure env -> value."""
+        """`e` as a closure env -> value, built once per node.  The cache
+        holds each node it compiled, so the id it is keyed by is never
+        reused."""
+        hit = self.compiled.get(id(e))
+        if hit is None:
+            hit = self.compiled[id(e)] = (e, self._compile(e))
+        return hit[1]
+
+    def _compile(self, e) -> Callable[[Dict[str, Value]], Value]:
+        """`e` as a new closure, its subterms through the cache."""
         if _is_num(e):
             return lambda env: e
         if type(e) is str:
@@ -497,7 +507,9 @@ class _Eval:
 
     def ev_exists(self, v: str, sort: str, body, run, env) -> Value:
         """Whether `body` (compiled: `run`) holds for some `v` of `sort`."""
-        window = self.bounds(body, v, env, positive=True)
+        # v masked as unknown: the window is the same for every v, and an
+        # outer binding of the same name is hidden
+        window = self.bounds(body, v, {**env, v: None}, positive=True)
         if window.empty:
             return False
         complete = True
@@ -564,10 +576,12 @@ class _Eval:
         if head == "exists":
             # sound under either polarity: truth (or falsity) of the block
             # at some v still needs the body's pure-v atoms to hold, and
-            # atoms touching the inner binder decompose to no constraint
-            if any(b[0] == v for b in e[1]):
+            # atoms touching the inner binders, masked as unknown like v
+            # (hiding any outer binding of their names), give no constraint
+            names = [b[0] for b in e[1]]
+            if v in names:
                 return _Iv.full()
-            return self.bounds(e[2], v, env, positive)
+            return self.bounds(e[2], v, {**env, **dict.fromkeys(names)}, positive)
         return _Iv.full()  # a let
 
     def _atom_bounds(self, op, lhs, rhs, v, env, positive) -> _Iv:
@@ -615,33 +629,11 @@ class _Eval:
         if head == "let":
             [[name, bound]] = e[1]
             return self.affine(e[2], v, env, {**lenv, name: self.affine(bound, v, env, lenv)})
-        # select / ite: usable only when entirely ground; a stray inner
-        # binder (possible when bounds extraction looks inside nested
-        # quantifier bodies) evaluates to unknown, which means no constraint
-        if self._occurs(v, e, set()):
-            return None
+        # select, ite or to_int: evaluated with v unknown, a known number is
+        # the same for every v (Kleene's logic is monotone); anything else,
+        # an inner binder's read included, means no constraint
         val = self.ev(e, env)
         return (0, val) if _is_num(val) else None
-
-    def _occurs(self, name: str, e, shadowed: Set[str]) -> bool:
-        """Whether `name` occurs free in `e`, outside the `shadowed` names."""
-        if isinstance(e, str):
-            return e == name and e not in shadowed
-        if not isinstance(e, list) or not e:
-            return False
-        head = e[0]
-        if head == "let":
-            [[bound_name, bound]] = e[1]
-            return self._occurs(name, bound, shadowed) or self._occurs(
-                name, e[2], shadowed | {bound_name}
-            )
-        if head == "exists":
-            inner = shadowed | {b[0] for b in e[1]}
-            return self._occurs(name, e[2], inner)
-        for a in e[1:]:  # a loop, not any(): keeps the recursion off the C stack
-            if self._occurs(name, a, shadowed):
-                return True
-        return False
 
     # --- candidate roots for real quantifiers ---
 
@@ -650,73 +642,51 @@ class _Eval:
     ) -> Tuple[Set[Number], bool]:
         """Points where some comparison's truth can flip, with completeness.
 
-        The walk classifies every term and keeps `complete` True only while
-        each comparison stays piecewise constant between the collected
-        roots: affine sides contribute their crossings, index chains the
-        crossings of their branch conditions, and each `to_int` of an
-        affine term its steps inside the window.  Anything else clears the
-        flag, and the caller reports unknown instead of trusting a False.
+        The walk goes through the body's connectives, lets and inner
+        quantifiers and hands each relation to `relation_class`, which
+        collects its roots and, through `classify`, those of every ite
+        condition and `to_int` in its sides.  `complete` stays True only
+        while no relation is BAD, that is, while each one keeps its truth
+        value between the collected roots; else the caller reports unknown
+        instead of trusting a False.
         """
         roots: Set[Number] = set()
         complete = True
         grid = (window, roots)
 
-        def side_info(e, lenv, vals, qvars):
-            cls = self.classify(e, v, env, lenv, vals, qvars, grid)
-            if cls[0] == GROUND and _is_num(cls[1]):
-                return (AFFINE, (0, cls[1]))
-            return cls
-
-        def note_atom(node, lenv, vals, qvars):
-            nonlocal complete
-            infos = [side_info(s, lenv, vals, qvars) for s in node[1:]]
-            kinds = {i[0] for i in infos}
-            sloped = any(i[0] == AFFINE and i[1][0] != 0 for i in infos)
-            if BAD in kinds or (sloped and PW in kinds):
-                # a sloped side against a stepping side flips off the
-                # collected roots
-                complete = False
-            elif kinds == {AFFINE}:  # an unknown ground side never yields a root
-                (_, (xa, xb)), (_, (ya, yb)) = infos
-                if xa != ya:
-                    roots.add(_div(yb - xb, xa - ya))
-
         def walk(node, lenv, vals, qvars: Set[str]):
-            if not isinstance(node, list) or not node:
-                return
+            nonlocal complete
+            if type(node) is not list:
+                return  # false
             head = node[0]
             if head in _RELATIONS:
-                note_atom(node, lenv, vals, qvars)
-                for child in node[1:]:
-                    walk(child, lenv, vals, qvars)
-                return
-            if head == "let":
+                if self.relation_class(node, v, env, lenv, vals, qvars, grid) == BAD:
+                    complete = False
+            elif head == "let":
                 [[name, bound]] = node[1]
-                walk(bound, lenv, vals, qvars)
                 cls = self.classify(bound, v, env, lenv, vals, qvars, grid)
                 new_vals = {**vals, name: cls[1]} if cls[0] == GROUND else vals
                 walk(node[2], {**lenv, name: cls}, new_vals, qvars)
-                return
-            if head == "exists":
+            elif head == "exists":
                 names = {b[0] for b in node[1]}
-                if v in names:
-                    return  # our v is shadowed below this point
-                walk(node[2], lenv, vals, qvars | names)
-                return
-            for child in node[1:]:
-                walk(child, lenv, vals, qvars)
+                if v not in names:  # else our v is shadowed below this point
+                    walk(node[2], lenv, vals, qvars | names)
+            else:
+                for child in node[1:]:
+                    walk(child, lenv, vals, qvars)
 
         walk(body, {}, {}, set())
         return roots, complete
 
     def classify(self, e, v, env, lenv, vals, qvars, grid):
-        """Term class for real_roots; see the class constants above.
+        """Term class for relation_class; see the class constants above.
 
         Returns (GROUND, value) | (AFFINE, (a, b)) | (PW,) | (VUNK,) |
         (BAD,).  `vals` carries concrete values for let names
         whose bindings are ground, so ground subterms can be evaluated.
         `grid` is (window of v, roots): a `to_int` of a term affine in v
-        adds the points where it steps inside the window to the roots.
+        adds the points where it steps inside the window to the roots, and
+        an ite condition its own roots through relation_class.
         """
         if _is_num(e):
             return (GROUND, e)
@@ -763,7 +733,7 @@ class _Eval:
                 return (idx[0],)
             return (BAD,)
         if head == "ite":
-            cond = self._bool_class(e[1], v, env, lenv, vals, qvars, grid)
+            cond = self.relation_class(e[1], v, env, lenv, vals, qvars, grid)
             branches = [
                 self.classify(x, v, env, lenv, vals, qvars, grid) for x in e[2:4]
             ]
@@ -789,13 +759,18 @@ class _Eval:
             return self.classify(e[2], v, env, {**lenv, name: cls}, new_vals, qvars, grid)
         return (BAD,)
 
-    def _bool_class(self, e, v, env, lenv, vals, qvars, grid) -> int:
-        """How an ite condition's truth can vary with v.
+    def relation_class(self, e, v, env, lenv, vals, qvars, grid) -> int:
+        """How the truth of relation `e` can vary with v: GROUND, PW, VUNK
+        or BAD.
 
-        The translator's ite conditions are all relations; any other
-        condition is BAD, which makes the caller's answer at most unknown.
+        Two affine sides with different slopes cross once; that point is
+        added to the roots of `grid`, so a sloped relation is PW.  A sloped
+        side against a stepping one flips off the roots and is BAD.  Any
+        other formula, such as an ite condition that is not a relation
+        (the translator writes none), is BAD too, which makes the caller's
+        answer at most unknown.
         """
-        if not (isinstance(e, list) and e[0] in _RELATIONS):
+        if not (type(e) is list and e[0] in _RELATIONS):
             return BAD
         parts = [self.classify(a, v, env, lenv, vals, qvars, grid) for a in e[1:]]
         kinds = {p[0] for p in parts}
@@ -804,12 +779,15 @@ class _Eval:
         if VUNK in kinds or (kinds != {GROUND} and any(
             p[0] == GROUND and not _is_num(p[1]) for p in parts
         )):
-            return VUNK
-        sloped = any(p[0] == AFFINE and p[1][0] != 0 for p in parts)
-        if sloped and PW in kinds:
-            return BAD  # affine against a stepping side
-        # a sloped crossing is collected by the walk
-        return PW if sloped or PW in kinds else GROUND
+            return VUNK  # an unknown side never yields a root
+        if not any(p[0] == AFFINE and p[1][0] != 0 for p in parts):
+            return PW if PW in kinds else GROUND
+        if PW in kinds:
+            return BAD
+        (xa, xb), (ya, yb) = [p[1] if p[0] == AFFINE else (0, p[1]) for p in parts]
+        if xa != ya:
+            grid[1].add(_div(yb - xb, xa - ya))
+        return PW
 
     @staticmethod
     def _floor_class(arg, grid):

@@ -1,6 +1,8 @@
 """Tests for the bundled SMT-LIB evaluator behind tracecheck-solve."""
 
+import collections
 import itertools
+import math
 import operator
 import os
 import re
@@ -11,13 +13,15 @@ from pathlib import Path
 
 import pytest
 
+from genrand import pair
 from tracecheck import shim
 from tracecheck.preprocess import PreprocessConfig, apply_a2
+from tracecheck.semantics import DirectResult, check_direct
 from tracecheck.shim import ShimError, parse_script, run_script
 from tracecheck.smt import FixedRate, VariableRate, translate
-from tracecheck.solver import run_solver
+from tracecheck.solver import Verdict, run_solver
 from tracecheck.syntax import parse
-from tracecheck.trace import MAX_DIGITS, PLAIN_DIGITS, Record, Trace
+from tracecheck.trace import MAX_DIGITS, PLAIN_DIGITS, Fixed, Record, Trace
 
 
 def status(text):
@@ -26,7 +30,7 @@ def status(text):
     return out[0]
 
 
-def settle_script(n):
+def settle_script(n, mode=FixedRate(Fraction(1, 100))):
     """The settle property's script on an n-record 100 Hz trace (unsat)."""
     trace = Trace(
         records=tuple(
@@ -43,7 +47,7 @@ def settle_script(n):
         "(exists τ0 in [0.0, 1.0] such that ((spd @t (τ0 + i2t(σ0))) < 0.5))",
         signature=trace.signals,
     )
-    return translate(trace, prop, mode=FixedRate(Fraction(1, 100))).text
+    return translate(trace, prop, mode=mode).text
 
 
 class TestParsing:
@@ -451,6 +455,85 @@ class TestRealQuantifiers:
             signature=fig_trace.signals,
         )
         assert run_script(translate(fig_trace, f, negate=False).text) == ["unknown"]
+
+    def test_a_breakpoint_only_an_index_map_condition_yields(self):
+        # x is 5 only on [1.1, 1.2): no window end or midpoint of [0, 3]
+        # lands there, only the roots of the index map's ite conditions
+        trace = Trace(
+            records=tuple(
+                Record(Fraction(t), {"x": Fraction(x)})
+                for t, x in (("0", 0), ("1.1", 5), ("1.2", 0), ("3", 0))
+            ),
+            signals=("x",),
+        )
+        f = parse("exists tau0 in [0.0, 3.0] such that (x @t tau0) = 5", signature=("x",))
+        for negate, want in ((False, "sat"), (True, "unsat")):
+            script = translate(trace, f, mode=VariableRate(), negate=negate)
+            assert status(script.text) == want
+        assert check_direct(trace, f) == DirectResult(Verdict.SATISFIED)
+
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            # the inner window must not read a at the outer x's floor (100.0)
+            "(exists ((x Real)) (and (and (<= 5.0 x) (<= x 6.0)) (>= x (select a (to_int x)))))",
+            # nor bound z by the outer x (at most 1.0) where the inner x is meant
+            "(exists ((z Real)) (and (>= z 5.0)"
+            " (exists ((x Real)) (and (and (<= 5.0 x) (<= x 6.0)) (<= z x)))))",
+        ],
+        ids=["own-name", "inner-name"],
+    )
+    def test_an_inner_binder_hides_the_outer_value_of_its_name(self, inner):
+        text = f"""
+        (declare-const a (Array Int Real))
+        (assert (= (select a 0) 100.0)) (assert (= (select a 1) 100.0))
+        (assert (= (select a 5) 1.0)) (assert (= (select a 6) 1.0))
+        (assert (exists ((x Real)) (and (and (<= 0.0 x) (<= x 1.0)) {inner})))
+        (check-sat)
+        """
+        assert status(text) == "sat"
+
+
+@pytest.mark.parametrize("mode", [FixedRate(Fraction(1, 100)), VariableRate()])
+def test_each_checked_node_is_compiled_once(monkeypatch, mode):
+    calls = collections.Counter()
+    uncached = shim._Eval._compile
+
+    def counting(self, e):
+        calls[id(e)] += 1
+        return uncached(self, e)
+
+    monkeypatch.setattr(shim._Eval, "_compile", counting)
+    assert run_script(settle_script(200, mode)) == ["unsat"]
+    assert calls and max(calls.values()) == 1
+
+
+def test_candidate_analysis_agrees_with_a_dense_grid(monkeypatch):
+    # the roots real_roots collects must decide every real quantifier the
+    # way evaluating it at every point that can matter does
+    scripts = []
+    for seed in range(200):
+        trace, f, _ = pair(seed)
+        grid = apply_a2(trace, PreprocessConfig())  # on the grid of the raw times
+        for t in [trace] if grid is trace else [trace, grid]:
+            modes = [VariableRate()] + ([FixedRate(t.rate.sr)] if isinstance(t.rate, Fixed) else [])
+            scripts += [
+                translate(t, f, mode=mode, negate=negate).text
+                for mode in modes for negate in (True, False)
+            ]
+    analysed = [run_script(text) for text in scripts]
+
+    def grid_candidates(self, v, body, env, window):
+        # every multiple of 1/40 in the window, and its ends: exhaustive,
+        # since each point where a genrand atom can flip is a multiple of
+        # 1/10 (a timestamp, a grid time or a bound)
+        lo, hi = window.lo, window.hi
+        assert lo is not None and hi is not None, "genrand bounds every time quantifier"
+        ticks = range(math.ceil(lo * 40), math.floor(hi * 40) + 1)
+        return sorted({lo, hi, *(Fraction(k, 40) for k in ticks)}), True
+
+    monkeypatch.setattr(shim._Eval, "_real_candidates", grid_candidates)
+    assert [run_script(text) for text in scripts] == analysed
 
 
 class TestCommands:
