@@ -415,26 +415,8 @@ class DirectResult:
     reason: str = ""
 
 
-def fragment_gap(f: Formula) -> Optional[str]:
-    """Why this route cannot evaluate f, or None if it can try."""
-    if isinstance(f, (Exists, Forall)):
-        if f.interval is None:
-            return f"unbounded real quantifier over {f.var!r}"
-        return fragment_gap(f.body)
-    if isinstance(f, Not):
-        return fragment_gap(f.sub)
-    if isinstance(f, (And, Or, Implies)):
-        return fragment_gap(f.left) or fragment_gap(f.right)
-    return None
-
-
 def check_direct(trace: Trace, f: Formula) -> DirectResult:
     """Decide a property by direct evaluation where the fragment allows."""
-    gap = fragment_gap(f)
-    if gap is not None:
-        return DirectResult(
-            Verdict.INCONCLUSIVE, f"outside the direct-evaluation fragment: {gap}"
-        )
     try:
         result = _ev(trace, f, {})
     except OutsideFragment as exc:

@@ -14,34 +14,36 @@ This is an evaluator, not a general solver: it assumes the interesting
 structure lives in the quantifiers while the arrays are pinned cell by cell
 by equality assertions, which is exactly the shape of the scripts this
 package emits.  It reads the SMT-LIB fragment `smt.translate` emits
-(tests/test_smt.py checks that the translator stays inside it), at exactly
-the translator's arities:
+(tests/test_smt.py checks that the translator stays inside it and uses all
+of it), at exactly the translator's arities:
 
 * commands `(set-logic AUFLIRA)`, `declare-const NAME (Array Int Real)`,
   `assert`, `check-sat` and `get-model`;
 * terms: numerals, names bound by `let` or `exists`, binary `+ - * /`,
-  unary `-`, `to_real`, `to_int` (the floor), `select` from a declared
-  array with a numeric index, `ite` with a formula condition, and `let`
-  with one binding (around a term or a formula);
+  unary `-`, `to_int` (the floor), `select` from a declared array with a
+  numeric index, `ite` with a formula condition, and `let` with one
+  binding around a term;
 * formulas: `false`, `< <= = >= >` on two terms, `not`, binary `and` and
-  `or`, and `exists` over `Int` or `Real` binders.
+  `or`, and `exists` over one `Int` or `Real` binder;
+* pins, one per line: `(assert (= (select arr j) lit))` with a numeral
+  index and `lit` in one of the four shapes `smt.smt_real` writes, `n`,
+  `(- n)`, `(/ p q)` and `(- (/ p q))`.
 
 Each assertion is checked against that fragment when the script is read,
-before anything is evaluated (`check_form`), except the array pins, whose
-shape `try_pin`, or for a pin line the regex that reads it, already fixes.
-Anything else (another command, sort or operator, another arity, a symbol
-nothing binds, or a term where a formula is expected or the other way
-round) is a `ShimError`, even where evaluation would never reach it: exit
-code 1, a message on stderr and nothing on stdout, so the solver status is
-`error` and the verdict `inconclusive`.  Within the fragment it is exact:
+before anything is evaluated (`check_form`), except the pin lines, whose
+shape the regex that reads them already fixes.  Anything else (another
+command, sort or operator, another arity, a symbol nothing binds, or a term
+where a formula is expected or the other way round) is a `ShimError`, even
+where evaluation would never reach it: exit code 1, a message on stderr and
+nothing on stdout, so the solver status is `error` and the verdict
+`inconclusive`.  Within the fragment it is exact:
 
 * every numeral is parsed once, when the script is read, into an exact
   rational: an `int` leaf when it is integral, else a `Fraction`; a
   division makes a `Fraction`, never a float;
-* assertions of the form (= (select arr j) literal) become bindings;
-  contradictory bindings are unsat.  A line holding nothing but such a pin
-  with a numeral value, as the translator writes each trace cell, is read
-  by one regex and skips the tokenizer;
+* each pin line binds its cell and skips the tokenizer; contradictory
+  pins are unsat.  A pin-shaped assertion anywhere else, or one dividing
+  by zero, is an ordinary assertion;
 * each checked node, at any depth, is compiled once per script into a
   closure env -> value, so evaluation never dispatches on a head string
   again;
@@ -97,9 +99,12 @@ class ShimError(Exception):
 _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
 _NUMERAL = r"[0-9]+(?:\.[0-9]+)?"  # SMT-LIB numerals are ASCII digits
 _NUMERAL_RE = re.compile(_NUMERAL)
+_LITERAL = (  # the four shapes of smt.smt_real: n, (- n), (/ p q), (- (/ p q))
+    rf"{_NUMERAL}|\(- {_NUMERAL}\)|\(/ {_NUMERAL} {_NUMERAL}\)|\(- \(/ {_NUMERAL} {_NUMERAL}\)\)"
+)
 # A pin line as smt.translate writes it; the array group cannot be a numeral.
 _PIN_RE = re.compile(
-    rf"\s*\(assert \(= \(select ([^\s()0-9][^\s()]*) ([0-9]+)\) ({_NUMERAL})\)\)\s*"
+    rf"\s*\(assert \(= \(select ([^\s()0-9][^\s()]*) ([0-9]+)\) ({_LITERAL})\)\)\s*"
 )
 
 Number = Union[int, Fraction]  # an exact rational; integral ones are `int`
@@ -143,6 +148,14 @@ def _tokenize(text: str, stack: List[list], atoms: _Atoms) -> None:
             top.append(atoms[tok])
 
 
+def _compound_literal(lit: str, atoms: _Atoms) -> Optional[Number]:
+    """The value of a parenthesised `_LITERAL`: (- n), (/ p q) or
+    (- (/ p q)); None, an unknown, for a zero divisor."""
+    num, _, den = lit.strip("(-/ )").partition(" ")
+    value = _div(atoms[num], atoms[den]) if den else atoms[num]
+    return -value if value is not None and lit[1] == "-" else value
+
+
 def parse_script(text: str) -> List[Union[list, Pin]]:
     """The script's top-level forms: S-expressions as nested lists with
     `int` and `Fraction` numerals, except that a pin line at paren depth 0
@@ -157,25 +170,22 @@ def parse_script(text: str) -> List[Union[list, Pin]]:
         if cut >= 0:
             line = line[:cut]
         pin = _PIN_RE.fullmatch(line) if depth == 0 else None
-        if pin is None:
+        value = None
+        if pin is not None:
+            array, index, lit = pin.groups()
+            value = atoms[lit] if lit[0] != "(" else _compound_literal(lit, atoms)
+        if value is None:  # no pin line, or one dividing by zero
             pending.append(line)
             depth += line.count("(") - line.count(")")
             continue
         if pending:
             _tokenize("\n".join(pending), stack, atoms)
             pending = []
-        array, index, value = pin.groups()
-        forms.append((array, atoms[index], atoms[value]))
+        forms.append((array, atoms[index], value))
     _tokenize("\n".join(pending), stack, atoms)
     if len(stack) != 1:
         raise ShimError("unbalanced '('")
     return forms
-
-
-def pin_form(pin: Pin) -> list:
-    """The `assert` form a pin line reads as."""
-    array, index, value = pin
-    return ["assert", ["=", ["select", array, index], value]]
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +211,11 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div}
 
 
 def _arith(op: str, args: List[Value]) -> Value:
-    """`op` (an _ARITH key or to_real) on its one or two numbers; None when
-    an operand is unknown or a divisor is zero."""
+    """`op` (an _ARITH key, or unary minus) on its one or two numbers; None
+    when an operand is unknown or a divisor is zero."""
     a = args[0]
-    if len(args) == 1:  # unary minus or to_real
-        return -a if op == "-" and a is not None else a
+    if len(args) == 1:
+        return None if a is None else -a
     b = args[1]
     return None if a is None or b is None else _ARITH[op](a, b)
 
@@ -228,7 +238,6 @@ NUM, BOOL = "number", "formula"  # the two sorts: Int and Real are both numbers
 FRAGMENT_OPS = {
     **{(op, 2): (NUM, (NUM, NUM)) for op in _ARITH},
     ("-", 1): (NUM, (NUM,)),
-    ("to_real", 1): (NUM, (NUM,)),
     ("to_int", 1): (NUM, (NUM,)),
     ("ite", 3): (NUM, (BOOL, NUM, NUM)),
     **{(rel, 2): (BOOL, (NUM, NUM)) for rel in _RELATIONS},
@@ -245,13 +254,13 @@ def _brief(node) -> str:
     return str(node)
 
 
-def _bindings(node, sorts=None) -> bool:
-    """Whether `node` is a non-empty list of (name x) pairs, each x one of
-    `sorts` when given."""
-    return type(node) is list and node != [] and all(
-        type(b) is list and len(b) == 2 and type(b[0]) is str and (sorts is None or b[1] in sorts)
-        for b in node
-    )
+def _binding(node, sorts=None) -> bool:
+    """Whether `node` is a list of one (name x) pair, x one of `sorts` when
+    given."""
+    if type(node) is not list or len(node) != 1:
+        return False
+    b = node[0]
+    return type(b) is list and len(b) == 2 and type(b[0]) is str and (sorts is None or b[1] in sorts)
 
 
 def check_form(form, arrays: Set[str]) -> None:
@@ -294,13 +303,14 @@ def check_form(form, arrays: Set[str]) -> None:
                     raise ShimError(f"select from {_brief(arr)}, which is not a declared array")
                 sort = NUM
                 stack.append((args[1], NUM, scope))
-            elif head == "let" and len(args) == 2 and _bindings(args[0]) and len(args[0]) == 1:
+            elif head == "let" and len(args) == 2 and _binding(args[0]):
                 [[name, bound]], body = args
-                sort = want
-                stack += [(bound, NUM, scope), (body, want, scope | {name})]
-            elif head == "exists" and len(args) == 2 and _bindings(args[0], ("Int", "Real")):
+                sort = NUM
+                stack += [(bound, NUM, scope), (body, NUM, scope | {name})]
+            elif head == "exists" and len(args) == 2 and _binding(args[0], ("Int", "Real")):
+                [[name, _]], body = args
                 sort = BOOL
-                stack.append((args[1], BOOL, scope | {b[0] for b in args[0]}))
+                stack.append((body, BOOL, scope | {name}))
             else:
                 raise ShimError(f"unsupported operator {head!r} with {len(args)} arguments")
         if sort != want:
@@ -361,20 +371,6 @@ class _Iv:
 GROUND, AFFINE, PW, VUNK, BAD = range(5)
 
 
-def literal_value(e) -> Optional[Number]:
-    """The value of a literal as `smt.smt_real` writes it: n, (- n),
-    (/ p q) or (- (/ p q)) with numerals n, p and q != 0; else None."""
-    negative = type(e) is list and len(e) == 2 and e[0] == "-"
-    if negative:
-        e = e[1]
-    if type(e) is list and len(e) == 3 and e[0] == "/" and _is_num(e[1]) and _is_num(e[2]) \
-            and e[2] != 0:
-        e = _div(e[1], e[2])
-    if not _is_num(e):
-        return None
-    return -e if negative else e
-
-
 class _Eval:
     """One script's state: declared arrays, pins, and the evaluator."""
 
@@ -385,25 +381,6 @@ class _Eval:
         self.compiled: Dict[int, tuple] = {}  # id(node) -> (node, closure)
 
     # --- pins ---
-
-    def try_pin(self, e) -> bool:
-        """Record the (= (select arr j) lit) shape, either side first, as a binding."""
-        if not (isinstance(e, list) and len(e) == 3 and e[0] == "="):
-            return False
-        for lhs, rhs in ((e[1], e[2]), (e[2], e[1])):
-            value = literal_value(rhs)
-            if (
-                value is not None
-                and isinstance(lhs, list)
-                and len(lhs) == 3
-                and lhs[0] == "select"
-                and isinstance(lhs[1], str)
-                and lhs[1] in self.arrays
-                and type(lhs[2]) is int
-            ):
-                self.pin(lhs[1], lhs[2], value)
-                return True
-        return False
 
     def pin(self, array: str, index: int, value: Number) -> None:
         """Bind one array cell; a second, different value is a conflict."""
@@ -437,10 +414,7 @@ class _Eval:
     _UNARY = {"-": operator.neg, "not": operator.not_, "to_int": math.floor}
 
     def _unary(self, e):
-        a = self.compile(e[1])
-        if e[0] == "to_real":
-            return a
-        op = self._UNARY[e[0]]
+        a, op = self.compile(e[1]), self._UNARY[e[0]]
 
         def unary(env):
             x = a(env)
@@ -488,17 +462,14 @@ class _Eval:
         return lambda env: pins.get((array, index(env)))
 
     def _exists(self, e):
-        binders, body = e[1], e[2]
-        if len(binders) > 1:
-            body = ["exists", binders[1:], body]  # the closure keeps it alive
-        v, sort = binders[0]
+        [[v, sort]], body = e[1], e[2]
         run = self.compile(body)
         return lambda env: self.ev_exists(v, sort, body, run, env)
 
     # (head, argument count) -> compiler, the shapes FRAGMENT_OPS admits
     COMPILERS = {
         **dict.fromkeys([(op, 2) for op in [*_ARITH, *_RELATIONS]], _binary),
-        **dict.fromkeys([("-", 1), ("to_real", 1), ("to_int", 1), ("not", 1)], _unary),
+        **dict.fromkeys([("-", 1), ("to_int", 1), ("not", 1)], _unary),
         ("and", 2): _and_or, ("or", 2): _and_or, ("ite", 3): _ite,
         ("let", 2): _let, ("select", 2): _select, ("exists", 2): _exists,
     }
@@ -573,16 +544,14 @@ class _Eval:
             return out
         if head in _RELATIONS:
             return self._atom_bounds(head, e[1], e[2], v, env, positive)
-        if head == "exists":
-            # sound under either polarity: truth (or falsity) of the block
-            # at some v still needs the body's pure-v atoms to hold, and
-            # atoms touching the inner binders, masked as unknown like v
-            # (hiding any outer binding of their names), give no constraint
-            names = [b[0] for b in e[1]]
-            if v in names:
-                return _Iv.full()
-            return self.bounds(e[2], v, {**env, **dict.fromkeys(names)}, positive)
-        return _Iv.full()  # a let
+        # exists: sound under either polarity: truth (or falsity) of the
+        # block at some v still needs the body's pure-v atoms to hold, and
+        # atoms touching the inner binder, masked as unknown like v (hiding
+        # any outer binding of its name), give no constraint
+        [[name, _]] = e[1]
+        if name == v:
+            return _Iv.full()
+        return self.bounds(e[2], v, {**env, name: None}, positive)
 
     def _atom_bounds(self, op, lhs, rhs, v, env, positive) -> _Iv:
         la = self.affine(lhs, v, env, {})
@@ -621,7 +590,7 @@ class _Eval:
                 return (0, val) if _is_num(val) else None
             return None
         head = e[0]
-        if head in ("+", "-", "*", "/", "to_real"):
+        if head in _ARITH:
             parts = [self.affine(a, v, env, lenv) for a in e[1:]]
             if any(p is None for p in parts):
                 return None
@@ -642,10 +611,10 @@ class _Eval:
     ) -> Tuple[Set[Number], bool]:
         """Points where some comparison's truth can flip, with completeness.
 
-        The walk goes through the body's connectives, lets and inner
-        quantifiers and hands each relation to `relation_class`, which
-        collects its roots and, through `classify`, those of every ite
-        condition and `to_int` in its sides.  `complete` stays True only
+        The walk goes through the body's connectives and inner quantifiers
+        and hands each relation to `relation_class`, which collects its
+        roots and, through `classify`, those of every ite condition and
+        `to_int` in its sides.  `complete` stays True only
         while no relation is BAD, that is, while each one keeps its truth
         value between the collected roots; else the caller reports unknown
         instead of trusting a False.
@@ -654,36 +623,31 @@ class _Eval:
         complete = True
         grid = (window, roots)
 
-        def walk(node, lenv, vals, qvars: Set[str]):
+        def walk(node, qvars: Set[str]):
             nonlocal complete
             if type(node) is not list:
                 return  # false
             head = node[0]
             if head in _RELATIONS:
-                if self.relation_class(node, v, env, lenv, vals, qvars, grid) == BAD:
+                if self.relation_class(node, v, env, {}, qvars, grid) == BAD:
                     complete = False
-            elif head == "let":
-                [[name, bound]] = node[1]
-                cls = self.classify(bound, v, env, lenv, vals, qvars, grid)
-                new_vals = {**vals, name: cls[1]} if cls[0] == GROUND else vals
-                walk(node[2], {**lenv, name: cls}, new_vals, qvars)
             elif head == "exists":
-                names = {b[0] for b in node[1]}
-                if v not in names:  # else our v is shadowed below this point
-                    walk(node[2], lenv, vals, qvars | names)
+                [[name, _]] = node[1]
+                if name != v:  # else our v is shadowed below this point
+                    walk(node[2], qvars | {name})
             else:
                 for child in node[1:]:
-                    walk(child, lenv, vals, qvars)
+                    walk(child, qvars)
 
-        walk(body, {}, {}, set())
+        walk(body, set())
         return roots, complete
 
-    def classify(self, e, v, env, lenv, vals, qvars, grid):
+    def classify(self, e, v, env, lenv, qvars, grid):
         """Term class for relation_class; see the class constants above.
 
         Returns (GROUND, value) | (AFFINE, (a, b)) | (PW,) | (VUNK,) |
-        (BAD,).  `vals` carries concrete values for let names
-        whose bindings are ground, so ground subterms can be evaluated.
+        (BAD,).  `lenv` holds the classes of the let names in scope; a
+        ground subterm is evaluated with the values of the ground ones.
         `grid` is (window of v, roots): a `to_int` of a term affine in v
         adds the points where it steps inside the window to the roots, and
         an ite condition its own roots through relation_class.
@@ -701,10 +665,8 @@ class _Eval:
                 return (GROUND, env[e])
             return (BAD,)
         head = e[0]
-        if head in ("+", "-", "*", "/", "to_real"):
-            parts = [
-                self.classify(a, v, env, lenv, vals, qvars, grid) for a in e[1:]
-            ]
+        if head in _ARITH:
+            parts = [self.classify(a, v, env, lenv, qvars, grid) for a in e[1:]]
             kinds = {p[0] for p in parts}
             if BAD in kinds:
                 return (BAD,)
@@ -724,24 +686,22 @@ class _Eval:
                 return (AFFINE, pair) if pair is not None else (BAD,)
             return (VUNK,) if VUNK in kinds else (PW,)
         if head == "to_int":
-            return self._floor_class(self.classify(e[1], v, env, lenv, vals, qvars, grid), grid)
+            return self._floor_class(self.classify(e[1], v, env, lenv, qvars, grid), grid)
         if head == "select":
-            idx = self.classify(e[2], v, env, lenv, vals, qvars, grid)
+            idx = self.classify(e[2], v, env, lenv, qvars, grid)
             if idx[0] == GROUND:
-                return (GROUND, self.ev(e, {**env, **vals}))
+                return (GROUND, self.ev(e, self._ground_env(env, lenv)))
             if idx[0] in (PW, VUNK):
                 return (idx[0],)
             return (BAD,)
         if head == "ite":
-            cond = self.relation_class(e[1], v, env, lenv, vals, qvars, grid)
-            branches = [
-                self.classify(x, v, env, lenv, vals, qvars, grid) for x in e[2:4]
-            ]
+            cond = self.relation_class(e[1], v, env, lenv, qvars, grid)
+            branches = [self.classify(x, v, env, lenv, qvars, grid) for x in e[2:4]]
             kinds = {b[0] for b in branches}
             if BAD in kinds or cond == BAD:
                 return (BAD,)
             if cond == GROUND:
-                picked = self.ev(e[1], {**env, **vals})
+                picked = self.ev(e[1], self._ground_env(env, lenv))
                 if picked is True:
                     return branches[0]
                 if picked is False:
@@ -754,12 +714,11 @@ class _Eval:
             return (PW,)  # a PW condition and GROUND or PW branches
         if head == "let":
             [[name, bound]] = e[1]
-            cls = self.classify(bound, v, env, lenv, vals, qvars, grid)
-            new_vals = {**vals, name: cls[1]} if cls[0] == GROUND else vals
-            return self.classify(e[2], v, env, {**lenv, name: cls}, new_vals, qvars, grid)
+            cls = self.classify(bound, v, env, lenv, qvars, grid)
+            return self.classify(e[2], v, env, {**lenv, name: cls}, qvars, grid)
         return (BAD,)
 
-    def relation_class(self, e, v, env, lenv, vals, qvars, grid) -> int:
+    def relation_class(self, e, v, env, lenv, qvars, grid) -> int:
         """How the truth of relation `e` can vary with v: GROUND, PW, VUNK
         or BAD.
 
@@ -772,7 +731,7 @@ class _Eval:
         """
         if not (type(e) is list and e[0] in _RELATIONS):
             return BAD
-        parts = [self.classify(a, v, env, lenv, vals, qvars, grid) for a in e[1:]]
+        parts = [self.classify(a, v, env, lenv, qvars, grid) for a in e[1:]]
         kinds = {p[0] for p in parts}
         if BAD in kinds:
             return BAD
@@ -788,6 +747,11 @@ class _Eval:
         if xa != ya:
             grid[1].add(_div(yb - xb, xa - ya))
         return PW
+
+    @staticmethod
+    def _ground_env(env, lenv):
+        """`env` and the values of the let names in `lenv` that are GROUND."""
+        return {**env, **{name: c[1] for name, c in lenv.items() if c[0] == GROUND}}
 
     @staticmethod
     def _floor_class(arg, grid):
@@ -811,9 +775,9 @@ class _Eval:
     @staticmethod
     def _affine_op(head, pairs):
         """`head` on affine (a, b) pairs; None when the result is not affine."""
-        if len(pairs) == 1:  # unary minus or to_real
+        if len(pairs) == 1:  # unary minus
             a, b = pairs[0]
-            return (-a, -b) if head == "-" else (a, b)
+            return (-a, -b)
         (a, b), (pa, pb) = pairs
         if head == "+":
             return (a + pa, b + pb)
@@ -835,11 +799,9 @@ def run_script(text: str) -> List[str]:
     last_status: Optional[str] = None
     for form in parse_script(text):
         if type(form) is tuple:
-            if form[0] in state.arrays:
-                state.pin(*form)
-                continue
-            form = pin_form(form)  # undeclared: the check below says so
-        if type(form) is list and len(form) == 2 and form[0] == "assert" and state.try_pin(form[1]):
+            if form[0] not in state.arrays:
+                raise ShimError(f"select from {form[0]}, which is not a declared array")
+            state.pin(*form)
             continue
         check_form(form, state.arrays)
         head = form[0]

@@ -18,7 +18,7 @@ when t0 = 0.
 
 The trace is pinned cell by cell, one equality assertion per assigned value.
 A signal's literal is rendered again only when its value changes from the
-previous record's, as is the CSV text behind the header's trace digest.
+previous record's.
 
 Index-typed accesses are clamped into [0, m] instead of guarded: a total
 function keeps the encoding in the decidable fragment, and out-of-range
@@ -49,7 +49,7 @@ from .syntax import (
     Var,
     desugar,
 )
-from .trace import Fixed, Trace, format_rational, held_renderer, trace_digest
+from .trace import Fixed, Trace, format_rational, held_renderer
 
 from . import __version__
 
@@ -215,7 +215,7 @@ def _iota_tree(x: str, ctx: _Tx) -> str:
         raise ExpansionCapError(
             f"the variable-rate index map needs {ctx.iota_ites} ite nodes, "
             f"over the cap of {ctx.cap}; resample the trace to a fixed-rate "
-            "grid (strategy A2) or raise the cap"
+            "grid (strategy A2)"
         )
 
     def tree(lo: int, hi: int) -> str:  # last j with ts[j] <= x, clamped to [lo, hi]
@@ -347,7 +347,7 @@ def translate(
     lines.append(f"; tracecheck {__version__}")
     lines.append(f"; iota mode: {mode.describe()}")
     lines.append(
-        f"; trace: digest={trace_digest(trace)} records={len(trace)} "
+        f"; trace: records={len(trace)} "
         f"span=[{format_rational(trace.t0)}, {format_rational(trace.tm)}]"
     )
     for signal in sorted(arrays):

@@ -17,7 +17,6 @@ both keep one cell per column, so memory does not grow with the trace.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import re
 from bisect import bisect_right
@@ -244,15 +243,13 @@ def value_at(trace: Trace, signal: str, j: int) -> Fraction:
 # CSV interchange
 # ---------------------------------------------------------------------------
 
-def load_trace(source: Union[str, bytes, IO], format: str = "csv") -> Trace:
+def load_trace(source: Union[str, bytes, IO]) -> Trace:
     """Load a trace from CSV text, bytes, or a file object.
 
     Layout: first column `timestamp` (decimal seconds), an optional `index`
     column that must equal the row position, and one column per signal.
     Empty cells are unassigned.
     """
-    if format != "csv":
-        raise TraceFormatError(f"unsupported trace format {format!r}")
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     if isinstance(source, str):
@@ -354,8 +351,3 @@ def serialize_trace(trace: Trace) -> str:
             row.append(render(rec.values[s]) if s in rec.values else "")
         writer.writerow(row)
     return out.getvalue()
-
-
-def trace_digest(trace: Trace) -> str:
-    """Stable short digest of the numeric content, for script headers."""
-    return hashlib.sha256(serialize_trace(trace).encode("utf-8")).hexdigest()[:12]

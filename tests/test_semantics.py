@@ -277,6 +277,16 @@ class TestConnectives:
             assert "index 7" in want.reason
 
     @pytest.mark.parametrize(
+        "right",
+        [
+            "(exists τ0 in [0.0, 1.0] such that exists τ1 in [0.0, 1.0] "
+            "such that (ang-rate @t (τ0 + τ1)) < 99)",
+            # an interval-less quantifier is refused only when it is reached
+            "(exists r such that (ang-rate @i 0) < r)",
+        ],
+        ids=["stacked-conversions", "interval-less"],
+    )
+    @pytest.mark.parametrize(
         "left, op, verdict",
         [
             ("(ang-rate @i 0) > 100", "and", Verdict.VIOLATED),
@@ -285,12 +295,8 @@ class TestConnectives:
         ],
     )
     def test_decisive_left_skips_a_right_side_outside_the_fragment(
-        self, fig_trace, tmp_path, left, op, verdict
+        self, fig_trace, tmp_path, left, op, verdict, right
     ):
-        right = (
-            "(exists τ0 in [0.0, 1.0] such that exists τ1 in [0.0, 1.0] "
-            "such that (ang-rate @t (τ0 + τ1)) < 99)"
-        )
         f = parse_fig(f"{left} {op} {right}")
         assert check_direct(fig_trace, f) == DirectResult(verdict)
         script = tmp_path / "q.smt2"

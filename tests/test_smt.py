@@ -1,5 +1,6 @@
 """Script generation: encodings, folding, determinism, the expansion cap."""
 
+import functools
 import re
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from genrand import pair
 
 from tracecheck.preprocess import PreprocessConfig, apply_a2
 from tracecheck.semantics import check_direct
-from tracecheck.shim import check_form, parse_script, pin_form, run_script
+from tracecheck.shim import _PIN_RE, FRAGMENT_OPS, check_form, parse_script, run_script
 from tracecheck.smt import (
     DEFAULT_EXPANSION_CAP,
     ExpansionCapError,
@@ -384,11 +385,14 @@ class TestExpansionCap:
 
 
 def check_fragment(text):
-    """The shim's fragment check on every form of a script, pins included:
-    a pin line is checked as the `assert` form it reads as."""
+    """The shim's fragment check on every form of a script; a pin line,
+    whose shape the regex that reads it fixes, must name a declared array."""
     arrays = set()
     for form in parse_script(text):
-        check_form(pin_form(form) if type(form) is tuple else form, arrays)
+        if type(form) is tuple:
+            assert form[0] in arrays, form
+        else:
+            check_form(form, arrays)
 
 
 class TestShimFragment:
@@ -404,11 +408,33 @@ class TestShimFragment:
             for negate in (True, False):
                 yield translate(trace, f, mode=mode, negate=negate).text
 
+    @classmethod
+    @functools.cache
+    def genrand_scripts(cls):
+        return [text for seed in range(100) for text in cls.scripts(*pair(seed)[:2])]
+
     def test_genrand_seeds(self):
-        for seed in range(100):
-            trace, f, _ = pair(seed)
-            for text in self.scripts(trace, f):
-                check_fragment(text)
+        for text in self.genrand_scripts():
+            check_fragment(text)
+
+    def test_every_pin_line_takes_the_pin_reader(self):
+        # the trace is pinned by every assertion before the property's
+        for text in self.genrand_scripts():
+            pins = [line for line in text.splitlines() if line.startswith("(assert ")][:-1]
+            assert pins
+            for line in pins:
+                assert _PIN_RE.fullmatch(line), line
+
+    def test_the_fragment_has_no_unused_operator(self):
+        seen = set()
+        for text in self.genrand_scripts():
+            stack = [form for form in parse_script(text) if type(form) is list]
+            while stack:
+                node = stack.pop()
+                if node and type(node[0]) is str:
+                    seen.add((node[0], len(node) - 1))
+                stack += [x for x in node if type(x) is list]
+        assert set(FRAGMENT_OPS) | {("select", 2), ("let", 2), ("exists", 2)} <= seen
 
     def test_r1_and_the_settle_shape(self, fig_trace, grid_trace):
         for trace in (fig_trace, grid_trace):
