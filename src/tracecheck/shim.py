@@ -47,13 +47,14 @@ nothing on stdout, so the solver status is `error` and the verdict
 * each checked node, at any depth, is compiled once per script into a
   closure env -> value, so evaluation never dispatches on a head string
   again;
-* a quantifier's window is the interval bounds extracted from its body
-  with polarity tracking, the variable itself and any inner binder
-  unknown.  Strong Kleene logic is monotone, so a subterm whose value
-  comes out known anyway has that value for every value of those names;
+* a quantifier's window is the guard the translator writes first in its
+  body, `(and (and (<=|< lo v) (<=|< v hi)) ...)`, its ends evaluated
+  with the variable unknown.  Outside the guard the body is false, so the
+  window loses no witness.  Without that guard, or for an end that is not
+  a number, that side of the window is unbounded;
 * integer quantifiers are decided by finite enumeration of the window;
 * real quantifiers are decided by evaluating finitely many candidates:
-  the window bounds, every point where some comparison affine in the
+  the window's ends, every point where some comparison affine in the
   variable can flip, every point where a `to_int` of a term affine in the
   variable steps, and a midpoint inside each gap.  That set is exhaustive
   because between consecutive candidates every comparison keeps a constant
@@ -76,7 +77,6 @@ import os
 import re
 import signal
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -109,6 +109,7 @@ _PIN_RE = re.compile(
 
 Number = Union[int, Fraction]  # an exact rational; integral ones are `int`
 Pin = Tuple[str, int, Number]  # (array, index, value) of a pin line
+Window = Tuple[Optional[Number], Optional[Number]]  # a quantifier's (lo, hi); None is no bound
 
 
 class _Atoms(dict):
@@ -223,7 +224,6 @@ def _arith(op: str, args: List[Value]) -> Value:
 _RELATIONS = {
     "<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge, ">": operator.gt,
 }
-_FLIP = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}  # the relation, sides swapped
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +303,15 @@ def check_form(form, arrays: Set[str]) -> None:
                     raise ShimError(f"select from {_brief(arr)}, which is not a declared array")
                 sort = NUM
                 stack.append((args[1], NUM, scope))
-            elif head == "let" and len(args) == 2 and _binding(args[0]):
+            elif head == "let" and len(args) == 2:
+                if not _binding(args[0]):
+                    raise ShimError("let takes one (name term) binding")
                 [[name, bound]], body = args
                 sort = NUM
                 stack += [(bound, NUM, scope), (body, NUM, scope | {name})]
-            elif head == "exists" and len(args) == 2 and _binding(args[0], ("Int", "Real")):
+            elif head == "exists" and len(args) == 2:
+                if not _binding(args[0], ("Int", "Real")):
+                    raise ShimError("exists takes one (name Int|Real) binder")
                 [[name, _]], body = args
                 sort = BOOL
                 stack.append((body, BOOL, scope | {name}))
@@ -318,46 +322,18 @@ def check_form(form, arrays: Set[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Intervals for quantifier bound extraction
+# Quantifiers: the translator's guard, and the real-quantifier analysis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Iv:
-    """Interval with optional infinite ends; a None bound means unbounded."""
-
-    lo: Optional[Number]
-    hi: Optional[Number]
-    empty: bool = False
-
-    @staticmethod
-    def full() -> "_Iv":
-        return _Iv(None, None)
-
-    @staticmethod
-    def none() -> "_Iv":
-        return _Iv(None, None, empty=True)
-
-    def intersect(self, other: "_Iv") -> "_Iv":
-        if self.empty or other.empty:
-            return _Iv.none()
-        lo = self.lo if other.lo is None else (
-            other.lo if self.lo is None else max(self.lo, other.lo)
-        )
-        hi = self.hi if other.hi is None else (
-            other.hi if self.hi is None else min(self.hi, other.hi)
-        )
-        if lo is not None and hi is not None and lo > hi:
-            return _Iv.none()
-        return _Iv(lo, hi)
-
-    def hull(self, other: "_Iv") -> "_Iv":
-        if self.empty:
-            return other
-        if other.empty:
-            return self
-        lo = None if (self.lo is None or other.lo is None) else min(self.lo, other.lo)
-        hi = None if (self.hi is None or other.hi is None) else max(self.hi, other.hi)
-        return _Iv(lo, hi)
+def _guard_ends(v: str, body) -> Optional[Tuple[object, object]]:
+    """The ends (lo, hi) of the guard `smt.translate` writes first in an
+    exists body, `(and (and (<=|< lo v) (<=|< v hi)) rest)`; None when
+    `body` has another shape."""
+    match body:
+        case ["and", ["and", [("<" | "<="), lo, low_v], [("<" | "<="), high_v, hi]], _] \
+                if low_v == v == high_v:
+            return lo, hi
+    return None
 
 
 # Term classes for the real-quantifier completeness analysis.  A term is
@@ -463,8 +439,9 @@ class _Eval:
 
     def _exists(self, e):
         [[v, sort]], body = e[1], e[2]
-        run = self.compile(body)
-        return lambda env: self.ev_exists(v, sort, body, run, env)
+        run, guard = self.compile(body), _guard_ends(v, body)
+        ends = None if guard is None else [self.compile(end) for end in guard]
+        return lambda env: self.ev_exists(v, sort, body, run, ends, env)
 
     # (head, argument count) -> compiler, the shapes FRAGMENT_OPS admits
     COMPILERS = {
@@ -476,26 +453,31 @@ class _Eval:
 
     # --- quantifiers ---
 
-    def ev_exists(self, v: str, sort: str, body, run, env) -> Value:
-        """Whether `body` (compiled: `run`) holds for some `v` of `sort`."""
-        # v masked as unknown: the window is the same for every v, and an
-        # outer binding of the same name is hidden
-        window = self.bounds(body, v, {**env, v: None}, positive=True)
-        if window.empty:
-            return False
+    def ev_exists(self, v: str, sort: str, body, run, ends, env) -> Value:
+        """Whether `body` (compiled: `run`) holds for some `v` of `sort`
+        inside the window its guard's compiled `ends` give (None: no
+        guard).  Outside the guard the body is false, so no witness is
+        lost; an end that is not a number is no bound."""
+        # v masked as unknown: the ends are the same for every v, and an
+        # outer binding of the same name is hidden; one copy, rebound per
+        # candidate
+        env = {**env, v: None}
+        lo = hi = None
+        if ends is not None:
+            lo, hi = (x if _is_num(x) else None for x in (end(env) for end in ends))
+            if lo is not None and hi is not None and lo > hi:
+                return False
         complete = True
         if sort == "Int":
-            if window.lo is None or window.hi is None:
+            if lo is None or hi is None:
                 return None
-            lo = -(-window.lo.numerator // window.lo.denominator)  # ceil
-            hi = window.hi.numerator // window.hi.denominator  # floor
+            lo, hi = math.ceil(lo), math.floor(hi)
             if hi - lo > INT_ENUM_CAP:
                 return None
             candidates = range(lo, hi + 1)
         else:
-            candidates, complete = self._real_candidates(v, body, env, window)
+            candidates, complete = self._real_candidates(v, body, env, (lo, hi))
         out: Optional[bool] = False
-        env = dict(env)  # one copy, rebound per candidate
         for c in candidates:
             env[v] = c
             r = run(env)
@@ -505,11 +487,11 @@ class _Eval:
                 out = None
         return out if complete else None
 
-    def _real_candidates(self, v, body, env, window: _Iv) -> Tuple[List[Number], bool]:
+    def _real_candidates(self, v, body, env, window: Window) -> Tuple[List[Number], bool]:
         """The points to evaluate `body` at, and whether they are exhaustive."""
         roots, complete = self.real_roots(body, v, env, window)
         pts = sorted(roots)
-        lo, hi = window.lo, window.hi
+        lo, hi = window
         fence: List[Number] = []
         if lo is None:
             fence.append((pts[0] if pts else 0) - 1)
@@ -527,87 +509,10 @@ class _Eval:
             candidates.append(_div(a + b, 2))
         return sorted(set(candidates)), complete
 
-    # --- bound extraction (sound overapproximation of the true set) ---
-
-    def bounds(self, e, v: str, env, positive: bool) -> _Iv:
-        if e == "false":
-            return _Iv.none() if positive else _Iv.full()
-        head = e[0]
-        if head == "not":
-            return self.bounds(e[1], v, env, not positive)
-        if head in ("and", "or"):
-            parts = [self.bounds(a, v, env, positive) for a in e[1:]]
-            meet = (head == "and") == positive
-            out = parts[0]
-            for p in parts[1:]:
-                out = out.intersect(p) if meet else out.hull(p)
-            return out
-        if head in _RELATIONS:
-            return self._atom_bounds(head, e[1], e[2], v, env, positive)
-        # exists: sound under either polarity: truth (or falsity) of the
-        # block at some v still needs the body's pure-v atoms to hold, and
-        # atoms touching the inner binder, masked as unknown like v (hiding
-        # any outer binding of its name), give no constraint
-        [[name, _]] = e[1]
-        if name == v:
-            return _Iv.full()
-        return self.bounds(e[2], v, {**env, name: None}, positive)
-
-    def _atom_bounds(self, op, lhs, rhs, v, env, positive) -> _Iv:
-        la = self.affine(lhs, v, env, {})
-        ra = self.affine(rhs, v, env, {})
-        if la is None or ra is None:
-            return _Iv.full()
-        a = la[0] - ra[0]
-        b = la[1] - ra[1]
-        if a == 0:
-            return _Iv.full()
-        if not positive:
-            if op == "=":
-                return _Iv.full()
-            op = _FLIP[op]  # not (x < c) == x >= c; bounds ignore openness
-        point = _div(-b, a)
-        if op == "=":
-            return _Iv(point, point)
-        if (op in ("<", "<=")) == (a > 0):
-            return _Iv(None, point)
-        return _Iv(point, None)
-
-    # --- affine decomposition: e == a*v + b with everything else ground ---
-
-    def affine(
-        self, e, v: str, env, lenv: Dict[str, Optional[Tuple[Number, Number]]]
-    ) -> Optional[Tuple[Number, Number]]:
-        if _is_num(e):
-            return (0, e)
-        if isinstance(e, str):
-            if e == v:
-                return (1, 0)
-            if e in lenv:
-                return lenv[e]
-            if e in env:
-                val = env[e]
-                return (0, val) if _is_num(val) else None
-            return None
-        head = e[0]
-        if head in _ARITH:
-            parts = [self.affine(a, v, env, lenv) for a in e[1:]]
-            if any(p is None for p in parts):
-                return None
-            return self._affine_op(head, parts)
-        if head == "let":
-            [[name, bound]] = e[1]
-            return self.affine(e[2], v, env, {**lenv, name: self.affine(bound, v, env, lenv)})
-        # select, ite or to_int: evaluated with v unknown, a known number is
-        # the same for every v (Kleene's logic is monotone); anything else,
-        # an inner binder's read included, means no constraint
-        val = self.ev(e, env)
-        return (0, val) if _is_num(val) else None
-
     # --- candidate roots for real quantifiers ---
 
     def real_roots(
-        self, body, v: str, env, window: _Iv
+        self, body, v: str, env, window: Window
     ) -> Tuple[Set[Number], bool]:
         """Points where some comparison's truth can flip, with completeness.
 
@@ -760,12 +665,12 @@ class _Eval:
             return (GROUND, None if arg[1] is None else math.floor(arg[1]))
         if arg[0] != AFFINE:
             return arg  # PW, VUNK and BAD stay what they are
-        (a, b), (window, roots) = arg[1], grid
+        (a, b), ((lo, hi), roots) = arg[1], grid
         if a == 0:
             return (GROUND, math.floor(b))
-        if window.lo is None or window.hi is None:
+        if lo is None or hi is None:
             return (BAD,)
-        ends = (a * window.lo + b, a * window.hi + b)
+        ends = (a * lo + b, a * hi + b)
         j_lo, j_hi = math.ceil(min(ends)), math.floor(max(ends))
         if j_hi - j_lo > GRID_CAP:
             return (BAD,)

@@ -318,10 +318,19 @@ class TestIntQuantifiers:
         assert status("(assert (exists ((n Int)) (< 0 n))) (check-sat)") == "unknown"
 
     def test_or_bound_hull(self):
-        # bounds come from the hull of the disjuncts, 3 is outside both
+        # the window is only ever the translator's guard; bounds spread
+        # over a disjunction give none, and an unbounded Int stays unknown
         text = """
         (assert (exists ((n Int))
           (or (and (<= 0 n) (<= n 1)) (and (<= 5 n) (<= n 6)))))
+        (check-sat)
+        """
+        assert status(text) == "unknown"
+
+    def test_an_end_bound_by_an_outer_binder(self):
+        text = """
+        (assert (exists ((m Int)) (and (and (<= 0 m) (<= m 3))
+          (exists ((n Int)) (and (and (<= 0 n) (<= n m)) (= n 2))))))
         (check-sat)
         """
         assert status(text) == "sat"
@@ -534,7 +543,7 @@ def test_candidate_analysis_agrees_with_a_dense_grid(monkeypatch):
         # every multiple of 1/40 in the window, and its ends: exhaustive,
         # since each point where a genrand atom can flip is a multiple of
         # 1/10 (a timestamp, a grid time or a bound)
-        lo, hi = window.lo, window.hi
+        lo, hi = window
         assert lo is not None and hi is not None, "genrand bounds every time quantifier"
         ticks = range(math.ceil(lo * 40), math.floor(hi * 40) + 1)
         return sorted({lo, hi, *(Fraction(k, 40) for k in ticks)}), True
@@ -656,6 +665,19 @@ OUT_OF_FRAGMENT = {
         "(declare-const t (Array Int Real)) (assert (and false (= (select t false) 1.0)))"
     ),
 }
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("two-binder exists", "exists takes one (name Int|Real) binder"),
+        ("Bool binder", "exists takes one (name Int|Real) binder"),
+        ("two-binding let", "let takes one (name term) binding"),
+    ],
+)
+def test_a_malformed_binder_list_is_named(case, message):
+    with pytest.raises(ShimError, match=re.escape(message)):
+        run_script(f"{OUT_OF_FRAGMENT[case]} (check-sat)")
 
 
 @pytest.mark.parametrize("text", list(OUT_OF_FRAGMENT.values()), ids=list(OUT_OF_FRAGMENT))

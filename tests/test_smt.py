@@ -11,7 +11,15 @@ from genrand import pair
 
 from tracecheck.preprocess import PreprocessConfig, apply_a2
 from tracecheck.semantics import check_direct
-from tracecheck.shim import _PIN_RE, FRAGMENT_OPS, check_form, parse_script, run_script
+from tracecheck.shim import (
+    _PIN_RE,
+    FRAGMENT_OPS,
+    _Eval,
+    _guard_ends,
+    check_form,
+    parse_script,
+    run_script,
+)
 from tracecheck.smt import (
     DEFAULT_EXPANSION_CAP,
     ExpansionCapError,
@@ -25,7 +33,7 @@ from tracecheck.smt import (
     smt_real,
     translate,
 )
-from tracecheck.syntax import Exists, Forall, parse
+from tracecheck.syntax import Exists, Forall, Not, Or, Sort, desugar, parse
 from tracecheck.trace import Fixed, Record, Trace, format_rational, iota_variable, load_trace
 
 F = Fraction
@@ -424,6 +432,48 @@ class TestShimFragment:
             assert pins
             for line in pins:
                 assert _PIN_RE.fullmatch(line), line
+
+    def test_every_interval_quantifier_takes_the_guard_reader(self):
+        # a guard the shim cannot read leaves an Int quantifier unknown and
+        # a real one unbounded, so each exists must yield its clipped interval
+        def windows(f, trace):  # per quantifier the translator emits, in order
+            if isinstance(f, Not):
+                yield from windows(f.sub, trace)
+            elif isinstance(f, Or):
+                yield from windows(f.left, trace)
+                yield from windows(f.right, trace)
+            elif isinstance(f, Exists):
+                index = f.var_sort is Sort.INDEX
+                if f.interval is None:
+                    yield None
+                elif (dom := f.interval.clip(*((0, trace.last_index) if index else trace.span))):
+                    yield ("Int" if index else "Real", dom.lo, dom.hi)
+                else:
+                    return  # emitted as false, body and all
+                yield from windows(f.body, trace)
+
+        checked = 0
+        for seed in range(100):
+            trace, f, _ = pair(seed)
+            want = list(windows(desugar(f), trace))
+            for text in self.scripts(trace, f):
+                prop = [form for form in parse_script(text) if form[0] == "assert"][-1][1]
+                got, stack = [], [prop]
+                while stack:
+                    node = stack.pop()
+                    if type(node) is not list:
+                        continue
+                    if node[0] == "exists":
+                        [[v, sort]], body = node[1], node[2]
+                        ends = _guard_ends(v, body)
+                        got.append(ends and (sort, *(_Eval().ev(end, {}) for end in ends)))
+                    stack += reversed(node[1:])
+                assert len(got) == len(want), text
+                for g, w in zip(got, want):
+                    if w is not None:
+                        assert g == w, text
+                        checked += 1
+        assert checked > 300  # 408 exists nodes in these scripts
 
     def test_the_fragment_has_no_unused_operator(self):
         seen = set()
