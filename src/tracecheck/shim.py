@@ -60,7 +60,10 @@ nothing on stdout, so the solver status is `error` and the verdict
   because between consecutive candidates every comparison keeps a constant
   truth value, which one classification of each relation, its sides and
   the conditions nested in them verifies; when it cannot, the result
-  degrades to unknown rather than to a guess.
+  degrades to unknown rather than to a guess.  An ite condition that keeps
+  one truth value on the open window contributes only the branch it takes
+  there, so the variable-rate index map is read only where the window
+  reaches: O(log n + k) of its conditions for k records in the window.
 
 Reads of unpinned cells, unbounded integer ranges, and real bodies the
 classifier cannot account for all evaluate to unknown.  Truth values are
@@ -534,7 +537,7 @@ class _Eval:
                 return  # false
             head = node[0]
             if head in _RELATIONS:
-                if self.relation_class(node, v, env, {}, qvars, grid) == BAD:
+                if self.relation_class(node, v, env, {}, qvars, grid)[0] == BAD:
                     complete = False
             elif head == "exists":
                 [[name, _]] = node[1]
@@ -555,7 +558,9 @@ class _Eval:
         ground subterm is evaluated with the values of the ground ones.
         `grid` is (window of v, roots): a `to_int` of a term affine in v
         adds the points where it steps inside the window to the roots, and
-        an ite condition its own roots through relation_class.
+        an ite condition its own roots through relation_class.  An ite
+        whose condition keeps one truth value on the open window is the
+        branch it takes there; the other branch is not classified.
         """
         if _is_num(e):
             return (GROUND, e)
@@ -600,17 +605,16 @@ class _Eval:
                 return (idx[0],)
             return (BAD,)
         if head == "ite":
-            cond = self.relation_class(e[1], v, env, lenv, qvars, grid)
+            cond, truth = self.relation_class(e[1], v, env, lenv, qvars, grid)
+            if cond == BAD:
+                return (BAD,)
+            if truth is not None:  # inside the window only this branch is reached
+                return self.classify(e[2] if truth else e[3], v, env, lenv, qvars, grid)
             branches = [self.classify(x, v, env, lenv, qvars, grid) for x in e[2:4]]
             kinds = {b[0] for b in branches}
-            if BAD in kinds or cond == BAD:
+            if BAD in kinds:
                 return (BAD,)
-            if cond == GROUND:
-                picked = self.ev(e[1], self._ground_env(env, lenv))
-                if picked is True:
-                    return branches[0]
-                if picked is False:
-                    return branches[1]
+            if cond == GROUND:  # with an unknown truth value
                 return (VUNK,) if AFFINE in kinds or not kinds <= {GROUND} else (GROUND, None)
             if AFFINE in kinds:
                 return (BAD,)
@@ -623,35 +627,44 @@ class _Eval:
             return self.classify(e[2], v, env, {**lenv, name: cls}, qvars, grid)
         return (BAD,)
 
-    def relation_class(self, e, v, env, lenv, qvars, grid) -> int:
-        """How the truth of relation `e` can vary with v: GROUND, PW, VUNK
-        or BAD.
+    def relation_class(self, e, v, env, lenv, qvars, grid) -> Tuple[int, Optional[bool]]:
+        """How the truth of relation `e` can vary with v inside the window
+        of `grid`: (GROUND, truth), (PW, None), (VUNK, None) or (BAD, None).
 
-        Two affine sides with different slopes cross once; that point is
-        added to the roots of `grid`, so a sloped relation is PW.  A sloped
-        side against a stepping one flips off the roots and is BAD.  Any
-        other formula, such as an ite condition that is not a relation
-        (the translator writes none), is BAD too, which makes the caller's
-        answer at most unknown.
+        GROUND is one truth value on the open window, returned with the
+        class; it is None when a side is unknown.  Two ground or affine
+        sides with the same slope keep one truth value everywhere; with
+        different slopes they cross once.  A crossing strictly inside a
+        bounded window is added to the roots of `grid`, and the relation is
+        PW; one at or beyond an end leaves it GROUND, with the truth it has
+        at the window's midpoint (the ends are candidates anyway, evaluated
+        exactly).  A sloped side against a stepping one flips off the roots
+        and is BAD.  Any other formula, such as an ite condition that is
+        not a relation (the translator writes none), is BAD too, which
+        makes the caller's answer at most unknown.
         """
         if not (type(e) is list and e[0] in _RELATIONS):
-            return BAD
+            return BAD, None
         parts = [self.classify(a, v, env, lenv, qvars, grid) for a in e[1:]]
         kinds = {p[0] for p in parts}
         if BAD in kinds:
-            return BAD
-        if VUNK in kinds or (kinds != {GROUND} and any(
-            p[0] == GROUND and not _is_num(p[1]) for p in parts
-        )):
-            return VUNK  # an unknown side never yields a root
-        if not any(p[0] == AFFINE and p[1][0] != 0 for p in parts):
-            return PW if PW in kinds else GROUND
+            return BAD, None
+        if VUNK in kinds:
+            return VUNK, None  # an unknown side never yields a root
+        if any(p[0] == GROUND and not _is_num(p[1]) for p in parts):
+            return (GROUND if kinds == {GROUND} else VUNK), None
         if PW in kinds:
-            return BAD
+            return (BAD if any(p[0] == AFFINE and p[1][0] != 0 for p in parts) else PW), None
         (xa, xb), (ya, yb) = [p[1] if p[0] == AFFINE else (0, p[1]) for p in parts]
-        if xa != ya:
-            grid[1].add(_div(yb - xb, xa - ya))
-        return PW
+        rel = _RELATIONS[e[0]]
+        if xa == ya:
+            return GROUND, rel(xb, yb)
+        root, (lo, hi) = _div(yb - xb, xa - ya), grid[0]
+        if lo is None or hi is None or not lo < hi or lo < root < hi:
+            grid[1].add(root)
+            return PW, None
+        mid = _div(lo + hi, 2)
+        return GROUND, rel(xa * mid + xb, ya * mid + yb)
 
     @staticmethod
     def _ground_env(env, lenv):

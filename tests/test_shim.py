@@ -10,18 +10,19 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from genrand import pair
 from tracecheck import shim
-from tracecheck.preprocess import PreprocessConfig, apply_a2
+from tracecheck.preprocess import PreprocessConfig, apply_a1, apply_a2
 from tracecheck.semantics import DirectResult, check_direct
 from tracecheck.shim import ShimError, parse_script, run_script
 from tracecheck.smt import FixedRate, VariableRate, translate
 from tracecheck.solver import Verdict, run_solver
 from tracecheck.syntax import parse
-from tracecheck.trace import MAX_DIGITS, PLAIN_DIGITS, Fixed, Record, Trace
+from tracecheck.trace import MAX_DIGITS, PLAIN_DIGITS, Fixed, Record, Trace, Variable
 
 
 def status(text):
@@ -486,6 +487,41 @@ class TestRealQuantifiers:
             assert status(script.text) == want
         assert check_direct(trace, f) == DirectResult(Verdict.SATISFIED)
 
+    @pytest.mark.parametrize("lb, rb", ["[]", "(]", "[)", "()"])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [("0.5", "0.8"), ("0.7", "1.0"), ("0.2", "1.0"), ("0.5", "1.4"), ("1.0", "1.0"), ("0.7", "0.7")],
+        ids=["at-lo", "at-hi", "at-hi-and-inside", "at-both", "point-at-one", "point-between"],
+    )
+    def test_an_index_map_breakpoint_at_a_window_end(self, monkeypatch, lo, hi, lb, rb):
+        # an index-map condition that crosses at an end keeps one truth value
+        # on the open window, so only its taken branch is classified; the
+        # ends themselves are candidates and must still read their own record
+        # (with time running backwards, the record at lo differs from the
+        # one just inside)
+        trace = Trace(
+            records=tuple(
+                Record(Fraction(t), {"x": Fraction(x)})
+                for t, x in (("0", 0), ("0.3", 1), ("0.5", 5), ("1.0", 0), ("1.4", 5), ("2.0", 1))
+            ),
+            signals=("x",),
+        )
+        empty = lo == hi and lb + rb != "[]"
+        cases = []
+        for word, atom in itertools.product(
+            ("exists", "forall"),
+            ("(x @t τ0) = 5", "(x @t τ0) = 0", "(x @t τ0) = 1", "(x @t (τ0 + 0.3)) > 1",
+             "(x @t (1.5 - τ0)) = 5"),
+        ):
+            f = parse(f"{word} τ0 in {lb}{lo}, {hi}{rb} such that {atom}", signature=("x",))
+            verdict = check_direct(trace, f).verdict
+            assert (verdict is Verdict.INCONCLUSIVE) == empty  # the direct route refuses an empty window
+            cases += [
+                (translate(trace, f, mode=VariableRate(), negate=negate).text, verdict, negate)
+                for negate in (True, False)
+            ]
+        agrees_with_direct_and_dense_grid(monkeypatch, cases)
+
     @pytest.mark.parametrize(
         "inner",
         [
@@ -524,6 +560,53 @@ def test_each_checked_node_is_compiled_once(monkeypatch, mode):
     assert calls and max(calls.values()) == 1
 
 
+def test_the_index_map_is_classified_only_inside_the_window(monkeypatch):
+    # the inner 1 s window holds about 100 records at 100 Hz whatever the
+    # trace's length, so the classification of the variable-rate index map
+    # may grow with the breakpoints inside it but not with the record count
+    per_call = []
+    classify, real_roots = shim._Eval.classify, shim._Eval.real_roots
+
+    def counting_classify(self, *args):
+        per_call[-1] += 1
+        return classify(self, *args)
+
+    def counting_real_roots(self, *args):
+        per_call.append(0)
+        return real_roots(self, *args)
+
+    monkeypatch.setattr(shim._Eval, "classify", counting_classify)
+    monkeypatch.setattr(shim._Eval, "real_roots", counting_real_roots)
+    calls = {}
+    for n in (200, 2_000):
+        per_call.clear()
+        assert run_script(settle_script(n, VariableRate())) == ["unsat"]
+        calls[n] = max(per_call)
+    assert calls[2_000] < 1.2 * calls[200], calls
+
+
+def dense_grid_candidates(self, v, body, env, window):
+    """A stand-in for `_Eval._real_candidates`: every multiple of 1/40 in
+    the window, and its ends.  That is exhaustive when each point where an
+    atom can flip is a multiple of 1/10 (a timestamp, a grid time or a
+    bound)."""
+    lo, hi = window
+    assert lo is not None and hi is not None, "every time quantifier here is bounded"
+    ticks = range(math.ceil(lo * 40), math.floor(hi * 40) + 1)
+    return sorted({lo, hi, *(Fraction(k, 40) for k in ticks)}), True
+
+
+def agrees_with_direct_and_dense_grid(monkeypatch, cases):
+    """Each (script, direct verdict, negate) case answers as a definitive
+    direct verdict says, and as it does on the dense grid."""
+    analysed = [run_script(script) for script, _, _ in cases]
+    for (_, verdict, negate), answer in zip(cases, analysed):
+        if verdict is not Verdict.INCONCLUSIVE:
+            assert answer[0] == ("unsat" if (verdict is Verdict.SATISFIED) == negate else "sat")
+    monkeypatch.setattr(shim._Eval, "_real_candidates", dense_grid_candidates)
+    assert [run_script(script) for script, _, _ in cases] == analysed
+
+
 def test_candidate_analysis_agrees_with_a_dense_grid(monkeypatch):
     # the roots real_roots collects must decide every real quantifier the
     # way evaluating it at every point that can matter does
@@ -538,18 +621,55 @@ def test_candidate_analysis_agrees_with_a_dense_grid(monkeypatch):
                 for mode in modes for negate in (True, False)
             ]
     analysed = [run_script(text) for text in scripts]
-
-    def grid_candidates(self, v, body, env, window):
-        # every multiple of 1/40 in the window, and its ends: exhaustive,
-        # since each point where a genrand atom can flip is a multiple of
-        # 1/10 (a timestamp, a grid time or a bound)
-        lo, hi = window
-        assert lo is not None and hi is not None, "genrand bounds every time quantifier"
-        ticks = range(math.ceil(lo * 40), math.floor(hi * 40) + 1)
-        return sorted({lo, hi, *(Fraction(k, 40) for k in ticks)}), True
-
-    monkeypatch.setattr(shim._Eval, "_real_candidates", grid_candidates)
+    monkeypatch.setattr(shim._Eval, "_real_candidates", dense_grid_candidates)
     assert [run_script(text) for text in scripts] == analysed
+
+
+def long_variable_rate_trace(seed):
+    """40-150 records with gaps of 0.1-0.5 s, a speed dip one to three
+    records after each mode event, and holes filled by A1."""
+    rng = Random(seed)
+    n = rng.randint(40, 150)
+    mode = [int(rng.random() < 0.05) for _ in range(n)]
+    spd = [Fraction(1)] * n
+    for j in range(n - 3):
+        if mode[j]:
+            spd[j + rng.choice((1, 2, 2, 3))] = Fraction(2, 5)
+    t, records = Fraction(rng.randint(0, 10), 10), []
+    for j in range(n):
+        values = {"mode": Fraction(mode[j]), "spd": spd[j]}
+        if 0 < j < n - 1 and rng.random() < 0.15:
+            del values[rng.choice(("mode", "spd"))]
+        records.append(Record(t, values))
+        t += Fraction(rng.choice((1, 2, 3, 5)), 10)
+    return apply_a1(Trace(records=tuple(records), signals=("mode", "spd")), PreprocessConfig(strategy="A1"))
+
+
+def test_candidate_analysis_agrees_with_a_dense_grid_on_long_traces(monkeypatch):
+    # windows narrow against the trace's span, so the index map is pruned
+    # deep below its root: the settle property, and a real quantifier under
+    # another one; both are satisfied on some of these traces and violated
+    # on others
+    cases = []
+    for seed in range(4):
+        trace = long_variable_rate_trace(seed)
+        assert isinstance(trace.rate, Variable)
+        start = trace.t0 + Random(seed).randint(0, int(trace.tm - trace.t0) - 3)  # whole seconds in
+        window = f"[{float(start)}, {float(start + 3)}]"
+        for text in (
+            f"forall σ0 in [0, {trace.last_index - 1}] such that ((mode @i σ0) = 1) implies "
+            "(exists τ0 in [0.0, 1.0] such that ((spd @t (τ0 + i2t(σ0))) < 0.5))",
+            f"exists τ0 in {window} such that ((spd @t τ0) < 0.5 and "
+            f"forall τ1 in {window} such that (spd @t τ1) >= (spd @t τ0))",
+        ):
+            f = parse(text, signature=trace.signals)
+            verdict = check_direct(trace, f).verdict
+            assert verdict is not Verdict.INCONCLUSIVE
+            cases += [
+                (translate(trace, f, mode=VariableRate(), negate=negate).text, verdict, negate)
+                for negate in (True, False)
+            ]
+    agrees_with_direct_and_dense_grid(monkeypatch, cases)
 
 
 class TestCommands:
