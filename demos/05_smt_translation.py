@@ -24,8 +24,9 @@ timestamp,spd
 trace = load_trace(CSV)
 f = parse("exists tau0 in [0, 1.5] such that (spd @t tau0) < 0.5", trace.signals)
 
-# On a variable-rate trace the timestamp-to-index map becomes a chain of
-# comparisons against the recorded timestamps.
+# On a variable-rate trace the timestamp-to-index map becomes a balanced
+# bisection tree of comparisons against the recorded timestamps, about
+# log2 of the record count deep.
 script = translate(trace, f, mode=VariableRate())
 print(script.text)
 print("---")

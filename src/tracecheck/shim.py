@@ -20,9 +20,9 @@ of it), at exactly the translator's arities:
 * commands `(set-logic AUFLIRA)`, `declare-const NAME (Array Int Real)`,
   `assert`, `check-sat` and `get-model`;
 * terms: numerals, names bound by `let` or `exists`, binary `+ - * /`,
-  unary `-`, `to_int` (the floor), `select` from a declared array with a
-  numeric index, `ite` with a formula condition, and `let` with one
-  binding around a term;
+  unary `-`, `to_int` (the floor), `to_real` (the identity on exact
+  rationals), `select` from a declared array with a numeric index, `ite`
+  with a formula condition, and `let` with one binding around a term;
 * formulas: `false`, `< <= = >= >` on two terms, `not`, binary `and` and
   `or`, and `exists` over one `Int` or `Real` binder;
 * pins, one per line: `(assert (= (select arr j) lit))` with a numeral
@@ -242,6 +242,7 @@ FRAGMENT_OPS = {
     **{(op, 2): (NUM, (NUM, NUM)) for op in _ARITH},
     ("-", 1): (NUM, (NUM,)),
     ("to_int", 1): (NUM, (NUM,)),
+    ("to_real", 1): (NUM, (NUM,)),
     ("ite", 3): (NUM, (BOOL, NUM, NUM)),
     **{(rel, 2): (BOOL, (NUM, NUM)) for rel in _RELATIONS},
     ("not", 1): (BOOL, (BOOL,)),
@@ -390,7 +391,10 @@ class _Eval:
             return (lambda env: False) if e == "false" else (lambda env: env.get(e))
         return self.COMPILERS[e[0], len(e) - 1](self, e)
 
-    _UNARY = {"-": operator.neg, "not": operator.not_, "to_int": math.floor}
+    _UNARY = {
+        "-": operator.neg, "not": operator.not_, "to_int": math.floor,
+        "to_real": operator.pos,  # Int and Real values are both exact rationals
+    }
 
     def _unary(self, e):
         a, op = self.compile(e[1]), self._UNARY[e[0]]
@@ -449,7 +453,7 @@ class _Eval:
     # (head, argument count) -> compiler, the shapes FRAGMENT_OPS admits
     COMPILERS = {
         **dict.fromkeys([(op, 2) for op in [*_ARITH, *_RELATIONS]], _binary),
-        **dict.fromkeys([("-", 1), ("to_int", 1), ("not", 1)], _unary),
+        **dict.fromkeys([("-", 1), ("to_int", 1), ("to_real", 1), ("not", 1)], _unary),
         ("and", 2): _and_or, ("or", 2): _and_or, ("ite", 3): _ite,
         ("let", 2): _let, ("select", 2): _select, ("exists", 2): _exists,
     }
@@ -595,6 +599,8 @@ class _Eval:
                 pair = self._affine_op(head, pairs)
                 return (AFFINE, pair) if pair is not None else (BAD,)
             return (VUNK,) if VUNK in kinds else (PW,)
+        if head == "to_real":  # an exact rational already
+            return self.classify(e[1], v, env, lenv, qvars, grid)
         if head == "to_int":
             return self._floor_class(self.classify(e[1], v, env, lenv, qvars, grid), grid)
         if head == "select":

@@ -16,9 +16,16 @@ term per reading, floor((t - t0) / sr) written (to_int (* R (- t t0))) with
 the rational literal R = 1 / sr, so it stays linear; the shift is left out
 when t0 = 0.
 
-The trace is pinned cell by cell, one equality assertion per assigned value.
-A signal's literal is rendered again only when its value changes from the
-previous record's.
+The reverse map i2t(j) has two forms as well.  On a variable-rate trace it
+reads the timestamp array t, (select t J) with J the clamped index; on a
+fixed-rate trace, where t_j = t0 + j * sr exactly, it is the term
+(+ t0 (* sr (to_real J))), again without the t0 when it is 0.
+
+The trace is pinned cell by cell, one equality assertion per assigned value,
+but only in the arrays the property reads: a signal the property never
+mentions is neither declared nor pinned, and the timestamp array t is
+declared only where a variable-rate i2t reads it.  A signal's literal is
+rendered again only when its value changes from the previous record's.
 
 Index-typed accesses are clamped into [0, m] instead of guarded: a total
 function keeps the encoding in the decidable fragment, and out-of-range
@@ -28,7 +35,7 @@ the routes never contradict each other on a definitive answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Union
 
@@ -175,6 +182,11 @@ class _Tx:
     quantifiers: int = 0
     floors: int = 0
     lets: int = 0
+    reads: set = field(default_factory=set)  # the arrays the property selects from
+
+    def select(self, array: str, j: str) -> str:
+        self.reads.add(array)
+        return f"(select {array} {j})"
 
     @property
     def m(self) -> int:
@@ -249,18 +261,22 @@ def emit_term(term: Term, scope: Dict[str, str], ctx: _Tx) -> str:
         right = emit_term(term.right, scope, ctx)
         return f"({term.op} {left} {right})"
     if isinstance(term, I2T):
-        j = emit_term(term.index, scope, ctx)
-        return f"(select t {_clamped_index(j, ctx)})"
+        j = _clamped_index(emit_term(term.index, scope, ctx), ctx)
+        if isinstance(ctx.mode, VariableRate):
+            return ctx.select("t", j)
+        t0 = ctx.trace.t0
+        step = f"(* {smt_real(ctx.mode.sr)} (to_real {j}))"
+        return f"(+ {smt_real(t0)} {step})" if t0 else step
     if isinstance(term, T2I):
         return _iota_at(emit_term(term.time, scope, ctx), ctx)
     if isinstance(term, AtIndex):
         j = emit_term(term.index, scope, ctx)
-        return f"(select {ctx.arrays[term.signal]} {_clamped_index(j, ctx)})"
+        return ctx.select(ctx.arrays[term.signal], _clamped_index(j, ctx))
     if isinstance(term, AtTime):
         idx = _iota_at(emit_term(term.time, scope, ctx), ctx)
         if isinstance(ctx.mode, FixedRate):
             idx = _clamped_index(idx, ctx)
-        return f"(select {ctx.arrays[term.signal]} {idx})"
+        return ctx.select(ctx.arrays[term.signal], idx)
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -353,12 +369,15 @@ def translate(
     for signal in sorted(arrays):
         lines.append(f"; signal: {signal} -> {arrays[signal]}")
     lines.append("(set-logic AUFLIRA)")
-    lines.append("(declare-const t (Array Int Real))")
-    for signal in sorted(arrays):
-        lines.append(f"(declare-const {arrays[signal]} (Array Int Real))")
-    columns = [(s, arrays[s], held_renderer(smt_real)) for s in sorted(arrays)]
+    pin_t = "t" in ctx.reads
+    if pin_t:
+        lines.append("(declare-const t (Array Int Real))")
+    columns = [(s, a, held_renderer(smt_real)) for s, a in sorted(arrays.items()) if a in ctx.reads]
+    for _, array, _ in columns:
+        lines.append(f"(declare-const {array} (Array Int Real))")
     for j, record in enumerate(trace.records):
-        lines.append(f"(assert (= (select t {j}) {smt_real(record.timestamp)}))")
+        if pin_t:
+            lines.append(f"(assert (= (select t {j}) {smt_real(record.timestamp)}))")
         for signal, array, literal in columns:
             if signal in record.values:
                 lines.append(

@@ -35,6 +35,15 @@ class TraceFormatError(TraceError):
     """Malformed trace input (bad CSV, non-monotonic timestamps, ...)."""
 
 
+class NonMonotonicError(TraceFormatError):
+    """A timestamp not after its predecessor's, at record `position`;
+    `row` is the CSV row it came from, or the record's ordinal."""
+
+    def __init__(self, position: int, row: Optional[int] = None):
+        super().__init__(f"non-monotonic timestamp at row {row or position + 1}")
+        self.position = position
+
+
 class DomainError(TraceError):
     """A lookup outside the trace's defined domain."""
 
@@ -150,16 +159,13 @@ class Trace:
     timestamps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ts = []
-        for pos, rec in enumerate(self.records):
-            if ts and rec.timestamp <= ts[-1]:
-                raise TraceFormatError(
-                    f"non-monotonic timestamp at row {pos + 1}"
-                )
-            ts.append(rec.timestamp)
+        ts = tuple(rec.timestamp for rec in self.records)
         if not ts:
             raise TraceFormatError("empty trace")
-        object.__setattr__(self, "timestamps", tuple(ts))
+        for pos, (a, b) in enumerate(zip(ts, ts[1:]), start=1):
+            if b <= a:
+                raise NonMonotonicError(pos)
+        object.__setattr__(self, "timestamps", ts)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -283,7 +289,7 @@ def load_trace(source: Union[str, bytes, IO]) -> Trace:
     # grow with the trace.
     last = [("", None)] * len(signal_cols)
     records = []
-    prev_t: Optional[Fraction] = None
+    rows = []  # each record's CSV row; blank rows are skipped
     for row_num, row in enumerate(reader, start=1):
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -297,9 +303,6 @@ def load_trace(source: Union[str, bytes, IO]) -> Trace:
             raise TraceFormatError(
                 f"row {row_num}: malformed timestamp {row[0]!r}"
             ) from None
-        if prev_t is not None and t <= prev_t:
-            raise TraceFormatError(f"non-monotonic timestamp at row {row_num}")
-        prev_t = t
         pos = len(records)
         if index_col is not None:
             cell = row[index_col].strip()
@@ -331,7 +334,11 @@ def load_trace(source: Union[str, bytes, IO]) -> Trace:
             if value is not None:
                 values[name] = value
         records.append(Record(timestamp=t, values=values))
-    return Trace(records=tuple(records), signals=tuple(signals))
+        rows.append(row_num)
+    try:
+        return Trace(records=tuple(records), signals=tuple(signals))
+    except NonMonotonicError as exc:  # Trace checks the order; name the CSV row
+        raise NonMonotonicError(exc.position, rows[exc.position]) from None
 
 
 def load_trace_file(path: str) -> Trace:

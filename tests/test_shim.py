@@ -22,7 +22,7 @@ from tracecheck.shim import ShimError, parse_script, run_script
 from tracecheck.smt import FixedRate, VariableRate, translate
 from tracecheck.solver import Verdict, run_solver
 from tracecheck.syntax import parse
-from tracecheck.trace import MAX_DIGITS, PLAIN_DIGITS, Fixed, Record, Trace, Variable
+from tracecheck.trace import MAX_DIGITS, PLAIN_DIGITS, Fixed, Record, Trace, Variable, format_rational
 
 
 def status(text):
@@ -764,7 +764,8 @@ OUT_OF_FRAGMENT = {
     "three-operand and": "(assert (and false false false))",
     "two-binding let": "(assert (let ((x 1) (y 2)) (= x y)))",
     "let around a formula": "(assert (let ((x 1)) (= x 1)))",
-    "to_real": "(assert (= (to_real 3) 3.0))",
+    "two-operand to_real": "(assert (= (to_real 1 2) 1.0))",
+    "Bool to_real": "(assert (= (to_real false) 0.0))",
     "two-binder exists": (
         "(assert (exists ((a Int) (b Int))"
         " (and (and (<= 0 a) (<= a 2)) (and (and (<= 0 b) (<= b 2)) (= (+ a b) 4)))))"
@@ -816,7 +817,7 @@ def test_the_check_skips_pins(monkeypatch):
     text = settle_script(n)
     pins = len(re.findall(r"^\(assert \(= \(select ", text, re.M))
     others = len(re.findall(r"^\(assert ", text, re.M)) - pins
-    assert pins == 3 * n and others >= 1
+    assert pins == 2 * n and others >= 1  # mode and spd; i2t reads no timestamp array
     checked = []
     check_form = shim.check_form
 
@@ -1029,3 +1030,78 @@ class TestTranslatedScripts:
         f = parse("forall σ0 in [0,1] such that (x @i σ0) > 0.0", signature=("x",))
         script = translate(holey, f)
         assert run_script(script.text) == ["unknown"]  # nothing after unknown
+
+
+# --- i2t on a fixed-rate trace: a term, against the pinned timestamp array ---
+
+# thirds and sevenths are written (/ p q)
+FIXED_STEPS = (Fraction(1, 3), Fraction(2, 7), Fraction(1, 10), Fraction(5))
+FIXED_STARTS = (Fraction(0), Fraction(-2, 3), Fraction(7, 5), Fraction(100))
+
+
+def fixed_rate_i2t_case(rng, sr, t0):
+    """A 2-8 record trace t_j = t0 + j * sr and a property reading i2t under
+    an index quantifier, compared directly or inside an @t read under a
+    time quantifier."""
+    n = rng.randint(2, 8)
+    trace = Trace(
+        records=tuple(Record(t0 + j * sr, {"x": Fraction(rng.randint(-2, 2))}) for j in range(n)),
+        signals=("x",),
+    )
+    m = n - 1
+    lo = rng.randint(0, m)
+    head = f"{rng.choice(('exists', 'forall'))} σ0 in [{lo}, {rng.randint(lo, m)}] such that"
+    op = rng.choice(("<", "<=", "=", "!=", ">=", ">"))
+    # den * t_j is an integer, so even a step of 1/3 compares exactly
+    den = math.lcm(sr.denominator, t0.denominator)
+    near = den * (t0 + rng.randint(0, m) * sr) + rng.choice((-1, 0, 0, 1))
+    shift = rng.randint(-1, 1)
+    shifted = ("σ0 - 1", "σ0", "σ0 + 1")[shift + 1]  # may leave [0, m]
+    # a time window from a, the one-decimal time at or just after t0, and
+    # τ0 - a, its offset into the window
+    a = Fraction(math.ceil(t0 * 10), 10)
+    width = Fraction(rng.choice((0, 3, 10, 25, 70)), 10)
+    window = f"[{format_rational(a)}, {format_rational(a + width)}]"
+    offset = f"τ0 - {format_rational(a)}" if a >= 0 else f"τ0 + {format_rational(-a)}"
+    time_head = f"{rng.choice(('exists', 'forall'))} τ0 in {window} such that"
+    value = rng.choice((str(rng.randint(-2, 2)), "(x @i σ0)"))
+    body = rng.choice((
+        f"{den} * i2t(σ0) {op} {near}",
+        f"{den} * i2t({shifted}) - {den} * i2t(σ0) {op} {den * shift * sr}",
+        f"(x @t i2t(σ0)) {op} (x @i σ0)",
+        f"{time_head} (x @t ({offset} + i2t(σ0))) {op} {value}",
+        f"{time_head} τ0 {op} i2t(σ0)",
+    ))
+    return trace, parse(f"{head} ({body})", signature=trace.signals)
+
+
+@pytest.mark.parametrize("sr", FIXED_STEPS, ids=format_rational)
+@pytest.mark.parametrize("t0", FIXED_STARTS, ids=format_rational)
+def test_fixed_rate_i2t_agrees_with_the_timestamp_array(sr, t0):
+    # the fixed-rate i2t term must answer as the variable-rate route, which
+    # reads the pinned timestamp array, and as a definitive direct verdict
+    rng = Random(f"{sr} {t0}")
+    decided = 0
+    for _ in range(30):
+        trace, f = fixed_rate_i2t_case(rng, sr, t0)
+        assert trace.rate == Fixed(sr)
+        verdict = check_direct(trace, f).verdict
+        for negate in (True, False):
+            fixed = translate(trace, f, mode=FixedRate(sr), negate=negate).text
+            variable = translate(trace, f, mode=VariableRate(), negate=negate).text
+            assert "(to_real " in fixed and "(select t " not in fixed
+            assert "(declare-const t " in variable
+            answer = run_script(fixed)[0]
+            assert answer == run_script(variable)[0], (str(f), negate)
+            if verdict is not Verdict.INCONCLUSIVE:
+                decided += 1
+                assert answer == ("unsat" if (verdict is Verdict.SATISFIED) == negate else "sat"), f
+    assert decided >= 40  # of 60; the rest read past the trace's span or index range
+
+
+def test_settle_reads_i2t_through_to_real():
+    # the time window's read is affine in τ0 only while to_real of the
+    # bound σ0 classifies as ground; else the real quantifier is unknown
+    text = settle_script(200)
+    assert "(to_real " in text
+    assert run_script(text) == ["unsat"]

@@ -101,8 +101,10 @@ class TestIotaModeChoice:
 
 class TestTraceAssertions:
     def test_every_cell_is_asserted(self, fig_trace):
-        script = translate(fig_trace, parse_fig("(mode @i 0) = 0"))
+        # i2t on a variable-rate trace reads the timestamp array, so t is pinned too
+        script = translate(fig_trace, parse_fig("(ang-rate @t i2t(1)) > (mode @i 0)"))
         lines = script.text.splitlines()
+        assert "(declare-const t (Array Int Real))" in lines
         for j, (t, ar, mode) in enumerate(
             [
                 ("0.0", "20.1", "0.0"),
@@ -117,6 +119,22 @@ class TestTraceAssertions:
             assert f"(assert (= (select t {j}) {t}))" in lines
             assert f"(assert (= (select v_ang_rate {j}) {ar}))" in lines
             assert f"(assert (= (select v_mode {j}) {mode}))" in lines
+
+    def test_only_the_arrays_the_property_reads_are_declared(self, fig_trace, grid_trace):
+        # the variable-rate index map compares against literals and the
+        # fixed-rate i2t is a term, so neither reads t
+        for trace, text, arrays in (
+            (fig_trace, "(mode @i 0) = 0", ["v_mode"]),
+            (fig_trace, "(mode @t 2.5) = 0", ["v_mode"]),
+            (fig_trace, "(ang-rate @t i2t(1)) > 0", ["t", "v_ang_rate"]),
+            (grid_trace, "(ang-rate @t i2t(1)) > 0", ["v_ang_rate"]),
+            (grid_trace, "i2t(1) > 0", []),
+        ):
+            script = translate(trace, parse(text, trace.signals)).text
+            assert re.findall(r"^\(declare-const (\S+) ", script, re.M) == arrays, text
+            pinned = re.findall(r"^\(assert \(= \(select (\S+) 0\) ", script, re.M)
+            assert pinned == arrays, text
+            assert ("(select t " in script) == ("t" in arrays), text
 
     def test_unassigned_cells_are_left_unconstrained(self):
         trace = load_trace("timestamp,x\n0,1\n1,\n2,3\n")
@@ -213,16 +231,18 @@ class TestFormulaEncoding:
             assert f"(< x1 {t})" in tree
         assert script.iota_ite_count == 6
 
-    def test_fixed_rate_uses_a_pinned_integer(self, grid_trace):
+    def test_fixed_rate_index_and_time_are_terms(self, grid_trace):
         """The @t read's index is one to_int term, floor(t * 5) for sr = 0.2,
-        clamped into [0, m] through a let."""
+        clamped into [0, m] through a let; i2t(j) is 0.2 * j, with the Int
+        index made Real by to_real, and no timestamp array."""
         script = translate(
             grid_trace, parse(R1_TEXT, grid_trace.signals)
         )
         assert isinstance(script.iota_mode, FixedRate)
         assert script.floor_count == 1  # the @t read; @i reads need no floor
-        assert "(let ((x4 (to_int (* 5.0 (+ tau0 (select t " in script.text
+        assert "(let ((x4 (to_int (* 5.0 (+ tau0 (* 0.2 (to_real (let ((x3 sigma0)) " in script.text
         assert "(ite (< x4 0) 0 (ite (> x4 28) 28 x4))" in script.text
+        assert "(select t " not in script.text
 
     def test_floor_binding_survives_negative_polarity(self, grid_trace):
         """The floor is a term, so no read binds an integer of its own, under
@@ -426,12 +446,28 @@ class TestShimFragment:
             check_fragment(text)
 
     def test_every_pin_line_takes_the_pin_reader(self):
-        # the trace is pinned by every assertion before the property's
+        # the trace is pinned by every assertion before the property's; a
+        # property that reads no array has none (genrand assigns every cell)
         for text in self.genrand_scripts():
             pins = [line for line in text.splitlines() if line.startswith("(assert ")][:-1]
-            assert pins
+            assert bool(pins) == ("(declare-const " in text), text
             for line in pins:
                 assert _PIN_RE.fullmatch(line), line
+
+    def test_every_declared_array_is_read(self):
+        # a declaration or pin column the property never selects from is
+        # dead weight in the script
+        for text in self.genrand_scripts():
+            forms = [form for form in parse_script(text) if type(form) is list]
+            declared = [form[1] for form in forms if form[0] == "declare-const"]
+            read, stack = set(), [[form for form in forms if form[0] == "assert"][-1][1]]
+            while stack:
+                node = stack.pop()
+                if type(node) is list:
+                    if node[:1] == ["select"]:
+                        read.add(node[1])
+                    stack += node
+            assert set(declared) <= read, text
 
     def test_every_interval_quantifier_takes_the_guard_reader(self):
         # a guard the shim cannot read leaves an Int quantifier unknown and

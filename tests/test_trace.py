@@ -47,6 +47,15 @@ class TestLoad:
         with pytest.raises(TraceFormatError, match="non-monotonic timestamp at row 3"):
             load_trace(csv)
 
+    def test_non_monotonic_row_counts_blank_rows(self):
+        # the row is the CSV's, blank rows included, not the record's ordinal
+        csv = "timestamp,a\n0,1\n\n0.2,1\n , \n0.1,1\n"
+        with pytest.raises(TraceFormatError, match="non-monotonic timestamp at row 5"):
+            load_trace(csv)
+        records = load_trace(csv.replace("0.1,1", "0.3,1")).records
+        with pytest.raises(TraceFormatError, match="non-monotonic timestamp at row 3"):
+            Trace(records=records[:2] + records[:1], signals=("a",))
+
     def test_malformed_cell_reports_row(self):
         with pytest.raises(TraceFormatError, match="row 2.*oops"):
             load_trace("timestamp,a\n0,1\n1,oops\n")
