@@ -10,7 +10,7 @@ violation exists (satisfied); SAT produces a witness (violated).
 
 from tracecheck import load_trace
 from tracecheck.preprocess import PreprocessConfig, apply_a2
-from tracecheck.smt import FixedRate, VariableRate, choose_iota_mode, translate
+from tracecheck.smt import choose_iota_mode, translate
 from tracecheck.syntax import parse
 
 CSV = """\
@@ -27,7 +27,7 @@ f = parse("exists tau0 in [0, 1.5] such that (spd @t tau0) < 0.5", trace.signals
 # On a variable-rate trace the timestamp-to-index map becomes a balanced
 # bisection tree of comparisons against the recorded timestamps, about
 # log2 of the record count deep.
-script = translate(trace, f, mode=VariableRate())
+script = translate(trace, f, mode="variable")
 print(script.text)
 print("---")
 print(
@@ -40,7 +40,7 @@ print(
 # traces.
 grid = apply_a2(trace, PreprocessConfig())
 mode = choose_iota_mode(grid)
-assert isinstance(mode, FixedRate)
+assert mode == "fixed"
 script2 = translate(grid, f)
 print(
     f"fixed-rate script: {script2.floor_count} floor terms,"

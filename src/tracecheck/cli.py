@@ -163,7 +163,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
     out_path = _out_dir(args) / f"{_pair_name(args.trace, args.property)}.smt2"
     write_text(out_path, script.text)
     print(
-        f"iota {script.iota_mode.describe()}, {script.quantifier_count} quantifiers, "
+        f"iota {script.iota}, {script.quantifier_count} quantifiers, "
         f"{script.floor_count} floor terms, {script.iota_ite_count} index-map selectors"
     )
     print(out_path)

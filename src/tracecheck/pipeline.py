@@ -19,7 +19,7 @@ import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Type, Union
 
@@ -221,7 +221,7 @@ def check_pair(
         records_raw=len(trace),
         records_filtered=len(filtered),
         records_pre=len(pre),
-        iota=script.iota_mode.describe(),
+        iota=script.iota,
         script=str(script_path),
     )
     if options.oracle:
@@ -420,21 +420,7 @@ def batch_exit_code(rows: Sequence[ReportRow]) -> int:
 # Reports
 # ---------------------------------------------------------------------------
 
-BASE_COLUMNS = (
-    "id",
-    "verdict",
-    "reason",
-    "solver_status",
-    "time_s",
-    "solve_s",
-    "records_raw",
-    "records_filtered",
-    "records_pre",
-    "iota",
-    "script",
-    "oracle_verdict",
-    "oracle_reason",
-)
+BASE_COLUMNS = tuple(f.name for f in fields(ReportRow) if f.name != "timing")
 STAT_COLUMNS = ("time_avg_s", "time_min_s", "time_max_s", "time_sd_s")
 
 

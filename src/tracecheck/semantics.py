@@ -53,12 +53,14 @@ from .syntax import (
     Interval,
     Lit,
     Not,
+    ONE_ARG,
     Or,
     Rel,
     Sort,
     T2I,
     Term,
     Var,
+    children,
     free_vars,
 )
 from .trace import DomainError, Trace, format_rational, iota_variable, value_at
@@ -103,31 +105,24 @@ def eval_term(trace: Trace, term: Term, env: Optional[Assignment] = None) -> Fra
         if term.op == "-":
             return left - right
         return left * right
+    if not isinstance(term, ONE_ARG):
+        raise TypeError(f"not a term: {term!r}")
+    arg = eval_term(trace, term.arg, env)
     if isinstance(term, I2T):
-        j = _as_index(eval_term(trace, term.index, env), "i2t argument")
+        j = _as_index(arg, "i2t argument")
         if j < 0 or j > trace.last_index:
             raise EvalError(f"index {j} out of range [0, {trace.last_index}]")
         return trace.timestamps[j]
-    if isinstance(term, T2I):
-        t = eval_term(trace, term.time, env)
-        try:
-            return Fraction(iota_variable(trace, t))
-        except DomainError as exc:
-            raise EvalError(str(exc)) from None
-    if isinstance(term, AtIndex):
-        j = _as_index(eval_term(trace, term.index, env), "index expression")
-        try:
-            return value_at(trace, term.signal, j)
-        except DomainError as exc:
-            raise EvalError(str(exc)) from None
-    if isinstance(term, AtTime):
-        t = eval_term(trace, term.time, env)
-        try:
-            j = iota_variable(trace, t)
-            return value_at(trace, term.signal, j)
-        except DomainError as exc:
-            raise EvalError(str(exc)) from None
-    raise TypeError(f"not a term: {term!r}")
+    try:
+        if isinstance(term, T2I):
+            return Fraction(iota_variable(trace, arg))
+        if isinstance(term, AtIndex):
+            j = _as_index(arg, "index expression")
+        else:
+            j = iota_variable(trace, arg)
+        return value_at(trace, term.signal, j)
+    except DomainError as exc:
+        raise EvalError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +231,11 @@ def _breakpoints(
 ) -> Set[Fraction]:
     """Candidate time points in `dom` where the body's truth can flip as v moves.
 
-    A probe a*v + b steps where it meets a timestamp; only the timestamps
-    strictly inside the image of (dom.lo, dom.hi) give points in the window.
+    The scan visits every node through `syntax.children`.  The argument of
+    each t2i and @t read is a probe a*v + b, which steps where it meets a
+    timestamp; only the timestamps strictly inside the image of
+    (dom.lo, dom.hi) give points in the window.  A relation between time
+    terms adds the point where its sides meet.
     """
     points: Set[Fraction] = set()
     ts = trace.timestamps
@@ -255,25 +253,7 @@ def _breakpoints(
         for tj in ts[bisect_right(ts, ends[0]):bisect_left(ts, ends[1])]:
             points.add((tj - aff.b) / aff.a)
 
-    def scan_term(term: Term):
-        if isinstance(term, (Var, Lit)):
-            return
-        if isinstance(term, Arith):
-            scan_term(term.left)
-            scan_term(term.right)
-        elif isinstance(term, I2T):
-            scan_term(term.index)
-        elif isinstance(term, T2I):
-            probe(term.time)
-            scan_term(term.time)
-        elif isinstance(term, AtIndex):
-            scan_term(term.index)
-        elif isinstance(term, AtTime):
-            probe(term.time)
-            scan_term(term.time)
-
     def crossing(rel: Rel):
-        # a direct comparison of time terms flips where the sides meet
         if rel.left.sort is not Sort.TIME and rel.right.sort is not Sort.TIME:
             return
         if v not in free_vars(rel.left) | free_vars(rel.right):
@@ -287,18 +267,13 @@ def _breakpoints(
         if da != 0:
             points.add(-db / da)
 
-    def scan(f: Formula):
-        if isinstance(f, Rel):
-            scan_term(f.left)
-            scan_term(f.right)
-            crossing(f)
-        elif isinstance(f, Not):
-            scan(f.sub)
-        elif isinstance(f, (And, Or, Implies)):
-            scan(f.left)
-            scan(f.right)
-        elif isinstance(f, (Exists, Forall)):
-            scan(f.body)
+    def scan(node):
+        if isinstance(node, (T2I, AtTime)):
+            probe(node.arg)
+        for sub in children(node):
+            scan(sub)
+        if isinstance(node, Rel):
+            crossing(node)
 
     scan(body)
     return points

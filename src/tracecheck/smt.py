@@ -14,7 +14,10 @@ scripts that would dwarf the solver.  The fixed-rate form is available for
 traces whose gaps are all exactly sr (what resampling produces) and is one
 term per reading, floor((t - t0) / sr) written (to_int (* R (- t t0))) with
 the rational literal R = 1 / sr, so it stays linear; the shift is left out
-when t0 = 0.
+when t0 = 0.  A mode is a word, `auto`, `fixed` or `variable`, and
+`translate` resolves it against the trace itself (`choose_iota_mode`),
+reading sr from the trace's own rate, so no caller can hand it a rate the
+trace does not have.
 
 The reverse map i2t(j) has two forms as well.  On a variable-rate trace it
 reads the timestamp array t, (select t J) with J the clamped index; on a
@@ -42,12 +45,12 @@ from typing import Dict, List, Optional, Union
 from .syntax import (
     Arith,
     AtIndex,
-    AtTime,
     Exists,
     Formula,
     I2T,
     Lit,
     Not,
+    ONE_ARG,
     Or,
     Rel,
     Sort,
@@ -80,29 +83,8 @@ class ExpansionCapError(TranslateError):
     """The variable-rate index map would expand past the configured cap."""
 
 
-@dataclass(frozen=True)
-class VariableRate:
-    """Index map by comparison against every record timestamp."""
-
-    def describe(self) -> str:
-        return "variable-rate"
-
-
-@dataclass(frozen=True)
-class FixedRate:
-    """Index map as floor((t - t0) / sr) for a fixed-rate trace."""
-
-    sr: Fraction
-
-    def describe(self) -> str:
-        return f"fixed-rate sr={format_rational(self.sr)}"
-
-
-IotaMode = Union[VariableRate, FixedRate]
-
-
-def choose_iota_mode(trace: Trace, requested: Optional[str] = None) -> IotaMode:
-    """Pick the index-map encoding.
+def choose_iota_mode(trace: Trace, requested: Optional[str] = None) -> str:
+    """Resolve the index-map encoding to `fixed` or `variable`.
 
     `auto` (or None) uses the fixed-rate form whenever the trace allows it;
     an explicit `fixed` on an unsuitable trace is an error rather than a
@@ -110,16 +92,14 @@ def choose_iota_mode(trace: Trace, requested: Optional[str] = None) -> IotaMode:
     """
     fixed_ok = isinstance(trace.rate, Fixed)
     if requested in (None, "auto"):
-        return FixedRate(trace.rate.sr) if fixed_ok else VariableRate()
-    if requested == "variable":
-        return VariableRate()
-    if requested == "fixed":
-        if not fixed_ok:
-            raise TranslateError(
-                "the fixed-rate index map needs a fixed-rate trace; resample "
-                "first (strategy A2) or use --iota variable"
-            )
-        return FixedRate(trace.rate.sr)
+        return "fixed" if fixed_ok else "variable"
+    if requested == "fixed" and not fixed_ok:
+        raise TranslateError(
+            "the fixed-rate index map needs a fixed-rate trace; resample "
+            "first (strategy A2) or use --iota variable"
+        )
+    if requested in ("fixed", "variable"):
+        return requested
     raise TranslateError(f"unknown iota mode {requested!r}")
 
 
@@ -174,7 +154,7 @@ def _fresh(base: str, taken: set) -> str:
 @dataclass
 class _Tx:
     trace: Trace
-    mode: IotaMode
+    mode: str  # "fixed" or "variable", resolved against the trace
     arrays: Dict[str, str]
     cap: int
     taken: set
@@ -200,7 +180,7 @@ class _Tx:
 @dataclass(frozen=True)
 class SmtScript:
     text: str
-    iota_mode: IotaMode
+    iota: str  # the index map as the script header describes it
     name_map: Dict[str, str]
     quantifier_count: int
     floor_count: int
@@ -242,13 +222,13 @@ def _iota_tree(x: str, ctx: _Tx) -> str:
 
 def _iota_at(time_expr: str, ctx: _Tx) -> str:
     """Int expression for the record index of a time expression."""
-    if isinstance(ctx.mode, VariableRate):
+    if ctx.mode == "variable":
         name = ctx.fresh_let()
         return f"(let (({name} {time_expr})) {_iota_tree(name, ctx)})"
     ctx.floors += 1
     t0 = ctx.trace.t0
     shifted = f"(- {time_expr} {smt_real(t0)})" if t0 else time_expr
-    return f"(to_int (* {smt_real(1 / ctx.mode.sr)} {shifted}))"
+    return f"(to_int (* {smt_real(1 / ctx.trace.rate.sr)} {shifted}))"
 
 
 def emit_term(term: Term, scope: Dict[str, str], ctx: _Tx) -> str:
@@ -260,24 +240,24 @@ def emit_term(term: Term, scope: Dict[str, str], ctx: _Tx) -> str:
         left = emit_term(term.left, scope, ctx)
         right = emit_term(term.right, scope, ctx)
         return f"({term.op} {left} {right})"
+    if not isinstance(term, ONE_ARG):
+        raise TypeError(f"not a term: {term!r}")
+    arg = emit_term(term.arg, scope, ctx)
     if isinstance(term, I2T):
-        j = _clamped_index(emit_term(term.index, scope, ctx), ctx)
-        if isinstance(ctx.mode, VariableRate):
+        j = _clamped_index(arg, ctx)
+        if ctx.mode == "variable":
             return ctx.select("t", j)
         t0 = ctx.trace.t0
-        step = f"(* {smt_real(ctx.mode.sr)} (to_real {j}))"
+        step = f"(* {smt_real(ctx.trace.rate.sr)} (to_real {j}))"
         return f"(+ {smt_real(t0)} {step})" if t0 else step
     if isinstance(term, T2I):
-        return _iota_at(emit_term(term.time, scope, ctx), ctx)
+        return _iota_at(arg, ctx)
     if isinstance(term, AtIndex):
-        j = emit_term(term.index, scope, ctx)
-        return ctx.select(ctx.arrays[term.signal], _clamped_index(j, ctx))
-    if isinstance(term, AtTime):
-        idx = _iota_at(emit_term(term.time, scope, ctx), ctx)
-        if isinstance(ctx.mode, FixedRate):
-            idx = _clamped_index(idx, ctx)
-        return ctx.select(ctx.arrays[term.signal], idx)
-    raise TypeError(f"not a term: {term!r}")
+        return ctx.select(ctx.arrays[term.signal], _clamped_index(arg, ctx))
+    idx = _iota_at(arg, ctx)  # an @t read
+    if ctx.mode == "fixed":
+        idx = _clamped_index(idx, ctx)
+    return ctx.select(ctx.arrays[term.signal], idx)
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +319,22 @@ def _emit_exists(f: Exists, scope: Dict[str, str], ctx: _Tx) -> str:
 def translate(
     trace: Trace,
     formula: Formula,
-    mode: Optional[IotaMode] = None,
+    mode: Optional[str] = None,
     negate: bool = True,
     cap: int = DEFAULT_EXPANSION_CAP,
 ) -> SmtScript:
     """Emit a complete SMT-LIB script for one trace/property pair.
 
     With negate=True (the checking reduction) the script is unsatisfiable
-    exactly when the property holds on the trace.
+    exactly when the property holds on the trace.  `mode` is an iota-mode
+    word (`auto`, `fixed` or `variable`, None meaning `auto`), resolved
+    against the trace by `choose_iota_mode`; the fixed-rate step is the
+    trace's own rate.
     """
-    if mode is None:
-        mode = choose_iota_mode(trace)
+    mode = choose_iota_mode(trace, mode)
+    iota = "variable-rate"
+    if mode == "fixed":
+        iota = f"fixed-rate sr={format_rational(trace.rate.sr)}"
     taken = {"t"}
     arrays: Dict[str, str] = {}
     for signal in sorted(trace.signals):
@@ -361,7 +346,7 @@ def translate(
 
     lines: List[str] = []
     lines.append(f"; tracecheck {__version__}")
-    lines.append(f"; iota mode: {mode.describe()}")
+    lines.append(f"; iota mode: {iota}")
     lines.append(
         f"; trace: records={len(trace)} "
         f"span=[{format_rational(trace.t0)}, {format_rational(trace.tm)}]"
@@ -388,7 +373,7 @@ def translate(
     lines.append("(get-model)")
     return SmtScript(
         text="\n".join(lines) + "\n",
-        iota_mode=mode,
+        iota=iota,
         name_map=dict(arrays),
         quantifier_count=ctx.quantifiers,
         floor_count=ctx.floors,

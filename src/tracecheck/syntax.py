@@ -27,6 +27,11 @@ and Greek letters are fine (σ0, τ0, ρ0).
 
 Variable sorts are inferred from use; the name prefixes tau/τ, sigma/σ and
 rho/ρ break ties when use alone does not decide.
+
+The AST is frozen dataclasses.  `children` is the one place that lists a
+node's subterms and subformulas, so a walker that only needs to reach every
+node goes through it.  The conversions and signal reads (`ONE_ARG`) keep
+their single argument in `arg`, whose sort is the class attribute `arg_sort`.
 """
 
 from __future__ import annotations
@@ -91,36 +96,40 @@ class Lit:
 
 @dataclass(frozen=True)
 class I2T:
-    index: "Term"
+    arg: "Term"
     span: Optional[Span] = _span_field()
 
     sort = Sort.TIME
+    arg_sort = Sort.INDEX
 
 
 @dataclass(frozen=True)
 class T2I:
-    time: "Term"
+    arg: "Term"
     span: Optional[Span] = _span_field()
 
     sort = Sort.INDEX
+    arg_sort = Sort.TIME
 
 
 @dataclass(frozen=True)
 class AtIndex:
     signal: str
-    index: "Term"
+    arg: "Term"
     span: Optional[Span] = _span_field()
 
     sort = Sort.VALUE
+    arg_sort = Sort.INDEX
 
 
 @dataclass(frozen=True)
 class AtTime:
     signal: str
-    time: "Term"
+    arg: "Term"
     span: Optional[Span] = _span_field()
 
     sort = Sort.VALUE
+    arg_sort = Sort.TIME
 
 
 @dataclass(frozen=True)
@@ -133,6 +142,10 @@ class Arith:
 
 
 Term = Union[Var, Lit, I2T, T2I, AtIndex, AtTime, Arith]
+
+# The conversions and signal reads: each has one argument, `arg`, of the
+# class-level sort `arg_sort`, and a fixed sort of its own.
+ONE_ARG = (I2T, T2I, AtIndex, AtTime)
 
 
 @dataclass(frozen=True)
@@ -231,52 +244,35 @@ class Forall:
 Formula = Union[Rel, Not, And, Or, Implies, Exists, Forall]
 
 
-def signals_of(f: Formula) -> FrozenSet[str]:
+def children(node) -> Tuple:
+    """The direct subterms and subformulas of an AST node, left to right.
+
+    A quantifier's interval holds constants, not terms, so it is not a child.
+    """
+    if isinstance(node, (Var, Lit)):
+        return ()
+    if isinstance(node, ONE_ARG):
+        return (node.arg,)
+    if isinstance(node, (Arith, Rel, And, Or, Implies)):
+        return (node.left, node.right)
+    if isinstance(node, Not):
+        return (node.sub,)
+    if isinstance(node, (Exists, Forall)):
+        return (node.body,)
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def signals_of(f) -> FrozenSet[str]:
     """Signal names syntactically occurring in the formula."""
-    out: Set[str] = set()
-
-    def walk(node):
-        if isinstance(node, (AtIndex, AtTime)):
-            out.add(node.signal)
-            walk(node.index if isinstance(node, AtIndex) else node.time)
-        elif isinstance(node, (I2T, T2I)):
-            walk(node.index if isinstance(node, I2T) else node.time)
-        elif isinstance(node, Arith):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Rel):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Not):
-            walk(node.sub)
-        elif isinstance(node, (And, Or, Implies)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (Exists, Forall)):
-            walk(node.body)
-
-    walk(f)
-    return frozenset(out)
+    own = [f.signal] if isinstance(f, (AtIndex, AtTime)) else []
+    return frozenset(own).union(*map(signals_of, children(f)))
 
 
 def free_vars(f) -> FrozenSet[str]:
     if isinstance(f, Var):
         return frozenset([f.name])
-    if isinstance(f, Lit):
-        return frozenset()
-    if isinstance(f, (I2T, T2I)):
-        return free_vars(f.index if isinstance(f, I2T) else f.time)
-    if isinstance(f, AtIndex):
-        return free_vars(f.index)
-    if isinstance(f, AtTime):
-        return free_vars(f.time)
-    if isinstance(f, (Arith, Rel, And, Or, Implies)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, Not):
-        return free_vars(f.sub)
-    if isinstance(f, (Exists, Forall)):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not an AST node: {f!r}")
+    out = frozenset().union(*map(free_vars, children(f)))
+    return out - {f.var} if isinstance(f, (Exists, Forall)) else out
 
 
 # ---------------------------------------------------------------------------
@@ -479,39 +475,38 @@ class _Parser:
             self.pos += 1
         else:
             self.fail("'[' or '('")
-        lo, lo_text = self.bound()
+        lo = self.signed_number()
         self.take_punct(",")
-        hi, hi_text = self.bound()
+        hi = self.signed_number()
         close = self.peek()
         if close.kind == "punct" and close.text in ("]", ")"):
             self.pos += 1
         else:
             self.fail("']' or ')'")
-        if lo > hi:
+        if lo.value > hi.value:
             line, col = _line_col(self.text, open_tok.pos)
             raise ParseError(f"interval lower bound exceeds upper bound", line, col)
         return Interval(
-            lo, open_tok.text == "(", hi, close.text == ")",
-            lo_text=lo_text, hi_text=hi_text,
+            lo.value, open_tok.text == "(", hi.value, close.text == ")",
+            lo_text=lo.text, hi_text=hi.text,
             span=(open_tok.pos, close.pos + 1),
         )
 
-    def bound(self) -> Tuple[Fraction, str]:
-        neg = False
+    def signed_number(self) -> Lit:
+        """An optional '-' and a number, as an unsorted literal."""
         tok = self.peek()
+        sign = ""
         if tok.kind == "punct" and tok.text == "-":
             self.pos += 1
-            neg = True
+            sign = "-"
         num = self.take_number()
-        text = ("-" + num.text) if neg else num.text
-        return self.number(text, tok.pos), text
-
-    def number(self, text: str, pos: int) -> Fraction:
+        text = sign + num.text
         try:
-            return parse_rational(text)
+            value = parse_rational(text)
         except ValueError as exc:
-            line, col = _line_col(self.text, pos)
+            line, col = _line_col(self.text, tok.pos)
             raise ParseError(str(exc), line, col) from None
+        return Lit(value, text=text, span=(tok.pos, num.pos + len(num.text)))
 
     def atom(self) -> Formula:
         save = self.pos
@@ -562,16 +557,8 @@ class _Parser:
 
     def primary(self) -> Term:
         tok = self.peek()
-        if tok.kind == "number":
-            self.pos += 1
-            return Lit(self.number(tok.text, tok.pos), text=tok.text,
-                       span=(tok.pos, tok.pos + len(tok.text)))
-        if tok.kind == "punct" and tok.text == "-":
-            self.pos += 1
-            num = self.take_number()
-            text = "-" + num.text
-            return Lit(self.number(text, tok.pos), text=text,
-                       span=(tok.pos, num.pos + len(num.text)))
+        if tok.kind == "number" or (tok.kind == "punct" and tok.text == "-"):
+            return self.signed_number()
         if tok.kind == "punct" and tok.text == "(":
             self.pos += 1
             node = self.term()
@@ -598,11 +585,11 @@ class _Parser:
 
 
 def span_start(node) -> int:
-    return node.span[0] if node.span else 0
+    return node.span[0]
 
 
 def span_end(node) -> int:
-    return node.span[1] if node.span else 0
+    return node.span[1]
 
 
 # ---------------------------------------------------------------------------
@@ -630,14 +617,15 @@ def _prefix_sort(name: str) -> Optional[Sort]:
 
 
 class _Checker:
-    """Two-round sort inference.
+    """Sort inference in one walk, then a rebuild that checks and annotates.
 
-    Round one walks the tree constraining each bound variable's cell and
-    resolves every quantifier's sort when its scope closes (use decides;
-    decimal interval bounds force time; a tau/sigma name prefix breaks the
-    remaining ties).  Round two repeats the walk with every sort pinned, so
-    constraints that joined too late the first time are still enforced.  The
-    rebuild then returns an equal tree with sorts attached everywhere.
+    The walk constrains each bound variable's cell and resolves every
+    quantifier's sort when its scope closes (use decides; decimal interval
+    bounds force time; a tau/sigma name prefix breaks the remaining ties).
+    The rebuild binds every variable at its final sort, checks each
+    relation again under those sorts, so constraints that joined too late
+    for the walk are still enforced, and returns an equal tree with sorts
+    attached everywhere.
     """
 
     def __init__(self, text: str, signature: FrozenSet[str]):
@@ -647,8 +635,7 @@ class _Checker:
         self.quant_sort: Dict[int, Sort] = {}  # id(quantifier node) -> sort
 
     def err(self, message: str, node) -> ParseError:
-        pos = node.span[0] if getattr(node, "span", None) else 0
-        line, col = _line_col(self.text, pos)
+        line, col = _line_col(self.text, span_start(node))
         return ParseError(message, line, col)
 
     def bind(self, name: str, node) -> _Cell:
@@ -681,23 +668,15 @@ class _Checker:
         elif isinstance(term, Lit):
             if expect is Sort.INDEX and not term.integral_text:
                 raise self.err("index term holds a non-integer literal", term)
-        elif isinstance(term, (I2T, T2I, AtIndex, AtTime)):
+        elif isinstance(term, ONE_ARG):
             own = term.sort
             if expect is not None and expect is not own:
                 raise self.err(
                     f"sort mismatch: {own.value} term used as {expect.value}", term
                 )
-            if isinstance(term, I2T):
-                self.constrain_term(term.index, Sort.INDEX)
-            elif isinstance(term, T2I):
-                self.constrain_term(term.time, Sort.TIME)
-            else:
-                if term.signal not in self.signature:
-                    raise self.err(f"unknown signal {term.signal!r}", term)
-                if isinstance(term, AtIndex):
-                    self.constrain_term(term.index, Sort.INDEX)
-                else:
-                    self.constrain_term(term.time, Sort.TIME)
+            if isinstance(term, (AtIndex, AtTime)) and term.signal not in self.signature:
+                raise self.err(f"unknown signal {term.signal!r}", term)
+            self.constrain_term(term.arg, term.arg_sort)
         elif isinstance(term, Arith):
             if term.op == "*" and not (
                 isinstance(term.left, Lit) or isinstance(term.right, Lit)
@@ -735,62 +714,48 @@ class _Checker:
             self.constrain_term(f.left, sort)
             self.constrain_term(f.right, sort)
 
-    def walk(self, f: Formula, resolve: bool):
+    def walk(self, f: Formula):
         if isinstance(f, Rel):
             self.constrain_rel(f)
-        elif isinstance(f, Not):
-            self.walk(f.sub, resolve)
-        elif isinstance(f, (And, Or, Implies)):
-            self.walk(f.left, resolve)
-            self.walk(f.right, resolve)
         elif isinstance(f, (Exists, Forall)):
-            cell = self.bind(f.var, f)
-            if f.interval is None:
-                cell.sort = Sort.VALUE
-            elif not resolve:
-                cell.sort = self.quant_sort[id(f)]
-            elif f.interval.decimal_texts:
-                cell.sort = Sort.TIME
-            self.walk(f.body, resolve)
-            if resolve:
-                if f.interval is not None and cell.sort is None:
-                    hinted = _prefix_sort(f.var)
-                    if hinted in (Sort.TIME, Sort.INDEX):
-                        cell.sort = hinted
-                    else:
-                        raise self.err(
-                            f"cannot infer whether {f.var!r} ranges over time or "
-                            "indices; rename it with a tau/sigma prefix or use it "
-                            "in the body",
-                            f,
-                        )
-                if f.interval is not None and cell.sort is Sort.INDEX:
-                    if (
-                        f.interval.lo < 0
-                        or f.interval.lo.denominator != 1
-                        or f.interval.hi.denominator != 1
-                    ):
-                        raise self.err(
-                            "index interval bounds must be naturals", f.interval
-                        )
-                self.quant_sort[id(f)] = cell.sort
-            del self.cells[f.var]
+            self.quantifier(f)
         else:
-            raise TypeError(f)
+            for sub in children(f):
+                self.walk(sub)
+
+    def quantifier(self, f: Union[Exists, Forall]):
+        cell = self.bind(f.var, f)
+        if f.interval is None:
+            cell.sort = Sort.VALUE
+        elif f.interval.decimal_texts:
+            cell.sort = Sort.TIME
+        self.walk(f.body)
+        if f.interval is not None and cell.sort is None:
+            hinted = _prefix_sort(f.var)
+            if hinted in (Sort.TIME, Sort.INDEX):
+                cell.sort = hinted
+            else:
+                raise self.err(
+                    f"cannot infer whether {f.var!r} ranges over time or "
+                    "indices; rename it with a tau/sigma prefix or use it "
+                    "in the body",
+                    f,
+                )
+        if f.interval is not None and cell.sort is Sort.INDEX:
+            if (
+                f.interval.lo < 0
+                or f.interval.lo.denominator != 1
+                or f.interval.hi.denominator != 1
+            ):
+                raise self.err("index interval bounds must be naturals", f.interval)
+        self.quant_sort[id(f)] = cell.sort
+        del self.cells[f.var]
 
     def rebuild_term(self, term: Term, expect: Sort) -> Term:
-        if isinstance(term, Var):
+        if isinstance(term, (Var, Lit)):
             return replace(term, sort=expect)
-        if isinstance(term, Lit):
-            return replace(term, sort=expect)
-        if isinstance(term, I2T):
-            return replace(term, index=self.rebuild_term(term.index, Sort.INDEX))
-        if isinstance(term, T2I):
-            return replace(term, time=self.rebuild_term(term.time, Sort.TIME))
-        if isinstance(term, AtIndex):
-            return replace(term, index=self.rebuild_term(term.index, Sort.INDEX))
-        if isinstance(term, AtTime):
-            return replace(term, time=self.rebuild_term(term.time, Sort.TIME))
+        if isinstance(term, ONE_ARG):
+            return replace(term, arg=self.rebuild_term(term.arg, term.arg_sort))
         if isinstance(term, Arith):
             return replace(
                 term,
@@ -802,6 +767,7 @@ class _Checker:
 
     def rebuild(self, f: Formula) -> Formula:
         if isinstance(f, Rel):
+            self.constrain_rel(f)
             sort = self.term_sort(f.left) or self.term_sort(f.right) or Sort.VALUE
             return replace(
                 f,
@@ -822,10 +788,7 @@ class _Checker:
         raise TypeError(f)
 
     def run(self, f: Formula) -> Formula:
-        self.walk(f, resolve=True)
-        self.cells = {}
-        self.walk(f, resolve=False)
-        self.cells = {}
+        self.walk(f)
         return self.rebuild(f)
 
 
@@ -929,13 +892,12 @@ def format_term(term: Term) -> str:
     if isinstance(term, Lit):
         return term.text if term.text is not None else format_rational(term.value)
     if isinstance(term, I2T):
-        return f"i2t({format_term(term.index)})"
+        return f"i2t({format_term(term.arg)})"
     if isinstance(term, T2I):
-        return f"t2i({format_term(term.time)})"
-    if isinstance(term, AtIndex):
-        return f"({term.signal} @i ({format_term(term.index)}))"
-    if isinstance(term, AtTime):
-        return f"({term.signal} @t ({format_term(term.time)}))"
+        return f"t2i({format_term(term.arg)})"
+    if isinstance(term, (AtIndex, AtTime)):
+        at = "@i" if isinstance(term, AtIndex) else "@t"
+        return f"({term.signal} {at} ({format_term(term.arg)}))"
     if isinstance(term, Arith):
         return f"({format_term(term.left)} {term.op} {format_term(term.right)})"
     raise TypeError(term)

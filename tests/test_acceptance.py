@@ -22,7 +22,7 @@ from tracecheck.cli import main
 from tracecheck.pipeline import CheckOptions, check_pair, load_inputs, preprocess_for
 from tracecheck.preprocess import PreprocessConfig, apply_a1, apply_a2
 from tracecheck.semantics import check_direct
-from tracecheck.smt import FixedRate, VariableRate, translate
+from tracecheck.smt import translate
 from tracecheck.solver import SolverOutcome, Verdict, run_solver, verdict_of
 from tracecheck.syntax import (
     And,
@@ -193,8 +193,8 @@ def test_criterion_5_iota_encoding_soundness(tmp_path):
         grid = apply_a2(fig, PreprocessConfig())
         rng = random.Random(IOTA_SAMPLE_SEED)
         fixtures = (
-            ("variable", fig, VariableRate(), lambda t: iota_variable(fig, t)),
-            ("fixed", grid, FixedRate(grid.rate.sr), lambda t: iota_fixed(grid.rate.sr, t)),
+            ("variable", fig, "variable", lambda t: iota_variable(fig, t)),
+            ("fixed", grid, "fixed", lambda t: iota_fixed(grid.rate.sr, t)),
         )
         for name, trace, mode, concrete in fixtures:
             lo, hi = int(trace.t0 * 10), int(trace.tm * 10)

@@ -25,7 +25,6 @@ from tracecheck.pipeline import (
 )
 from tracecheck.preprocess import InterpolationKind, PreprocessConfig, PreprocessError
 from tracecheck.semantics import DirectResult
-from tracecheck.smt import FixedRate, VariableRate
 from tracecheck.solver import Verdict
 from tracecheck.syntax import parse
 
@@ -122,7 +121,7 @@ class TestBuildScript:
         f = parse(SIGMA_EXAMPLE_TEXT, ("ang-rate", "mode"))
         _, pre = preprocess_for(fig_trace, f, CheckOptions().preprocess)
         script = build_script(pre, f, CheckOptions())
-        assert isinstance(script.iota_mode, FixedRate)
+        assert script.iota == "fixed-rate sr=0.2"
 
     def test_explicit_fixed_on_variable_trace_fails(self, fig_trace):
         f = parse(SIGMA_EXAMPLE_TEXT, ("ang-rate", "mode"))
@@ -144,7 +143,7 @@ class TestBuildScript:
     def test_explicit_variable_mode_honored(self, fig_trace):
         f = parse(SIGMA_EXAMPLE_TEXT, ("ang-rate", "mode"))
         script = build_script(fig_trace, f, CheckOptions(iota="variable"))
-        assert isinstance(script.iota_mode, VariableRate)
+        assert script.iota == "variable-rate"
 
 
 class TestCheckPair:

@@ -390,20 +390,20 @@ def naive_term(trace, term, env):
         b = naive_term(trace, term.right, env)
         return a + b if term.op == "+" else a - b if term.op == "-" else a * b
     if isinstance(term, sx.I2T):
-        j = int(naive_term(trace, term.index, env))
+        j = int(naive_term(trace, term.arg, env))
         if not 0 <= j < len(trace.records):
             raise EvalError("naive: index range")
         return trace.timestamps[j]
     if isinstance(term, sx.T2I):
-        t = naive_term(trace, term.time, env)
+        t = naive_term(trace, term.arg, env)
         return Fraction(naive_iota(trace, t))
     if isinstance(term, sx.AtIndex):
-        j = int(naive_term(trace, term.index, env))
+        j = int(naive_term(trace, term.arg, env))
         if not 0 <= j < len(trace.records):
             raise EvalError("naive: index range")
         return trace.records[j].values[term.signal]
     if isinstance(term, sx.AtTime):
-        t = naive_term(trace, term.time, env)
+        t = naive_term(trace, term.arg, env)
         return trace.records[naive_iota(trace, t)].values[term.signal]
     raise TypeError(term)
 

@@ -19,7 +19,7 @@ from tracecheck import shim
 from tracecheck.preprocess import PreprocessConfig, apply_a1, apply_a2
 from tracecheck.semantics import DirectResult, check_direct
 from tracecheck.shim import ShimError, parse_script, run_script
-from tracecheck.smt import FixedRate, VariableRate, translate
+from tracecheck.smt import translate
 from tracecheck.solver import Verdict, run_solver
 from tracecheck.syntax import parse
 from tracecheck.trace import MAX_DIGITS, PLAIN_DIGITS, Fixed, Record, Trace, Variable, format_rational
@@ -31,7 +31,7 @@ def status(text):
     return out[0]
 
 
-def settle_script(n, mode=FixedRate(Fraction(1, 100))):
+def settle_script(n, mode="fixed"):
     """The settle property's script on an n-record 100 Hz trace (unsat)."""
     trace = Trace(
         records=tuple(
@@ -435,7 +435,7 @@ class TestRealQuantifiers:
     def test_to_int(self, body, want):
         assert status(f"(assert {body}) (check-sat)") == want
 
-    @pytest.mark.parametrize("mode", [VariableRate(), FixedRate(Fraction(1, 2))])
+    @pytest.mark.parametrize("mode", ["variable", "fixed"])
     @pytest.mark.parametrize(
         "text, want",
         [
@@ -483,7 +483,7 @@ class TestRealQuantifiers:
         )
         f = parse("exists tau0 in [0.0, 3.0] such that (x @t tau0) = 5", signature=("x",))
         for negate, want in ((False, "sat"), (True, "unsat")):
-            script = translate(trace, f, mode=VariableRate(), negate=negate)
+            script = translate(trace, f, mode="variable", negate=negate)
             assert status(script.text) == want
         assert check_direct(trace, f) == DirectResult(Verdict.SATISFIED)
 
@@ -517,7 +517,7 @@ class TestRealQuantifiers:
             verdict = check_direct(trace, f).verdict
             assert (verdict is Verdict.INCONCLUSIVE) == empty  # the direct route refuses an empty window
             cases += [
-                (translate(trace, f, mode=VariableRate(), negate=negate).text, verdict, negate)
+                (translate(trace, f, mode="variable", negate=negate).text, verdict, negate)
                 for negate in (True, False)
             ]
         agrees_with_direct_and_dense_grid(monkeypatch, cases)
@@ -546,7 +546,7 @@ class TestRealQuantifiers:
         assert status(text) == "sat"
 
 
-@pytest.mark.parametrize("mode", [FixedRate(Fraction(1, 100)), VariableRate()])
+@pytest.mark.parametrize("mode", ["fixed", "variable"])
 def test_each_checked_node_is_compiled_once(monkeypatch, mode):
     calls = collections.Counter()
     uncached = shim._Eval._compile
@@ -580,7 +580,7 @@ def test_the_index_map_is_classified_only_inside_the_window(monkeypatch):
     calls = {}
     for n in (200, 2_000):
         per_call.clear()
-        assert run_script(settle_script(n, VariableRate())) == ["unsat"]
+        assert run_script(settle_script(n, "variable")) == ["unsat"]
         calls[n] = max(per_call)
     assert calls[2_000] < 1.2 * calls[200], calls
 
@@ -615,7 +615,7 @@ def test_candidate_analysis_agrees_with_a_dense_grid(monkeypatch):
         trace, f, _ = pair(seed)
         grid = apply_a2(trace, PreprocessConfig())  # on the grid of the raw times
         for t in [trace] if grid is trace else [trace, grid]:
-            modes = [VariableRate()] + ([FixedRate(t.rate.sr)] if isinstance(t.rate, Fixed) else [])
+            modes = ["variable"] + (["fixed"] if isinstance(t.rate, Fixed) else [])
             scripts += [
                 translate(t, f, mode=mode, negate=negate).text
                 for mode in modes for negate in (True, False)
@@ -666,7 +666,7 @@ def test_candidate_analysis_agrees_with_a_dense_grid_on_long_traces(monkeypatch)
             verdict = check_direct(trace, f).verdict
             assert verdict is not Verdict.INCONCLUSIVE
             cases += [
-                (translate(trace, f, mode=VariableRate(), negate=negate).text, verdict, negate)
+                (translate(trace, f, mode="variable", negate=negate).text, verdict, negate)
                 for negate in (True, False)
             ]
     agrees_with_direct_and_dense_grid(monkeypatch, cases)
@@ -931,7 +931,7 @@ class TestDeepScriptsInAFreshProcess:
 
 # --- end-to-end: translated scripts must land on the oracle's verdict ---
 
-R1_GRID_MODE = FixedRate(Fraction(1, 5))
+R1_GRID_MODE = "fixed"
 
 
 class TestTranslatedScripts:
@@ -1008,7 +1008,7 @@ class TestTranslatedScripts:
         grid = apply_a2(fig_trace, PreprocessConfig())
         f = parse(text, signature=tuple(grid.signals))
         script = translate(grid, f, mode=R1_GRID_MODE)
-        assert isinstance(script.iota_mode, FixedRate)
+        assert script.iota == "fixed-rate sr=0.2"
         assert run_script(script.text)[0] == want
 
     def test_fixed_and_variable_iota_agree_on_grid(self, fig_trace):
@@ -1016,7 +1016,7 @@ class TestTranslatedScripts:
         for text in ("t2i(3.14) = 15", "t2i(0.0) = 0", "t2i(5.6) = 28"):
             f = parse(text, signature=tuple(grid.signals))
             fixed = run_script(translate(grid, f, mode=R1_GRID_MODE).text)
-            variable = run_script(translate(grid, f, mode=VariableRate()).text)
+            variable = run_script(translate(grid, f, mode="variable").text)
             assert fixed == variable == ["unsat"]  # unsat scripts print no model
 
     def test_unassigned_cells_stay_unknown(self, fig_trace):
@@ -1087,8 +1087,8 @@ def test_fixed_rate_i2t_agrees_with_the_timestamp_array(sr, t0):
         assert trace.rate == Fixed(sr)
         verdict = check_direct(trace, f).verdict
         for negate in (True, False):
-            fixed = translate(trace, f, mode=FixedRate(sr), negate=negate).text
-            variable = translate(trace, f, mode=VariableRate(), negate=negate).text
+            fixed = translate(trace, f, mode="fixed", negate=negate).text
+            variable = translate(trace, f, mode="variable", negate=negate).text
             assert "(to_real " in fixed and "(select t " not in fixed
             assert "(declare-const t " in variable
             answer = run_script(fixed)[0]

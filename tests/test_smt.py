@@ -23,9 +23,7 @@ from tracecheck.shim import (
 from tracecheck.smt import (
     DEFAULT_EXPANSION_CAP,
     ExpansionCapError,
-    FixedRate,
     TranslateError,
-    VariableRate,
     _iota_tree,
     _Tx,
     choose_iota_mode,
@@ -70,18 +68,28 @@ class TestLiterals:
 
 class TestIotaModeChoice:
     def test_variable_rate_trace_gets_the_chain_encoding(self, fig_trace):
-        assert choose_iota_mode(fig_trace) == VariableRate()
+        assert choose_iota_mode(fig_trace) == "variable"
 
     def test_resampled_trace_gets_the_floor_encoding(self, grid_trace):
-        assert choose_iota_mode(grid_trace) == FixedRate(F("0.2"))
+        assert choose_iota_mode(grid_trace) == "fixed"
+        script = translate(grid_trace, parse("t2i(2.5) = 12", grid_trace.signals))
+        assert script.iota == "fixed-rate sr=0.2"
+        assert script.text.splitlines()[1] == "; iota mode: fixed-rate sr=0.2"
 
     def test_explicit_fixed_on_variable_trace_is_refused(self, fig_trace):
         with pytest.raises(TranslateError, match="needs a fixed-rate trace"):
             choose_iota_mode(fig_trace, "fixed")
 
+    def test_translate_resolves_fixed_against_the_trace(self, fig_trace):
+        # no caller can hand translate a rate the trace does not have: on the
+        # variable-rate fig trace a fixed-rate floor would misread t2i(2.5)
+        f = parse("t2i(2.5) = 3", fig_trace.signals)
+        with pytest.raises(TranslateError, match="needs a fixed-rate trace"):
+            translate(fig_trace, f, mode="fixed")
+
     def test_shifted_fixed_rate_trace_gets_the_floor_encoding(self):
         shifted = load_trace("timestamp,x\n1.0,0\n1.5,1\n2.0,2\n")
-        assert choose_iota_mode(shifted) == choose_iota_mode(shifted, "fixed") == FixedRate(F("0.5"))
+        assert choose_iota_mode(shifted) == choose_iota_mode(shifted, "fixed") == "fixed"
         for t in (F(1), F("1.2"), F("1.5"), F("1.99"), F(2)):
             # floor((t - 1.0) / 0.5): the shim reads t2i(t) = j as sat only at iota_variable's j
             for j in range(3):
@@ -92,7 +100,7 @@ class TestIotaModeChoice:
                 assert run_script(script.text)[0] == want, (t, j)
 
     def test_explicit_variable_always_works(self, grid_trace):
-        assert choose_iota_mode(grid_trace, "variable") == VariableRate()
+        assert choose_iota_mode(grid_trace, "variable") == "variable"
 
     def test_unknown_mode_name(self, fig_trace):
         with pytest.raises(TranslateError, match="unknown iota mode"):
@@ -238,7 +246,7 @@ class TestFormulaEncoding:
         script = translate(
             grid_trace, parse(R1_TEXT, grid_trace.signals)
         )
-        assert isinstance(script.iota_mode, FixedRate)
+        assert script.iota == "fixed-rate sr=0.2"
         assert script.floor_count == 1  # the @t read; @i reads need no floor
         assert "(let ((x4 (to_int (* 5.0 (+ tau0 (* 0.2 (to_real (let ((x3 sigma0)) " in script.text
         assert "(ite (< x4 0) 0 (ite (> x4 28) 28 x4))" in script.text
@@ -298,7 +306,7 @@ class TestVariableRateIndexMap:
         for j in range(m):
             times.append(times[-1] + F((3 * j + m) % 7 + 1, 10))
         trace = variable_trace(times)
-        ctx = _Tx(trace, VariableRate(), {}, DEFAULT_EXPANSION_CAP, set())
+        ctx = _Tx(trace, "variable", {}, DEFAULT_EXPANSION_CAP, set())
         tree = _iota_tree("x", ctx)
         assert ctx.iota_ites == m
         probes = list(times) + [(a + b) / 2 for a, b in zip(times, times[1:])]
@@ -312,7 +320,7 @@ class TestVariableRateIndexMap:
     def test_nesting_grows_with_log_of_trace_length(self):
         trace = variable_trace([F(j, 10) + F(j % 3, 1000) for j in range(4096)])
         f = parse("exists τ0 in [0, 400] such that (x @t τ0) > 0", {"x"})
-        script = translate(trace, f, mode=VariableRate())
+        script = translate(trace, f, mode="variable")
         assert script.iota_ite_count == 4095
         assert nesting_depth(script.text) <= 40
 
@@ -379,7 +387,7 @@ class TestDeterminismAndCounts:
             "(exists σ0 in [0, 6] such that (mode @i σ0) = 3)",
         ]:
             f = parse_fig(text)
-            script = translate(fig_trace, f, mode=VariableRate())
+            script = translate(fig_trace, f, mode="variable")
             assert script.quantifier_count == count_source_quantifiers(f)
             assert script.text.count("(exists (") == script.quantifier_count
 
@@ -429,9 +437,9 @@ class TestShimFragment:
 
     @staticmethod
     def scripts(trace, f):
-        modes = [VariableRate()]
+        modes = ["variable"]
         if isinstance(trace.rate, Fixed):
-            modes.append(FixedRate(trace.rate.sr))
+            modes.append("fixed")
         for mode in modes:
             for negate in (True, False):
                 yield translate(trace, f, mode=mode, negate=negate).text

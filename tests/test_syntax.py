@@ -1,6 +1,8 @@
 """Parser, sort inference, desugaring and printing."""
 
+from dataclasses import MISSING, fields
 from fractions import Fraction
+from typing import get_args, get_type_hints
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,7 @@ from tracecheck.syntax import (
     AtTime,
     Exists,
     Forall,
+    Formula,
     I2T,
     Implies,
     Interval,
@@ -24,7 +27,9 @@ from tracecheck.syntax import (
     Rel,
     Sort,
     T2I,
+    Term,
     Var,
+    children,
     desugar,
     format_formula,
     free_vars,
@@ -114,7 +119,7 @@ class TestParseShapes:
         assert ante.left == Rel(
             "=", AtIndex("mode", Var("σ0", Sort.INDEX)), Lit(Fraction(0), Sort.VALUE)
         )
-        assert ante.right.left.index == Arith(
+        assert ante.right.left.arg == Arith(
             "+", Var("σ0", Sort.INDEX), Lit(Fraction(1), Sort.INDEX), sort=Sort.INDEX
         )
         cons = f.body.right
@@ -122,7 +127,7 @@ class TestParseShapes:
         assert cons.var_sort is Sort.TIME
         lookup = cons.body.left
         assert isinstance(lookup, AtTime)
-        assert lookup.time == Arith(
+        assert lookup.arg == Arith(
             "+",
             Var("τ0", Sort.TIME),
             I2T(Var("σ0", Sort.INDEX)),
@@ -166,7 +171,7 @@ class TestParseShapes:
         f = parse("exists σ0 in [0, 3] such that (mode @i (σ0 + 1)) = 0", SIG)
         read = f.body.left
         assert isinstance(read, AtIndex)
-        assert isinstance(read.index, Arith)
+        assert isinstance(read.arg, Arith)
 
     def test_real_quantifier_has_no_interval(self):
         f = parse("forall ρ0 such that ρ0 * 2 >= ρ0")
@@ -182,7 +187,7 @@ class TestParseShapes:
         f = parse("exists σ0 in [0, 5] such that t2i(i2t(σ0)) = σ0", SIG)
         eq = f.body
         assert isinstance(eq.left, T2I)
-        assert isinstance(eq.left.time, I2T)
+        assert isinstance(eq.left.arg, I2T)
 
     def test_parenthesized_formula_atom(self):
         f = parse("(1 < 2 or 2 < 3) and 3 < 4")
@@ -292,6 +297,31 @@ class TestHelpers:
     def test_free_vars_of_open_term(self):
         f = parse(SIGMA_EXAMPLE_TEXT, SIG)
         assert free_vars(f.body) == frozenset({"σ0"})
+
+    @pytest.mark.parametrize("cls", get_args(Term) + get_args(Formula), ids=lambda c: c.__name__)
+    def test_children_are_the_ast_typed_fields_in_order(self, cls):
+        # every walker reaches the tree through children, so a node class it
+        # missed would be skipped by all of them at once
+        hints = get_type_hints(cls)
+        values = {}
+        for i, fl in enumerate(fields(cls)):
+            if hints[fl.name] == Term:
+                values[fl.name] = Var(f"v{i}")
+            elif hints[fl.name] == Formula:
+                values[fl.name] = Rel("<", Var(f"v{i}"), Lit(Fraction(i)))
+            elif fl.default is MISSING:
+                values[fl.name] = {str: "+", Fraction: Fraction(1)}.get(hints[fl.name])
+        node = cls(**values)
+        subtrees = [fl.name for fl in fields(cls) if hints[fl.name] in (Term, Formula)]
+        assert children(node) == tuple(values[name] for name in subtrees)
+        assert subtrees or cls in (Var, Lit)
+
+    @pytest.mark.parametrize(
+        "value", [None, 3, "x", Fraction(1), Interval(Fraction(0), False, Fraction(1), False)]
+    )
+    def test_children_of_a_non_node_is_a_type_error(self, value):
+        with pytest.raises(TypeError, match="not an AST node"):
+            children(value)
 
 
 class TestIntervalClip:
