@@ -24,7 +24,10 @@ timestamp,ang-rate,mode
 trace = load_trace(CSV)
 print(f"{len(trace)} records, signals {trace.signals}, rate {trace.rate}")
 
-# Records keep exact rational values; nothing is rounded on the way in.
+# Nothing is rounded on the way in.  The timestamps are integer ticks over
+# one denominator (here 10, for one digit after the point), and each record
+# reads back as an exact rational timestamp and exact values.
+print(f"ticks {trace.ticks[:3]} over {trace.den}")
 for j, rec in enumerate(trace.records[:3]):
     print(j, rec.timestamp, dict(rec.values))
 

@@ -6,18 +6,22 @@ rely on per-signal interpolation, configured per signal name with a default.
 
 All arithmetic is exact.  The cubic kind is a monotone-preserving piecewise
 cubic Hermite (Fritsch-Carlson slopes, three-point edge rule) implemented
-over rationals so that resampled traces stay exactly on grid.
+over rationals so that resampled traces stay exactly on grid.  Interpolation
+runs in the trace's own time unit, ticks of 1/den seconds: every kind gives
+the same value at a time whatever the unit, and A2's grid is then a range of
+integer ticks.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .trace import Fixed, Record, Trace, format_rational
+from .trace import Fixed, Trace, format_rational
 
 
 class PreprocessError(Exception):
@@ -118,7 +122,7 @@ class Interpolant:
     def __init__(self, kind: InterpolationKind, samples: Sequence[Tuple[Fraction, Fraction]]):
         if not samples:
             raise PreprocessError("interpolation needs at least one sample")
-        xs = [Fraction(x) for x, _ in samples]
+        xs = [x for x, _ in samples]
         for a, b in zip(xs, xs[1:]):
             if b <= a:
                 raise PreprocessError("interpolation samples must be strictly increasing in time")
@@ -130,7 +134,7 @@ class Interpolant:
             self._slopes = _pchip_slopes(self.xs, self.ys)
 
     def at(self, t: Fraction) -> Fraction:
-        t = Fraction(t)
+        """The value at t, in the samples' time unit (ints or Fractions)."""
         xs, ys = self.xs, self.ys
         # Boundary rule: clamp to the nearest sample, for every kind.
         if t <= xs[0]:
@@ -143,8 +147,7 @@ class Interpolant:
         if self.kind is InterpolationKind.CONSTANT:
             return ys[i]
         if self.kind is InterpolationKind.LINEAR or len(xs) == 2:
-            frac = (t - xs[i]) / (xs[i + 1] - xs[i])
-            return ys[i] + (ys[i + 1] - ys[i]) * frac
+            return ys[i] + (ys[i + 1] - ys[i]) * (t - xs[i]) / (xs[i + 1] - xs[i])
         # Cubic Hermite on the bracketing interval.
         h = xs[i + 1] - xs[i]
         s = t - xs[i]
@@ -172,24 +175,26 @@ def filter_unused(trace: Trace, used: Iterable[str]) -> Trace:
         raise PreprocessError(
             "signals not in trace: " + ", ".join(sorted(unknown))
         )
-    if len(used_set) == len(trace.signals) and all(rec.values for rec in trace.records):
+    if len(used_set) == len(trace.signals) and all(trace.values):
         return trace
-    kept = []
-    for rec in trace.records:
-        values = {s: v for s, v in rec.values.items() if s in used_set}
+    ticks, kept = [], []
+    for tick, values in zip(trace.ticks, trace.values):
+        values = {s: v for s, v in values.items() if s in used_set}
         if values:
-            kept.append(Record(timestamp=rec.timestamp, values=values))
+            ticks.append(tick)
+            kept.append(values)
     if not kept:
         raise PreprocessError("no relevant records")
     signals = tuple(s for s in trace.signals if s in used_set)
-    return Trace(records=tuple(kept), signals=signals)
+    return Trace.of_ticks(ticks, trace.den, kept, signals)
 
 
 def _interpolants(trace: Trace, cfg: PreprocessConfig) -> Dict[str, Interpolant]:
+    """Each signal's interpolant over its assigned cells, in ticks."""
     table = {}
     for s in trace.signals:
         samples = [
-            (rec.timestamp, rec.values[s]) for rec in trace.records if s in rec.values
+            (tick, values[s]) for tick, values in zip(trace.ticks, trace.values) if s in values
         ]
         if not samples:
             raise PreprocessError(f"signal {s!r} has no assigned samples")
@@ -200,14 +205,14 @@ def _interpolants(trace: Trace, cfg: PreprocessConfig) -> Dict[str, Interpolant]
 def apply_a1(trace: Trace, cfg: PreprocessConfig) -> Trace:
     """Fill unassigned cells in place; timestamps and assigned values untouched."""
     table = _interpolants(trace, cfg)
-    records = []
-    for rec in trace.records:
-        values = dict(rec.values)
+    filled = []
+    for tick, values in zip(trace.ticks, trace.values):
+        values = dict(values)
         for s in trace.signals:
             if s not in values:
-                values[s] = table[s].at(rec.timestamp)
-        records.append(Record(timestamp=rec.timestamp, values=values))
-    return Trace(records=tuple(records), signals=trace.signals)
+                values[s] = table[s].at(tick)
+        filled.append(values)
+    return Trace.of_ticks(trace.ticks, trace.den, filled, trace.signals)
 
 
 def apply_a2(trace: Trace, cfg: PreprocessConfig) -> Trace:
@@ -216,31 +221,29 @@ def apply_a2(trace: Trace, cfg: PreprocessConfig) -> Trace:
     The last grid point is the largest one not exceeding t_m; an off-grid t_m
     is dropped so the output rate is exactly fixed.  A trace already on its
     grid (every gap exactly sr, as the trace's cached `rate` says) with no
-    empty cell is that grid, so it is returned as it is.
+    empty cell is that grid, so it is returned as it is.  The grid is a
+    range of ticks over the trace's own denominator.
     """
     if len(trace) < 2:
         raise PreprocessError("strategy A2 needs at least 2 records")
-    ts = trace.timestamps
-    rate = trace.rate
-    on_grid = isinstance(rate, Fixed)
-    sr = rate.sr if on_grid else min(b - a for a, b in zip(ts, ts[1:]))
+    ticks = trace.ticks
+    on_grid = isinstance(trace.rate, Fixed)
+    gap = ticks[1] - ticks[0] if on_grid else min(map(operator.sub, ticks[1:], ticks))
+    sr = Fraction(gap, trace.den)
     if sr < SR_FLOOR:
         raise PreprocessError(
             f"degenerate sample rate {format_rational(sr)} (minimum gap below floor)"
         )
-    steps = int((ts[-1] - ts[0]) / sr)  # floor: largest k with t_0 + k*sr <= t_m
+    steps = (ticks[-1] - ticks[0]) // gap  # largest k with t_0 + k*sr <= t_m
     if steps + 1 > MAX_GRID_RECORDS:
         raise PreprocessError(
             f"strategy A2 would build {steps + 1} grid records at sr={format_rational(sr)}"
             f" (limit {MAX_GRID_RECORDS}); use strategy A1"
         )
     signals = set(trace.signals)
-    if on_grid and all(r.values.keys() == signals for r in trace.records):
+    if on_grid and all(values.keys() == signals for values in trace.values):
         return trace
     table = _interpolants(trace, cfg)
-    records = []
-    for k in range(steps + 1):
-        t = ts[0] + k * sr
-        values = {s: table[s].at(t) for s in trace.signals}
-        records.append(Record(timestamp=t, values=values))
-    return Trace(records=tuple(records), signals=trace.signals)
+    grid = range(ticks[0], ticks[0] + (steps + 1) * gap, gap)
+    values = [{s: table[s].at(tick) for s in trace.signals} for tick in grid]
+    return Trace.of_ticks(grid, trace.den, values, trace.signals)

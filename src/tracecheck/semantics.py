@@ -112,7 +112,7 @@ def eval_term(trace: Trace, term: Term, env: Optional[Assignment] = None) -> Fra
         j = _as_index(arg, "i2t argument")
         if j < 0 or j > trace.last_index:
             raise EvalError(f"index {j} out of range [0, {trace.last_index}]")
-        return trace.timestamps[j]
+        return trace.time(j)
     try:
         if isinstance(term, T2I):
             return Fraction(iota_variable(trace, arg))
@@ -234,11 +234,12 @@ def _breakpoints(
     The scan visits every node through `syntax.children`.  The argument of
     each t2i and @t read is a probe a*v + b, which steps where it meets a
     timestamp; only the timestamps strictly inside the image of
-    (dom.lo, dom.hi) give points in the window.  A relation between time
-    terms adds the point where its sides meet.
+    (dom.lo, dom.hi) give points in the window, found by bisecting the
+    trace's integer ticks.  A relation between time terms adds the point
+    where its sides meet.
     """
     points: Set[Fraction] = set()
-    ts = trace.timestamps
+    ticks = trace.ticks
 
     def probe(expr: Term):
         if v not in free_vars(expr):
@@ -249,9 +250,10 @@ def _breakpoints(
             return
         if aff.a == 0:
             return
-        ends = sorted((aff.a * dom.lo + aff.b, aff.a * dom.hi + aff.b))
-        for tj in ts[bisect_right(ts, ends[0]):bisect_left(ts, ends[1])]:
-            points.add((tj - aff.b) / aff.a)
+        lo, hi = sorted((aff.a * dom.lo + aff.b, aff.a * dom.hi + aff.b))
+        first = bisect_right(ticks, trace.tick_floor(lo))
+        for k in ticks[first:bisect_left(ticks, trace.tick_ceil(hi))]:
+            points.add((Fraction(k, trace.den) - aff.b) / aff.a)
 
     def crossing(rel: Rel):
         if rel.left.sort is not Sort.TIME and rel.right.sort is not Sort.TIME:

@@ -511,10 +511,13 @@ class _Eval:
                 fence.append(tail)
         elif hi > fence[0]:
             fence.append(hi)
-        candidates: List[Number] = list(fence)
+        # The fence strictly increases, so each midpoint falls between its
+        # neighbours and one pass lists every candidate once, in order.
+        candidates: List[Number] = [fence[0]]
         for a, b in zip(fence, fence[1:]):
             candidates.append(_div(a + b, 2))
-        return sorted(set(candidates)), complete
+            candidates.append(b)
+        return candidates, complete
 
     # --- candidate roots for real quantifiers ---
 

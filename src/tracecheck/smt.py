@@ -59,7 +59,7 @@ from .syntax import (
     Var,
     desugar,
 )
-from .trace import Fixed, Trace, format_rational, held_renderer
+from .trace import Fixed, Trace, format_rational, format_ticks, held_renderer
 
 from . import __version__
 
@@ -109,7 +109,16 @@ def choose_iota_mode(trace: Trace, requested: Optional[str] = None) -> str:
 
 def smt_real(value: Fraction) -> str:
     """Exact Real literal: decimal when finite, (/ p q) otherwise."""
-    text = format_rational(value)
+    return _real_literal(format_rational(value))
+
+
+def smt_time(trace: Trace, j: int) -> str:
+    """Record j's timestamp as smt_real writes it, from the trace's ticks."""
+    return _real_literal(format_ticks(trace.ticks[j], trace.den))
+
+
+def _real_literal(text: str) -> str:
+    """A Real literal from format_rational's text."""
     negative = text.startswith("-")
     if negative:
         text = text[1:]
@@ -200,8 +209,7 @@ def _clamped_index(j_expr: str, ctx: _Tx) -> str:
 
 def _iota_tree(x: str, ctx: _Tx) -> str:
     """Balanced ite tree resolving a bound Real variable to its record index."""
-    ts = ctx.trace.timestamps
-    m = ctx.m
+    trace, m = ctx.trace, ctx.m
     ctx.iota_ites += m
     if ctx.iota_ites > ctx.cap:
         raise ExpansionCapError(
@@ -215,7 +223,7 @@ def _iota_tree(x: str, ctx: _Tx) -> str:
             return str(lo)
         mid = (lo + hi + 1) // 2
         below, above = tree(lo, mid - 1), tree(mid, hi)
-        return f"(ite (< {x} {smt_real(ts[mid])}) {below} {above})"
+        return f"(ite (< {x} {smt_time(trace, mid)}) {below} {above})"
 
     return tree(0, m)
 
@@ -360,14 +368,12 @@ def translate(
     columns = [(s, a, held_renderer(smt_real)) for s, a in sorted(arrays.items()) if a in ctx.reads]
     for _, array, _ in columns:
         lines.append(f"(declare-const {array} (Array Int Real))")
-    for j, record in enumerate(trace.records):
+    for j, values in enumerate(trace.values):
         if pin_t:
-            lines.append(f"(assert (= (select t {j}) {smt_real(record.timestamp)}))")
+            lines.append(f"(assert (= (select t {j}) {smt_time(trace, j)}))")
         for signal, array, literal in columns:
-            if signal in record.values:
-                lines.append(
-                    f"(assert (= (select {array} {j}) {literal(record.values[signal])}))"
-                )
+            if signal in values:
+                lines.append(f"(assert (= (select {array} {j}) {literal(values[signal])}))")
     lines.append(f"(assert {assertion})")
     lines.append("(check-sat)")
     lines.append("(get-model)")

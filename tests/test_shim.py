@@ -625,6 +625,53 @@ def test_candidate_analysis_agrees_with_a_dense_grid(monkeypatch):
     assert [run_script(text) for text in scripts] == analysed
 
 
+def sorted_set_candidates(self, v, body, env, window):
+    """`_Eval._real_candidates` as it was written before its one ascending
+    pass: the fence and its midpoints, then `sorted(set(...))`."""
+    roots, complete = self.real_roots(body, v, env, window)
+    pts = sorted(roots)
+    lo, hi = window
+    fence = [(pts[0] if pts else 0) - 1 if lo is None else lo]
+    fence.extend(p for p in pts if fence[0] < p and (hi is None or p < hi))
+    if hi is None:
+        tail = (pts[-1] if pts else 0) + 1
+        if tail > fence[-1]:
+            fence.append(tail)
+    elif hi > fence[0]:
+        fence.append(hi)
+    candidates = fence + [shim._div(a + b, 2) for a, b in zip(fence, fence[1:])]
+    return sorted(set(candidates)), complete
+
+
+def test_one_pass_candidates_equal_the_sorted_set(monkeypatch):
+    # the single ascending pass lists the same points in the same order, so
+    # every real quantifier evaluates them as before, early exits included
+    one_pass, compared = shim._Eval._real_candidates, []
+
+    def both(self, v, body, env, window):
+        got = one_pass(self, v, body, env, window)
+        want = sorted_set_candidates(self, v, body, env, window)
+        assert got == want
+        assert list(map(type, got[0])) == list(map(type, want[0]))  # int stays int
+        compared.append(len(got[0]))
+        return got
+
+    monkeypatch.setattr(shim._Eval, "_real_candidates", both)
+    scripts = [settle_script(1000, mode) for mode in ("fixed", "variable")]
+    for seed in range(200):
+        trace, f, _ = pair(seed)
+        grid = apply_a2(trace, PreprocessConfig())
+        for t in [trace] if grid is trace else [trace, grid]:
+            modes = ["variable"] + (["fixed"] if isinstance(t.rate, Fixed) else [])
+            scripts += [
+                translate(t, f, mode=mode, negate=negate).text
+                for mode in modes for negate in (True, False)
+            ]
+    for text in scripts:
+        run_script(text)
+    assert len(compared) > 400 and max(compared) > 100
+
+
 def long_variable_rate_trace(seed):
     """40-150 records with gaps of 0.1-0.5 s, a speed dip one to three
     records after each mode event, and holes filled by A1."""

@@ -1,5 +1,7 @@
 """Trace model: loading, rate classification, iota lookups, serialization."""
 
+import time
+from bisect import bisect_right
 from decimal import Decimal
 from fractions import Fraction
 from random import Random
@@ -7,9 +9,13 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+from tracecheck.pipeline import StageError, read_trace
 from tracecheck.trace import (
+    DenominatorError,
     DomainError,
     Fixed,
+    MAX_DIGITS,
+    MAX_EXPONENT,
     PLAIN_DIGITS,
     Record,
     Trace,
@@ -348,3 +354,133 @@ class TestInvariantsAndRoundtrip:
 
     def test_make_fig_trace_matches_csv_load(self, fig_trace):
         assert load_trace(FIG_CSV).records == make_fig_trace().records == fig_trace.records
+
+
+@st.composite
+def timestamp_columns(draw):
+    """Strictly increasing rationals and a CSV cell for each: plain decimals
+    with leading and trailing zeros, exponent forms and p/q cells, from a
+    negative, zero or positive t0, on an equal-gap grid or not."""
+    t0 = Fraction(draw(st.integers(-500, 500)), draw(st.sampled_from([1, 4, 10, 1000, 3, 7])))
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        gap = Fraction(draw(st.integers(1, 40)), draw(st.sampled_from([1, 10, 100, 8, 3, 12])))
+        times = [t0 + j * gap for j in range(n)]
+    else:
+        gaps = st.builds(
+            Fraction, st.integers(1, 999), st.sampled_from([1, 10, 100, 10**4, 2, 6, 7, 125])
+        )
+        times = [t0]
+        for gap in draw(st.lists(gaps, min_size=n - 1, max_size=n - 1)):
+            times.append(times[-1] + gap)
+    cells = []
+    for t in times:
+        form = draw(st.sampled_from(["plain", "exponent", "ratio"]))
+        text = format_rational(t)
+        if form == "ratio" or "/" in text:
+            k = draw(st.integers(1, 3))
+            text = f"{t.numerator * k}/{t.denominator * k}"
+        else:
+            sign, body = ("-", text[1:]) if text.startswith("-") else ("", text)
+            whole, _, frac = body.partition(".")
+            frac += "0" * draw(st.integers(0, 3))
+            whole = "0" * draw(st.integers(0, 2)) + whole
+            if form == "exponent":  # the digits as an integer mantissa, or with a point
+                zeros = "0" * draw(st.integers(0, 2))
+                text = draw(st.sampled_from([
+                    f"{sign}{whole}{frac}{zeros}E-{len(frac) + len(zeros)}",
+                    f"{sign}{whole}.{frac}{zeros}e0" if frac else f"{sign}{whole}e+0",
+                ]))
+            else:
+                text = f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+        cells.append(text)
+    return times, cells
+
+
+def fraction_rate(times):
+    gaps = {b - a for a, b in zip(times, times[1:])}
+    return Fixed(gaps.pop()) if len(gaps) == 1 else Variable()
+
+
+class TestTicks:
+    """Timestamps as integer ticks over one denominator, against the
+    Fraction definitions they replace."""
+
+    @given(timestamp_columns())
+    def test_ticks_agree_with_the_fraction_definitions(self, column):
+        times, cells = column
+        csv = "timestamp,x\n" + "".join(f"{c},{j % 3}\n" for j, c in enumerate(cells))
+        trace = load_trace(csv)
+        assert [trace.time(j) for j in range(len(trace))] == times
+        assert times == [parse_rational(c) for c in cells]
+        assert trace.timestamps == tuple(times)
+        assert trace.rate == fraction_rate(times)
+        probes = times + [(a + b) / 2 for a, b in zip(times, times[1:])]
+        for t in probes + [times[-1] - Fraction(1, 10**6)]:
+            if t >= times[0]:
+                assert iota_variable(trace, t) == bisect_right(times, t) - 1
+        for t in (times[0] - Fraction(1, 10**6), times[-1] + Fraction(1, 10**6)):
+            with pytest.raises(DomainError):
+                iota_variable(trace, t)
+        text = serialize_trace(trace)
+        again = load_trace(text)
+        assert again.records == trace.records
+        assert serialize_trace(again) == text
+
+    def test_the_denominator_is_a_power_of_ten_for_decimals(self):
+        trace = load_trace("timestamp,x\n0,1\n0.5,1\n1.25e0,1\n")
+        assert trace.den == 100 and trace.ticks == (0, 50, 125)
+        trace = load_trace("timestamp,x\n-2,1\n0.5,1\n1.25e1,1\n3.125e1,1\n")
+        assert trace.den == 100 and trace.ticks == (-200, 50, 1250, 3125)
+        trace = load_trace("timestamp,x\n0.0100,1\n1/3,1\n")
+        assert trace.den == 30000 and trace.ticks == (300, 10000)
+
+    def test_distinct_prime_denominators_end_in_a_format_error(self, tmp_path):
+        # timestamps k + 1/p_k over the first 2,000 primes: their common
+        # denominator passes 10^(MAX_DIGITS + MAX_EXPONENT) within a few
+        # hundred rows, and the loader stops there
+        primes, p = [], 1
+        while len(primes) < 2000:
+            p += 1
+            if all(p % q for q in primes if q * q <= p):
+                primes.append(p)
+        rows = "".join(f"{k * p + 1}/{p},1\n" for k, p in enumerate(primes))
+        started = time.perf_counter()
+        with pytest.raises(TraceFormatError) as info:
+            load_trace("timestamp,x\n" + rows)
+        assert time.perf_counter() - started < 5
+        den, row = 1, 0
+        while den <= 10 ** (MAX_DIGITS + MAX_EXPONENT):
+            den *= primes[row]
+            row += 1
+        assert str(info.value) == (
+            f"row {row}: the timestamps' common denominator would pass "
+            f"10^{MAX_DIGITS + MAX_EXPONENT}"
+        )
+        path = tmp_path / "primes.csv"
+        path.write_text("timestamp,x\n\n" + rows)  # a blank row counts
+        with pytest.raises(StageError) as staged:
+            read_trace(path)
+        assert staged.value.stage == "trace-format"
+        assert str(staged.value).startswith(f"{path}: row {row + 1}: ")
+
+    def test_the_bound_admits_every_decimal_cell(self):
+        # 1e-1000 is the smallest exponent and loads; 1e-1001 is malformed
+        assert load_trace("timestamp,x\n1e-1000,1\n").time(0) == Fraction(1, 10**1000)
+        with pytest.raises(TraceFormatError, match="row 1: malformed timestamp"):
+            load_trace("timestamp,x\n1e-1001,1\n")
+        # MAX_DIGITS digits at that exponent need den = 10^1999; a seventh
+        # still fits under 10^2000, a third besides does not
+        longest = "1." + "1" * (MAX_DIGITS - 1) + "e-1000"
+        trace = load_trace(f"timestamp,x\n{longest},1\n1/7,1\n")
+        assert trace.den == 7 * 10**1999
+        with pytest.raises(TraceFormatError, match="row 3: the timestamps' common"):
+            load_trace(f"timestamp,x\n{longest},1\n1/7,1\n2/3,1\n")
+        with pytest.raises(TraceFormatError, match="row 1: the timestamps' common"):
+            load_trace("timestamp,x\n1/" + "7" * (MAX_DIGITS + MAX_EXPONENT + 1) + ",1\n")
+
+    def test_a_direct_trace_takes_the_bound_at_its_record(self):
+        big = 10 ** (MAX_DIGITS + MAX_EXPONENT)
+        records = [Record(Fraction(1, 3), {}), Record(Fraction(1, big + 1), {})]
+        with pytest.raises(DenominatorError, match="row 2: "):
+            Trace(records, ())
