@@ -85,11 +85,13 @@ class ReportRow:
     solver_status: str = ""
     time_s: float = 0.0
     solve_s: float = 0.0
+    solver_rss_mb: float = 0.0  # peak resident set of the solver process
     records_raw: int = 0
     records_filtered: int = 0
     records_pre: int = 0
     iota: str = ""
     script: str = ""
+    script_bytes: int = 0  # size of the script file as written
     oracle_verdict: str = ""
     oracle_reason: str = ""
     timing: Optional[TimingStats] = None
@@ -134,10 +136,12 @@ def read_text(path: Union[str, Path]) -> str:
         return Path(path).read_text()
 
 
-def write_text(path: Path, text: str) -> None:
+def write_text(path: Path, text: str) -> int:
+    """Write `text` to `path`, making its directory; returns the file's size in bytes."""
     with stage("io-error", path=path):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
+        return path.stat().st_size
 
 
 def read_trace(path: Union[str, Path]) -> Trace:
@@ -207,7 +211,7 @@ def check_pair(
     filtered, pre = preprocess_for(trace, formula, options.preprocess)
     script = build_script(pre, formula, options)
     script_path = Path(script_path)
-    write_text(script_path, script.text)
+    script_bytes = write_text(script_path, script.text)
     outcome = run_solver(
         str(script_path), options.solver_cmd, options.timeout_s, options.mem_mb
     )
@@ -218,11 +222,13 @@ def check_pair(
         reason=reason,
         solver_status=outcome.status,
         solve_s=round(outcome.elapsed_s, 3),
+        solver_rss_mb=round(outcome.max_rss_mb, 1),
         records_raw=len(trace),
         records_filtered=len(filtered),
         records_pre=len(pre),
         iota=script.iota,
         script=str(script_path),
+        script_bytes=script_bytes,
     )
     if options.oracle:
         direct = check_direct(pre, formula)

@@ -51,7 +51,9 @@ nothing on stdout, so the solver status is `error` and the verdict
   body, `(and (and (<=|< lo v) (<=|< v hi)) ...)`, its ends evaluated
   with the variable unknown.  Outside the guard the body is false, so the
   window loses no witness.  Without that guard, or for an end that is not
-  a number, that side of the window is unbounded;
+  a number, that side of the window is unbounded.  With two numeric ends
+  the guard is true strictly inside, so only the rest of the body is
+  evaluated there; at an end the whole body decides;
 * integer quantifiers are decided by finite enumeration of the window;
 * real quantifiers are decided by evaluating finitely many candidates:
   the window's ends, every point where some comparison affine in the
@@ -64,6 +66,10 @@ nothing on stdout, so the solver status is `error` and the verdict
   one truth value on the open window contributes only the branch it takes
   there, so the variable-rate index map is read only where the window
   reaches: O(log n + k) of its conditions for k records in the window.
+  The points are integer numerators over one denominator (a floor's steps
+  one `range`, a crossing one numerator), sorted as ints; each candidate
+  is made, an `int` when integral, only when it is reached, in ascending
+  order.
 
 Reads of unpinned cells, unbounded integer ranges, and real bodies the
 classifier cannot account for all evaluate to unknown.  Truth values are
@@ -81,7 +87,7 @@ import re
 import signal
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .solver import HANGUP, drain, limit_address_space
 from .trace import PLAIN_DIGITS, parse_rational
@@ -113,6 +119,7 @@ _PIN_RE = re.compile(
 Number = Union[int, Fraction]  # an exact rational; integral ones are `int`
 Pin = Tuple[str, int, Number]  # (array, index, value) of a pin line
 Window = Tuple[Optional[Number], Optional[Number]]  # a quantifier's (lo, hi); None is no bound
+Roots = Tuple[range, int]  # integer numerators over one positive denominator
 
 
 class _Atoms(dict):
@@ -185,7 +192,8 @@ def parse_script(text: str) -> List[Union[list, Pin]]:
         if pending:
             _tokenize("\n".join(pending), stack, atoms)
             pending = []
-        forms.append((array, atoms[index], value))
+        # pin indexes are mostly distinct: caching a short one saves nothing
+        forms.append((array, int(index) if len(index) <= PLAIN_DIGITS else atoms[index], value))
     _tokenize("\n".join(pending), stack, atoms)
     if len(stack) != 1:
         raise ShimError("unbalanced '('")
@@ -340,6 +348,34 @@ def _guard_ends(v: str, body) -> Optional[Tuple[object, object]]:
     return None
 
 
+def _candidates(roots: List[Roots], window: Window) -> Iterator[Number]:
+    """The fence (the window's ends and the roots strictly between them,
+    or one past the outermost root on a side with no end) and a midpoint
+    in each gap, in ascending order.  Each point is an integer numerator
+    over the lcm of every denominator until it is yielded."""
+    den = math.lcm(*(d for _, d in roots), *(x.denominator for x in window if x is not None))
+    scaled: Set[int] = set()
+    for nums, d in roots:
+        k = den // d
+        scaled.update(range(nums.start * k, nums.stop * k, nums.step * k))
+    pts = sorted(scaled)
+    start, end = (None if x is None else x.numerator * (den // x.denominator) for x in window)
+    fence = [(pts[0] if pts else 0) - den if start is None else start]
+    fence.extend(p for p in pts if fence[0] < p and (end is None or p < end))
+    if end is None:
+        end = (pts[-1] if pts else 0) + den
+    if end > fence[-1]:
+        fence.append(end)
+
+    def number(n: int, d: int) -> Number:  # n / d for d > 0
+        return n // d if n % d == 0 else Fraction(n, d)
+    # the fence strictly increases, so each midpoint falls between its neighbours
+    yield number(fence[0], den)
+    for a, b in zip(fence, fence[1:]):
+        yield number(a + b, 2 * den)
+        yield number(b, den)
+
+
 # Term classes for the real-quantifier completeness analysis.  A term is
 # classified by how it can depend on the quantified variable v:
 #   GROUND  fixed once the outer environment is fixed (no v, no inner binder)
@@ -447,8 +483,9 @@ class _Eval:
     def _exists(self, e):
         [[v, sort]], body = e[1], e[2]
         run, guard = self.compile(body), _guard_ends(v, body)
-        ends = None if guard is None else [self.compile(end) for end in guard]
-        return lambda env: self.ev_exists(v, sort, body, run, ends, env)
+        if guard is not None:  # lo, hi and rest, the body's subterms: compiled already
+            guard = [self.compile(part) for part in (*guard, body[2])]
+        return lambda env: self.ev_exists(v, sort, body, run, guard, env)
 
     # (head, argument count) -> compiler, the shapes FRAGMENT_OPS admits
     COMPILERS = {
@@ -460,70 +497,56 @@ class _Eval:
 
     # --- quantifiers ---
 
-    def ev_exists(self, v: str, sort: str, body, run, ends, env) -> Value:
+    def ev_exists(self, v: str, sort: str, body, run, guard, env) -> Value:
         """Whether `body` (compiled: `run`) holds for some `v` of `sort`
-        inside the window its guard's compiled `ends` give (None: no
-        guard).  Outside the guard the body is false, so no witness is
-        lost; an end that is not a number is no bound."""
+        inside the window of its guard, compiled as `guard` = [lo, hi,
+        rest] (None: no guard).  Outside the guard the body is false, so
+        no witness is lost; an end that is not a number is no bound."""
         # v masked as unknown: the ends are the same for every v, and an
         # outer binding of the same name is hidden; one copy, rebound per
         # candidate
         env = {**env, v: None}
         lo = hi = None
-        if ends is not None:
-            lo, hi = (x if _is_num(x) else None for x in (end(env) for end in ends))
-            if lo is not None and hi is not None and lo > hi:
-                return False
+        step = run
+        if guard is not None:
+            lo, hi = (x if _is_num(x) else None for x in (end(env) for end in guard[:2]))
+            if lo is not None and hi is not None:
+                if lo > hi:
+                    return False
+                step = guard[2]  # the rest: strictly inside, the guard is true
         complete = True
         if sort == "Int":
             if lo is None or hi is None:
                 return None
-            lo, hi = math.ceil(lo), math.floor(hi)
-            if hi - lo > INT_ENUM_CAP:
+            first, last = math.ceil(lo), math.floor(hi)
+            if last - first > INT_ENUM_CAP:
                 return None
-            candidates = range(lo, hi + 1)
+            candidates = range(first, last + 1)
         else:
             candidates, complete = self._real_candidates(v, body, env, (lo, hi))
         out: Optional[bool] = False
         for c in candidates:
             env[v] = c
-            r = run(env)
+            r = step(env)
+            # where the rest is false so is the body; at an end, so may be the guard
+            if r is not False and step is not run and not lo < c < hi:
+                r = run(env)
             if r is True:
                 return True
             if r is None:
                 out = None
         return out if complete else None
 
-    def _real_candidates(self, v, body, env, window: Window) -> Tuple[List[Number], bool]:
-        """The points to evaluate `body` at, and whether they are exhaustive."""
+    def _real_candidates(self, v, body, env, window: Window) -> Tuple[Iterator[Number], bool]:
+        """The points to evaluate `body` at, lazily and ascending, and whether they are exhaustive."""
         roots, complete = self.real_roots(body, v, env, window)
-        pts = sorted(roots)
-        lo, hi = window
-        fence: List[Number] = []
-        if lo is None:
-            fence.append((pts[0] if pts else 0) - 1)
-        else:
-            fence.append(lo)
-        fence.extend(p for p in pts if fence[0] < p and (hi is None or p < hi))
-        if hi is None:
-            tail = (pts[-1] if pts else 0) + 1
-            if tail > fence[-1]:
-                fence.append(tail)
-        elif hi > fence[0]:
-            fence.append(hi)
-        # The fence strictly increases, so each midpoint falls between its
-        # neighbours and one pass lists every candidate once, in order.
-        candidates: List[Number] = [fence[0]]
-        for a, b in zip(fence, fence[1:]):
-            candidates.append(_div(a + b, 2))
-            candidates.append(b)
-        return candidates, complete
+        return _candidates(roots, window), complete
 
     # --- candidate roots for real quantifiers ---
 
     def real_roots(
         self, body, v: str, env, window: Window
-    ) -> Tuple[Set[Number], bool]:
+    ) -> Tuple[List[Roots], bool]:
         """Points where some comparison's truth can flip, with completeness.
 
         The walk goes through the body's connectives and inner quantifiers
@@ -534,7 +557,7 @@ class _Eval:
         value between the collected roots; else the caller reports unknown
         instead of trusting a False.
         """
-        roots: Set[Number] = set()
+        roots: List[Roots] = []
         complete = True
         grid = (window, roots)
 
@@ -670,7 +693,7 @@ class _Eval:
             return GROUND, rel(xb, yb)
         root, (lo, hi) = _div(yb - xb, xa - ya), grid[0]
         if lo is None or hi is None or not lo < hi or lo < root < hi:
-            grid[1].add(root)
+            grid[1].append((range(root.numerator, root.numerator + 1), root.denominator))
             return PW, None
         mid = _div(lo + hi, 2)
         return GROUND, rel(xa * mid + xb, ya * mid + yb)
@@ -696,7 +719,10 @@ class _Eval:
         j_lo, j_hi = math.ceil(min(ends)), math.floor(max(ends))
         if j_hi - j_lo > GRID_CAP:
             return (BAD,)
-        roots.update(_div(j - b, a) for j in range(j_lo, j_hi + 1))
+        # v = (j - b) / a = s * (j*bd - bn) / (bd*|an|) for j = j_lo..j_hi, s = ±ad
+        (an, ad), (bn, bd) = (a.numerator, a.denominator), (b.numerator, b.denominator)
+        s = ad if an > 0 else -ad
+        roots.append((range(s * (j_lo * bd - bn), s * ((j_hi + 1) * bd - bn), s * bd), bd * abs(an)))
         return (PW,)
 
     @staticmethod

@@ -1,5 +1,6 @@
 """Pipeline stages, manifest handling, batch isolation, report writers."""
 
+import csv
 import json
 
 import pytest
@@ -156,6 +157,22 @@ class TestCheckPair:
         assert (row.records_raw, row.records_filtered, row.records_pre) == (7, 7, 29)
         assert row.iota.startswith("fixed-rate")
         assert row.time_s > 0
+
+    def test_script_size_and_solver_memory_reach_both_reports(self, workdir):
+        row = check_pair(
+            workdir / "fig1.csv", workdir / "r1.prop", CheckOptions(), workdir / "d.smt2"
+        )
+        assert row.script_bytes == len((workdir / "d.smt2").read_bytes()) > 0
+        assert row.solver_rss_mb > 0  # the peak of the process that ran the script
+        write_report([row], "csv", workdir / "r.csv")
+        with open(workdir / "r.csv", newline="") as fh:
+            [cells] = list(csv.DictReader(fh))
+        assert (int(cells["script_bytes"]), float(cells["solver_rss_mb"])) == (
+            row.script_bytes, row.solver_rss_mb,
+        )
+        write_report([row], "jsonl", workdir / "r.jsonl")
+        obj = json.loads((workdir / "r.jsonl").read_text())
+        assert (obj["script_bytes"], obj["solver_rss_mb"]) == (row.script_bytes, row.solver_rss_mb)
 
     def test_violated_row(self, workdir):
         row = check_pair(

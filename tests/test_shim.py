@@ -76,6 +76,16 @@ class TestParsing:
         forms = parse_script("(assert (= (select t 7) 0.25)) ; cell 7\n(check-sat)")
         assert forms == [("t", 7, Fraction(1, 4)), ["check-sat"]]
 
+    def test_a_pin_index_is_an_int_at_any_length_up_to_the_numeral_bound(self):
+        plain = "9" * PLAIN_DIGITS
+        lines = [f"(assert (= (select t {j}) 1.0))" for j in ("7", plain, f"0{plain}", f"{plain}9")]
+        assert parse_script("\n".join(lines)) == [
+            ("t", 7, 1), ("t", 10**PLAIN_DIGITS - 1, 1), ("t", 10**PLAIN_DIGITS - 1, 1),
+            ("t", 10 ** (PLAIN_DIGITS + 1) - 1, 1),
+        ]
+        with pytest.raises(ShimError, match="numeral out of range"):
+            parse_script(f"(assert (= (select t {'1' * (MAX_DIGITS + 1)}) 1.0))")
+
     def test_a_pin_shaped_line_inside_an_open_form_is_tokenized(self):
         forms = parse_script("(a\n(assert (= (select t 0) 1.0))\n)")
         assert forms == [["a", ["assert", ["=", ["select", "t", 0], 1]]]]
@@ -425,6 +435,10 @@ class TestRealQuantifiers:
             ("(exists ((t Real)) (and (and (<= 0.0 t) (<= t 1.0)) (= (to_int (* 3.0 t)) 3)))", "sat"),
             ("(exists ((t Real)) (and (and (< 0.0 t) (< t 1.0)) (= (to_int (* 3.0 t)) 3)))", "unsat"),
             ("(exists ((t Real)) (and (and (<= 0.0 t) (<= t 1.0)) (< (to_int (* (- 3.0) t)) (- 2))))", "sat"),
+            # falling floors whose value holds only between steps no midpoint of [0, 1] reaches
+            ("(exists ((t Real)) (and (and (<= 0.0 t) (<= t 1.0)) (= (to_int (* (- 3.0) t)) (- 1))))", "sat"),
+            ("(exists ((t Real)) (and (and (<= 0.0 t) (<= t 1.0))"
+             " (= (to_int (+ (* (- 2.5) t) (/ 1 3))) (- 2))))", "sat"),
             # no window to count the steps in
             ("(exists ((r Real)) (= (to_int r) 7.5))", "unknown"),
             # more steps in the window than GRID_CAP
@@ -546,6 +560,52 @@ class TestRealQuantifiers:
         assert status(text) == "sat"
 
 
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        # strictly inside the window only the rest of the body is evaluated;
+        # at a strict end where the rest holds, the guard still says no
+        ("(exists ((t Real)) (and (and (< 1.0 t) (<= t 2.0)) (<= t 1.0)))", "unsat"),
+        ("(exists ((t Real)) (and (and (<= 0.0 t) (< t 1.0)) (>= t 1.0)))", "unsat"),
+        ("(exists ((t Real)) (and (and (< 1.0 t) (< t 1.0)) (= t 1.0)))", "unsat"),
+        ("(exists ((t Real)) (and (and (< 1.0 t) (<= t 2.0)) (<= t 1.5)))", "sat"),
+        ("(exists ((n Int)) (and (and (< 1 n) (< n 3)) (or (= n 1) (= n 3))))", "unsat"),
+        ("(exists ((n Int)) (and (and (< 1 n) (<= n 3)) (= n 3)))", "sat"),
+        # an Int window with fractional ends: every integer in it is inside
+        ("(exists ((n Int)) (and (and (<= 0.5 n) (<= n 2.5)) (= n 2)))", "sat"),
+        ("(exists ((n Int)) (and (and (< 0.5 n) (< n 2.5)) (or (= (* 2 n) 1) (= (* 2 n) 5))))",
+         "unsat"),
+        ("(exists ((n Int)) (and (and (<= (/ 1 3) n) (<= n (/ 2 3))) (= n n)))", "unsat"),
+        # an end that is unknown bounds nothing, and the guard stays in the body
+        ("(exists ((t Real)) (and (and (<= (select a 0) t) (<= t 1.0)) (< t 5.0)))", "unknown"),
+        ("(exists ((t Real)) (and (and (<= 0.0 t) (< t (select a 0))) (< t 5.0)))", "unknown"),
+        ("(exists ((n Int)) (and (and (<= 0 n) (<= n (select a 0))) (= n 1)))", "unknown"),
+    ],
+)
+def test_the_guard_is_left_out_only_strictly_inside_the_window(text, want):
+    script = f"(declare-const a (Array Int Real)) (assert {text}) (check-sat)"
+    assert status(script) == want
+
+
+def test_many_coprime_denominators():
+    # 200 crossings at 1/p, p over the first 200 primes: the lcm the
+    # candidates share has about 520 digits
+    primes = [p for p in range(2, 1224) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    assert len(primes) == 200
+
+    def balanced(op, items):
+        half = len(items) // 2
+        return items[0] if half == 0 else f"({op} {balanced(op, items[:half])} {balanced(op, items[half:])})"
+
+    hits = balanced("or", [f"(= (* {p} x) 1)" for p in primes])
+    for rest, want in (
+        (f"(and {hits} (> x (/ 1 3)))", "sat"),  # x = 1/2, the last crossing
+        (f"(and {hits} (= (* 2 x) 3))", "unsat"),  # every candidate evaluated
+    ):
+        text = f"(assert (exists ((x Real)) (and (and (<= 0 x) (<= x 1)) {rest}))) (check-sat)"
+        assert status(text) == want
+
+
 @pytest.mark.parametrize("mode", ["fixed", "variable"])
 def test_each_checked_node_is_compiled_once(monkeypatch, mode):
     calls = collections.Counter()
@@ -626,10 +686,11 @@ def test_candidate_analysis_agrees_with_a_dense_grid(monkeypatch):
 
 
 def sorted_set_candidates(self, v, body, env, window):
-    """`_Eval._real_candidates` as it was written before its one ascending
-    pass: the fence and its midpoints, then `sorted(set(...))`."""
-    roots, complete = self.real_roots(body, v, env, window)
-    pts = sorted(roots)
+    """`_Eval._real_candidates` as it was written on exact values: the roots
+    as a set of Fractions, the fence and its midpoints, then
+    `sorted(set(...))`."""
+    groups, complete = self.real_roots(body, v, env, window)
+    pts = sorted({Fraction(n, den) for nums, den in groups for n in nums})
     lo, hi = window
     fence = [(pts[0] if pts else 0) - 1 if lo is None else lo]
     fence.extend(p for p in pts if fence[0] < p and (hi is None or p < hi))
@@ -644,17 +705,18 @@ def sorted_set_candidates(self, v, body, env, window):
 
 
 def test_one_pass_candidates_equal_the_sorted_set(monkeypatch):
-    # the single ascending pass lists the same points in the same order, so
-    # every real quantifier evaluates them as before, early exits included
+    # the integer pass lists the same points in the same order, so every
+    # real quantifier evaluates them as before, early exits included; an
+    # integral point is an int, as an integral numeral is
     one_pass, compared = shim._Eval._real_candidates, []
 
     def both(self, v, body, env, window):
-        got = one_pass(self, v, body, env, window)
-        want = sorted_set_candidates(self, v, body, env, window)
-        assert got == want
-        assert list(map(type, got[0])) == list(map(type, want[0]))  # int stays int
-        compared.append(len(got[0]))
-        return got
+        candidates, complete = one_pass(self, v, body, env, window)
+        got = list(candidates)
+        assert (got, complete) == sorted_set_candidates(self, v, body, env, window)
+        assert [type(c) for c in got] == [int if c.denominator == 1 else Fraction for c in got]
+        compared.append(len(got))
+        return got, complete
 
     monkeypatch.setattr(shim._Eval, "_real_candidates", both)
     scripts = [settle_script(1000, mode) for mode in ("fixed", "variable")]

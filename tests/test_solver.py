@@ -284,8 +284,9 @@ def wait_until_ended(pids, within_s=5):
     assert not [pid for pid in pids if running(pid)]
 
 
-SLOW_SCRIPT = (
-    "(assert (exists ((k Int)) (and (and (<= 0 k) (<= k 900000)) (= (* k k) (- 0 1)))))\n"
+SLOW_SCRIPT = (  # ten million instances: seconds of work for the evaluator
+    "(assert (exists ((k Int)) (and (and (<= 0 k) (<= k 999999))\n"
+    "  (exists ((m Int)) (and (and (<= 0 m) (<= m 9)) (= (* k m) (- 0 1)))))))\n"
     "(check-sat)\n"
 )
 
