@@ -587,11 +587,19 @@ def test_the_guard_is_left_out_only_strictly_inside_the_window(text, want):
     assert status(script) == want
 
 
-def test_many_coprime_denominators():
+def test_many_coprime_denominators(monkeypatch):
     # 200 crossings at 1/p, p over the first 200 primes: the lcm the
     # candidates share has about 520 digits
     primes = [p for p in range(2, 1224) if all(p % q for q in range(2, math.isqrt(p) + 1))]
     assert len(primes) == 200
+    real_roots, denominators = shim._Eval.real_roots, set()
+
+    def collecting(self, *args):
+        groups, complete = real_roots(self, *args)
+        denominators.update(den for _, den in groups)
+        return groups, complete
+
+    monkeypatch.setattr(shim._Eval, "real_roots", collecting)
 
     def balanced(op, items):
         half = len(items) // 2
@@ -604,6 +612,7 @@ def test_many_coprime_denominators():
     ):
         text = f"(assert (exists ((x Real)) (and (and (<= 0 x) (<= x 1)) {rest}))) (check-sat)"
         assert status(text) == want
+    assert set(primes) <= denominators
 
 
 @pytest.mark.parametrize("mode", ["fixed", "variable"])
