@@ -29,14 +29,16 @@ of it), at exactly the translator's arities:
   index and `lit` in one of the four shapes `smt.smt_real` writes, `n`,
   `(- n)`, `(/ p q)` and `(- (/ p q))`.
 
-Each assertion is checked against that fragment when the script is read,
-before anything is evaluated (`check_form`), except the pin lines, whose
-shape the regex that reads them already fixes.  Anything else (another
-command, sort or operator, another arity, a symbol nothing binds, or a term
-where a formula is expected or the other way round) is a `ShimError`, even
-where evaluation would never reach it: exit code 1, a message on stderr and
-nothing on stdout, so the solver status is `error` and the verdict
-`inconclusive`.  Within the fragment it is exact:
+When the script is read, before anything is evaluated, one walk
+(`_Eval.build`) checks each node of an assertion against that fragment,
+whose one definition is the table `_Eval.FRAGMENT`, and compiles it into a
+closure env -> value, so evaluation never dispatches on a head string.  Pin
+lines skip the walk: the regex that reads them already fixes their shape.
+Anything else (another command, sort or operator, another arity, a symbol
+nothing binds, or a term where a formula is expected or the other way
+round) is a `ShimError`, even where evaluation would never reach it: exit
+code 1, a message on stderr and nothing on stdout, so the solver status is
+`error` and the verdict `inconclusive`.  Within the fragment it is exact:
 
 * every numeral is parsed once, when the script is read, into an exact
   rational: an `int` leaf when it is integral, else a `Fraction`; a
@@ -44,9 +46,6 @@ nothing on stdout, so the solver status is `error` and the verdict
 * each pin line binds its cell and skips the tokenizer; contradictory
   pins are unsat.  A pin-shaped assertion anywhere else, or one dividing
   by zero, is an ordinary assertion;
-* each checked node, at any depth, is compiled once per script into a
-  closure env -> value, so evaluation never dispatches on a head string
-  again;
 * a quantifier's window is the guard the translator writes first in its
   body, `(and (and (<=|< lo v) (<=|< v hi)) ...)`, its ends evaluated
   with the variable unknown.  Outside the guard the body is false, so the
@@ -87,7 +86,7 @@ import re
 import signal
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .solver import HANGUP, drain, limit_address_space
 from .trace import PLAIN_DIGITS, parse_rational
@@ -236,27 +235,7 @@ _RELATIONS = {
     "<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge, ">": operator.gt,
 }
 
-
-# ---------------------------------------------------------------------------
-# The fragment, checked once per assertion before evaluation
-# ---------------------------------------------------------------------------
-
-NUM, BOOL = "number", "formula"  # the two sorts: Int and Real are both numbers
-
-# Each operator of the fragment at an arity the translator writes it:
-# (head, argument count) -> (sort, argument sorts).  `select`, `let`,
-# `exists` and the leaves are checked on their own in check_form.
-FRAGMENT_OPS = {
-    **{(op, 2): (NUM, (NUM, NUM)) for op in _ARITH},
-    ("-", 1): (NUM, (NUM,)),
-    ("to_int", 1): (NUM, (NUM,)),
-    ("to_real", 1): (NUM, (NUM,)),
-    ("ite", 3): (NUM, (BOOL, NUM, NUM)),
-    **{(rel, 2): (BOOL, (NUM, NUM)) for rel in _RELATIONS},
-    ("not", 1): (BOOL, (BOOL,)),
-    ("and", 2): (BOOL, (BOOL, BOOL)),
-    ("or", 2): (BOOL, (BOOL, BOOL)),
-}
+NUM, BOOL = "number", "formula"  # the fragment's two sorts: Int and Real are both numbers
 
 
 def _brief(node) -> str:
@@ -273,64 +252,6 @@ def _binding(node, sorts=None) -> bool:
         return False
     b = node[0]
     return type(b) is list and len(b) == 2 and type(b[0]) is str and (sorts is None or b[1] in sorts)
-
-
-def check_form(form, arrays: Set[str]) -> None:
-    """Raise ShimError unless `form` is a command of the fragment and any
-    formula it asserts is well sorted.  `arrays` holds the arrays declared
-    so far; a `declare-const` adds its own."""
-    if form in (["set-logic", "AUFLIRA"], ["check-sat"], ["get-model"]):
-        return
-    head = form[0] if type(form) is list and form else None
-    if head == "declare-const" and len(form) == 3 and type(form[1]) is str \
-            and form[2] == ["Array", "Int", "Real"]:
-        arrays.add(form[1])
-        return
-    if head != "assert" or len(form) != 2:
-        raise ShimError(f"unsupported command {_brief(form)}")
-    # iterative, so a deeply nested hand-written script cannot exhaust the stack
-    stack = [(form[1], BOOL, frozenset())]  # (node, expected sort, bound names)
-    while stack:
-        node, want, scope = stack.pop()
-        if _is_num(node):
-            sort = NUM
-        elif type(node) is str:
-            if node == "false":
-                sort = BOOL
-            elif node in scope:
-                sort = NUM
-            else:
-                raise ShimError(f"unknown symbol {node!r}")
-        elif not node or type(node[0]) is not str:
-            raise ShimError(f"bad expression {_brief(node)}")
-        else:
-            head, args = node[0], node[1:]
-            signature = FRAGMENT_OPS.get((head, len(args)))
-            if signature is not None:
-                sort, arg_sorts = signature
-                stack += [(a, s, scope) for a, s in zip(args, arg_sorts)]
-            elif head == "select" and len(args) == 2:
-                arr = args[0]
-                if type(arr) is not str or arr not in arrays or arr in scope:
-                    raise ShimError(f"select from {_brief(arr)}, which is not a declared array")
-                sort = NUM
-                stack.append((args[1], NUM, scope))
-            elif head == "let" and len(args) == 2:
-                if not _binding(args[0]):
-                    raise ShimError("let takes one (name term) binding")
-                [[name, bound]], body = args
-                sort = NUM
-                stack += [(bound, NUM, scope), (body, NUM, scope | {name})]
-            elif head == "exists" and len(args) == 2:
-                if not _binding(args[0], ("Int", "Real")):
-                    raise ShimError("exists takes one (name Int|Real) binder")
-                [[name, _]], body = args
-                sort = BOOL
-                stack.append((body, BOOL, scope | {name}))
-            else:
-                raise ShimError(f"unsupported operator {head!r} with {len(args)} arguments")
-        if sort != want:
-            raise ShimError(f"{_brief(node)} is a {sort} where a {want} is expected")
 
 
 # ---------------------------------------------------------------------------
@@ -403,55 +324,71 @@ class _Eval:
         if self.pins.setdefault((array, index), value) != value:
             self.conflict = True
 
-    # --- evaluation: each checked node is compiled once into a closure ---
+    # --- the fragment: one walk checks each node and compiles it into a closure ---
 
-    def ev(self, e, env: Dict[str, Value]) -> Value:
-        """The value of a checked term or formula of the script; a name `env`
-        lacks is unknown."""
-        return self.compile(e)(env)
-
-    def compile(self, e) -> Callable[[Dict[str, Value]], Value]:
-        """`e` as a closure env -> value, built once per node.  The cache
-        holds each node it compiled, so the id it is keyed by is never
-        reused."""
-        hit = self.compiled.get(id(e))
+    def build(self, e, want: str, scope: FrozenSet[str]) -> Callable[[Dict[str, Value]], Value]:
+        """`e` as a closure env -> value, once it is checked to be a `want`
+        of the fragment whose free names are all in `scope`.  A node's own
+        sort is checked before its arguments; each leaf object, which
+        `_Atoms` shares between occurrences, gets one closure."""
+        leaf = type(e) is not list
+        if leaf:
+            if e == "false":
+                sort = BOOL
+            elif _is_num(e) or e in scope:
+                sort = NUM
+            else:
+                raise ShimError(f"unknown symbol {e!r}")
+        elif not e or type(e[0]) is not str:
+            raise ShimError(f"bad expression {_brief(e)}")
+        else:
+            signature = self.FRAGMENT.get((e[0], len(e) - 1))
+            if signature is None:
+                raise ShimError(f"unsupported operator {e[0]!r} with {len(e) - 1} arguments")
+            sort, arg_sorts, compiler = signature
+        if sort != want:
+            raise ShimError(f"{_brief(e)} is a {sort} where a {want} is expected")
+        hit = self.compiled.get(id(e)) if leaf else None
         if hit is None:
-            hit = self.compiled[id(e)] = (e, self._compile(e))
+            if not leaf:
+                # a list comprehension recurses through Python calls only, so
+                # a deep term meets the recursion limit, not the C stack's end
+                args = [a if s is None else self.build(a, s, scope) for a, s in zip(e[1:], arg_sorts)]
+                fn = compiler(self, e, args, scope)
+            elif type(e) is not str:
+                fn = lambda env: e  # noqa: E731
+            else:
+                fn = (lambda env: False) if e == "false" else (lambda env: env.get(e))
+            hit = self.compiled[id(e)] = (e, fn)  # holding the node, its id is never reused
         return hit[1]
 
-    def _compile(self, e) -> Callable[[Dict[str, Value]], Value]:
-        """`e` as a new closure, its subterms through the cache."""
-        if _is_num(e):
-            return lambda env: e
-        if type(e) is str:
-            return (lambda env: False) if e == "false" else (lambda env: env.get(e))
-        return self.COMPILERS[e[0], len(e) - 1](self, e)
+    def compile(self, e) -> Callable[[Dict[str, Value]], Value]:
+        """The closure of `e`, a node already built."""
+        return self.compiled[id(e)][1]
 
     _UNARY = {
         "-": operator.neg, "not": operator.not_, "to_int": math.floor,
         "to_real": operator.pos,  # Int and Real values are both exact rationals
     }
 
-    def _unary(self, e):
-        a, op = self.compile(e[1]), self._UNARY[e[0]]
+    def _unary(self, e, args, scope):
+        [a], op = args, self._UNARY[e[0]]
 
         def unary(env):
             x = a(env)
             return None if x is None else op(x)
         return unary
 
-    def _binary(self, e):
-        op = _ARITH.get(e[0]) or _RELATIONS[e[0]]
-        a, b = self.compile(e[1]), self.compile(e[2])
+    def _binary(self, e, args, scope):
+        (a, b), op = args, _ARITH.get(e[0]) or _RELATIONS[e[0]]
 
         def binary(env):
             x, y = a(env), b(env)
             return None if x is None or y is None else op(x, y)
         return binary
 
-    def _and_or(self, e):
-        stop = e[0] == "or"  # the value that decides at once
-        a, b = self.compile(e[1]), self.compile(e[2])
+    def _and_or(self, e, args, scope):
+        (a, b), stop = args, e[0] == "or"  # the value that decides at once
 
         def junction(env):
             x = a(env)
@@ -461,38 +398,56 @@ class _Eval:
             return y if x is not None or y is stop else None
         return junction
 
-    def _ite(self, e):
-        cond, then, other = self.compile(e[1]), self.compile(e[2]), self.compile(e[3])
+    def _ite(self, e, args, scope):
+        cond, then, other = args
 
         def ite(env):
             c = cond(env)
             return None if c is None else then(env) if c else other(env)
         return ite
 
-    def _let(self, e):
+    def _let(self, e, args, scope):
+        if not _binding(e[1]):
+            raise ShimError("let takes one (name term) binding")
         [[name, bound]], body = e[1], e[2]
-        value, run = self.compile(bound), self.compile(body)
+        value, run = self.build(bound, NUM, scope), self.build(body, NUM, scope | {name})
         return lambda env: run({**env, name: value(env)})
 
-    def _select(self, e):
-        array, index, pins = e[1], self.compile(e[2]), self.pins
+    def _select(self, e, args, scope):
+        (array, index), pins = args, self.pins
+        if type(array) is not str or array not in self.arrays or array in scope:
+            raise ShimError(f"select from {_brief(array)}, which is not a declared array")
         # a pin's index is an int, equal to an integral Fraction; an unknown
         # or non-integral index matches no pin
         return lambda env: pins.get((array, index(env)))
 
-    def _exists(self, e):
+    def _exists(self, e, args, scope):
+        if not _binding(e[1], ("Int", "Real")):
+            raise ShimError("exists takes one (name Int|Real) binder")
         [[v, sort]], body = e[1], e[2]
-        run, guard = self.compile(body), _guard_ends(v, body)
-        if guard is not None:  # lo, hi and rest, the body's subterms: compiled already
+        run, guard = self.build(body, BOOL, scope | {v}), _guard_ends(v, body)
+        if guard is not None:  # lo, hi and rest, the body's subterms: built already
             guard = [self.compile(part) for part in (*guard, body[2])]
         return lambda env: self.ev_exists(v, sort, body, run, guard, env)
 
-    # (head, argument count) -> compiler, the shapes FRAGMENT_OPS admits
-    COMPILERS = {
-        **dict.fromkeys([(op, 2) for op in [*_ARITH, *_RELATIONS]], _binary),
-        **dict.fromkeys([("-", 1), ("to_int", 1), ("to_real", 1), ("not", 1)], _unary),
-        ("and", 2): _and_or, ("or", 2): _and_or, ("ite", 3): _ite,
-        ("let", 2): _let, ("select", 2): _select, ("exists", 2): _exists,
+    # The fragment, each operator at an arity the translator writes it:
+    # (head, argument count) -> (sort, argument sorts, compiler).  `build`
+    # builds the arguments with a sort and hands them to the compiler; an
+    # argument without one (None) is the compiler's to check: the array of
+    # a `select`, the binding of a `let` or `exists` and the body it scopes.
+    FRAGMENT = {
+        **dict.fromkeys([(op, 2) for op in _ARITH], (NUM, (NUM, NUM), _binary)),
+        ("-", 1): (NUM, (NUM,), _unary),
+        ("to_int", 1): (NUM, (NUM,), _unary),
+        ("to_real", 1): (NUM, (NUM,), _unary),
+        ("ite", 3): (NUM, (BOOL, NUM, NUM), _ite),
+        ("select", 2): (NUM, (None, NUM), _select),
+        ("let", 2): (NUM, (None, None), _let),
+        **dict.fromkeys([(rel, 2) for rel in _RELATIONS], (BOOL, (NUM, NUM), _binary)),
+        ("not", 1): (BOOL, (BOOL,), _unary),
+        ("and", 2): (BOOL, (BOOL, BOOL), _and_or),
+        ("or", 2): (BOOL, (BOOL, BOOL), _and_or),
+        ("exists", 2): (BOOL, (None, None), _exists),
     }
 
     # --- quantifiers ---
@@ -560,11 +515,13 @@ class _Eval:
         roots: List[Roots] = []
         complete = True
         grid = (window, roots)
-
-        def walk(node, qvars: Set[str]):
-            nonlocal complete
+        # a loop, not a nested function calling itself: that would be a
+        # cycle holding this state past the script's end
+        stack: List[Tuple[object, Set[str]]] = [(body, set())]
+        while stack:
+            node, qvars = stack.pop()
             if type(node) is not list:
-                return  # false
+                continue  # false
             head = node[0]
             if head in _RELATIONS:
                 if self.relation_class(node, v, env, {}, qvars, grid)[0] == BAD:
@@ -572,12 +529,9 @@ class _Eval:
             elif head == "exists":
                 [[name, _]] = node[1]
                 if name != v:  # else our v is shadowed below this point
-                    walk(node[2], qvars | {name})
+                    stack.append((node[2], qvars | {name}))
             else:
-                for child in node[1:]:
-                    walk(child, qvars)
-
-        walk(body, set())
+                stack += [(child, qvars) for child in reversed(node[1:])]
         return roots, complete
 
     def classify(self, e, v, env, lenv, qvars, grid):
@@ -632,7 +586,7 @@ class _Eval:
         if head == "select":
             idx = self.classify(e[2], v, env, lenv, qvars, grid)
             if idx[0] == GROUND:
-                return (GROUND, self.ev(e, self._ground_env(env, lenv)))
+                return (GROUND, self.compile(e)(self._ground_env(env, lenv)))
             if idx[0] in (PW, VUNK):
                 return (idx[0],)
             return (BAD,)
@@ -747,31 +701,39 @@ class _Eval:
 
 def run_script(text: str) -> List[str]:
     state = _Eval()
-    asserts: List = []
+    asserts: List[Callable[[Dict[str, Value]], Value]] = []
     out: List[str] = []
     last_status: Optional[str] = None
-    for form in parse_script(text):
-        if type(form) is tuple:
-            if form[0] not in state.arrays:
-                raise ShimError(f"select from {form[0]}, which is not a declared array")
-            state.pin(*form)
-            continue
-        check_form(form, state.arrays)
-        head = form[0]
-        if head == "assert":
-            asserts.append(form[1])
-        elif head == "check-sat":
-            last_status = _decide(state, asserts)
-            out.append(last_status)
-        elif head == "get-model" and last_status == "sat":
-            out.append("(model )")
+    try:
+        for form in parse_script(text):
+            if type(form) is tuple:
+                if form[0] not in state.arrays:
+                    raise ShimError(f"select from {form[0]}, which is not a declared array")
+                state.pin(*form)
+                continue
+            head = form[0] if type(form) is list and form else None
+            if head == "assert" and len(form) == 2:
+                asserts.append(state.build(form[1], BOOL, frozenset()))
+            elif head == "declare-const" and len(form) == 3 and type(form[1]) is str \
+                    and form[2] == ["Array", "Int", "Real"]:
+                state.arrays.add(form[1])
+            elif form == ["check-sat"]:
+                last_status = _decide(state, asserts)
+                out.append(last_status)
+            elif form == ["get-model"]:
+                if last_status == "sat":
+                    out.append("(model )")
+            elif form != ["set-logic", "AUFLIRA"]:
+                raise ShimError(f"unsupported command {_brief(form)}")
+    finally:
+        state.compiled.clear()  # an exists closure holds the state: free it on return
     return out
 
 
 def _decide(state: _Eval, asserts: List) -> str:
     truth: Optional[bool] = True  # the assertions' conjunction, left to right
-    for e in asserts:
-        r = state.ev(e, {})
+    for run in asserts:
+        r = run({})
         if r is False:
             truth = False
             break

@@ -1,6 +1,8 @@
 """Tests for the bundled SMT-LIB evaluator behind tracecheck-solve."""
 
 import collections
+import contextlib
+import gc
 import itertools
 import math
 import operator
@@ -11,6 +13,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 from random import Random
+from weakref import ref
 
 import pytest
 
@@ -617,16 +620,50 @@ def test_many_coprime_denominators(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["fixed", "variable"])
 def test_each_checked_node_is_compiled_once(monkeypatch, mode):
-    calls = collections.Counter()
-    uncached = shim._Eval._compile
+    # a leaf object, which _Atoms shares between occurrences, is checked at
+    # each one and compiled once
+    calls, closures = collections.Counter(), collections.defaultdict(set)
+    build = shim._Eval.build
 
-    def counting(self, e):
-        calls[id(e)] += 1
-        return uncached(self, e)
+    def counting(self, e, want, scope):
+        fn = build(self, e, want, scope)
+        calls[id(e)] += type(e) is list
+        closures[id(e)].add(fn)
+        return fn
 
-    monkeypatch.setattr(shim._Eval, "_compile", counting)
+    monkeypatch.setattr(shim._Eval, "build", counting)
     assert run_script(settle_script(200, mode)) == ["unsat"]
     assert calls and max(calls.values()) == 1
+    assert max(map(len, closures.values())) == 1
+    assert any(calls[key] == 0 for key in closures)  # some leaves were built
+
+
+QUANTIFIED = "(assert (exists ((x Real)) (and (and (<= 0.0 x) (<= x 1.0)) (< x 0.5))))"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(assert (= 1 1)) (check-sat)", f"{QUANTIFIED} (check-sat)", f"{QUANTIFIED} (assert (frob 1))"],
+    ids=["no quantifier", "quantifier", "quantifier, then a fault"],
+)
+def test_run_script_frees_its_evaluator(monkeypatch, text):
+    # an exists closure holds the state that caches it; with the cycle
+    # collector off, only reference counting can free that state
+    states, init = [], shim._Eval.__init__
+
+    def recording(self):
+        init(self)
+        states.append(ref(self))
+
+    monkeypatch.setattr(shim._Eval, "__init__", recording)
+    gc.disable()
+    try:
+        with contextlib.suppress(ShimError):
+            run_script(text)
+        freed = [state() is None for state in states]
+    finally:
+        gc.enable()
+    assert freed == [True]
 
 
 def test_the_index_map_is_classified_only_inside_the_window(monkeypatch):
@@ -861,7 +898,9 @@ OUT_OF_FRAGMENT = {
     "numeral as a command": "1.0",
     "empty command": "()",
     "array as a value": "(declare-const a (Array Int Real)) (assert (= a a))",
-    "undeclared array": "(assert (= (select b 0) 1.0))",
+    "undeclared array": "(assert (= (select b 0) 1.0))",  # a pin line
+    "undeclared array in a term": "(assert (< (select b 0) 1.0))",
+    "empty term": "(assert (= () 1))",
     "Bool binder": "(assert (exists ((b Bool)) false))",
     "relation of one": "(assert (< 1))",
     **{
@@ -880,7 +919,9 @@ OUT_OF_FRAGMENT = {
     "Bool index": "(declare-const a (Array Int Real)) (assert (= (select a false) 1.0))",
     "three-operand +": "(assert (= (+ 1 2 3) 6))",
     "three-operand and": "(assert (and false false false))",
-    "two-binding let": "(assert (let ((x 1) (y 2)) (= x y)))",
+    "two-binding let": "(assert (= (let ((x 1) (y 2)) (+ x y)) 3))",
+    # two faults: the let's own sort is checked first
+    "two-binding let around a formula": "(assert (let ((x 1) (y 2)) (= x y)))",
     "let around a formula": "(assert (let ((x 1)) (= x 1)))",
     "two-operand to_real": "(assert (= (to_real 1 2) 1.0))",
     "Bool to_real": "(assert (= (to_real false) 0.0))",
@@ -912,6 +953,24 @@ OUT_OF_FRAGMENT = {
         ("two-binder exists", "exists takes one (name Int|Real) binder"),
         ("Bool binder", "exists takes one (name Int|Real) binder"),
         ("two-binding let", "let takes one (name term) binding"),
+        # each case below has one fault, which the message names
+        ("unknown symbol after false", "unknown symbol 'zork'"),
+        ("array as a value", "unknown symbol 'a'"),
+        ("non-ASCII pin index", "unknown symbol '\u0660'"),
+        ("unknown operator after false", "unsupported operator 'frob' with 1 arguments"),
+        ("chain < 0.5 1 2", "unsupported operator '<' with 3 arguments"),
+        ("two-operand to_int", "unsupported operator 'to_int' with 2 arguments"),
+        ("let around a formula", "(let ...) is a number where a formula is expected"),
+        ("Real assert after false", "1 is a number where a formula is expected"),
+        ("Real under or after true", "0 is a number where a formula is expected"),
+        ("Bool index after false", "false is a formula where a number is expected"),
+        ("undeclared array", "select from b, which is not a declared array"),
+        ("undeclared array in a term", "select from b, which is not a declared array"),
+        ("empty term", "bad expression (...)"),
+        ("push", "unsupported command (push ...)"),
+        ("declare-const Real", "unsupported command (declare-const ...)"),
+        ("numeral as a command", "unsupported command 1"),
+        ("empty command", "unsupported command (...)"),
     ],
 )
 def test_a_malformed_binder_list_is_named(case, message):
@@ -936,15 +995,20 @@ def test_the_check_skips_pins(monkeypatch):
     pins = len(re.findall(r"^\(assert \(= \(select ", text, re.M))
     others = len(re.findall(r"^\(assert ", text, re.M)) - pins
     assert pins == 2 * n and others >= 1  # mode and spd; i2t reads no timestamp array
-    checked = []
-    check_form = shim.check_form
+    checked, depth = [], 0
+    build = shim._Eval.build
 
-    def counting(form, arrays):
-        if form[0] == "assert":
-            checked.append(form)
-        check_form(form, arrays)
+    def counting(self, e, want, scope):
+        nonlocal depth
+        if depth == 0:  # an asserted formula, not a node inside one
+            checked.append(e)
+        depth += 1
+        try:
+            return build(self, e, want, scope)
+        finally:
+            depth -= 1
 
-    monkeypatch.setattr(shim, "check_form", counting)
+    monkeypatch.setattr(shim._Eval, "build", counting)
     assert run_script(text) == ["unsat"]
     assert len(checked) == others
 
@@ -1037,6 +1101,14 @@ class TestDeepScriptsInAFreshProcess:
         )
         done = run_shim_process(tmp_path, text)
         assert (done.returncode, done.stdout) == (0, "sat\n"), done.stderr
+
+    def test_a_deep_faulty_script_names_its_fault(self, tmp_path):
+        expr = "zork"
+        for _ in range(20_000):
+            expr = f"(+ 1 {expr})"
+        done = run_shim_process(tmp_path, f"(assert (= {expr} 1)) (check-sat)\n")
+        assert (done.returncode, done.stdout) == (1, "")
+        assert "unknown symbol 'zork'" in done.stderr
 
     def test_nesting_past_the_recursion_limit_is_reported(self, tmp_path):
         expr = "1"

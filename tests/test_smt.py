@@ -13,10 +13,9 @@ from tracecheck.preprocess import PreprocessConfig, apply_a2
 from tracecheck.semantics import check_direct
 from tracecheck.shim import (
     _PIN_RE,
-    FRAGMENT_OPS,
+    NUM,
     _Eval,
     _guard_ends,
-    check_form,
     parse_script,
     run_script,
 )
@@ -421,14 +420,11 @@ class TestExpansionCap:
 
 
 def check_fragment(text):
-    """The shim's fragment check on every form of a script; a pin line,
-    whose shape the regex that reads it fixes, must name a declared array."""
-    arrays = set()
-    for form in parse_script(text):
-        if type(form) is tuple:
-            assert form[0] in arrays, form
-        else:
-            check_form(form, arrays)
+    """The shim's fragment check on every form of a script, which
+    `run_script` makes as it reads each one: it raises ShimError for a form
+    outside the fragment, or for a pin line, whose shape the regex that
+    reads it fixes, on an undeclared array."""
+    run_script(text)
 
 
 class TestShimFragment:
@@ -510,7 +506,9 @@ class TestShimFragment:
                     if node[0] == "exists":
                         [[v, sort]], body = node[1], node[2]
                         ends = _guard_ends(v, body)
-                        got.append(ends and (sort, *(_Eval().ev(end, {}) for end in ends)))
+                        if ends:
+                            ends = [_Eval().build(end, NUM, frozenset())({}) for end in ends]
+                        got.append(ends and (sort, *ends))
                     stack += reversed(node[1:])
                 assert len(got) == len(want), text
                 for g, w in zip(got, want):
@@ -528,7 +526,7 @@ class TestShimFragment:
                 if node and type(node[0]) is str:
                     seen.add((node[0], len(node) - 1))
                 stack += [x for x in node if type(x) is list]
-        assert set(FRAGMENT_OPS) | {("select", 2), ("let", 2), ("exists", 2)} <= seen
+        assert set(_Eval.FRAGMENT) <= seen
 
     def test_r1_and_the_settle_shape(self, fig_trace, grid_trace):
         for trace in (fig_trace, grid_trace):
