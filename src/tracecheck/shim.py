@@ -2,13 +2,18 @@
 
 It answers the default solver command, `tracecheck-solve`.  The solver
 driver runs `serve` in a process of its own: a small single-threaded server
-that reads one request per line and forks one child per script.  The child
-sets up its own session, the caller's working directory and an
-address-space cap, then either reads the script back from disk and
-evaluates it or, for a `--solver CMD`, execs `CMD <script>` in the caller's
-environment.  The server enforces the deadline, reaps the child and replies
-with one JSON line.  `tracecheck-solve FILE` (or `python -m tracecheck.shim
-FILE`) evaluates one script and prints the answer.
+that reads one request per line and hands each to one forked child.  The
+server first evaluates `_WARM_UP` once, so that its children start from
+code that has already run, and it forks the child for a request ahead of
+it: the first before it reads any request, each later one as soon as it
+has replied to the last.  The child takes its own session and the pipes
+the server reads, then waits for its request; only then does it move to
+the caller's working directory and cap its address space, and either read
+the script back from disk and evaluate it or, for a `--solver CMD`, exec
+`CMD <script>` in the caller's environment.  The server enforces the
+deadline, reaps the child and replies with one JSON line.
+`tracecheck-solve FILE` (or `python -m tracecheck.shim FILE`) evaluates one
+script and prints the answer.
 
 This is an evaluator, not a general solver: it assumes the interesting
 structure lives in the quantifiers while the arrays are pinned cell by cell
@@ -52,7 +57,8 @@ code 1, a message on stderr and nothing on stdout, so the solver status is
   window loses no witness.  Without that guard, or for an end that is not
   a number, that side of the window is unbounded.  With two numeric ends
   the guard is true strictly inside, so only the rest of the body is
-  evaluated there; at an end the whole body decides;
+  evaluated there; at an end the guard is evaluated too and joined with
+  the rest;
 * integer quantifiers are decided by finite enumeration of the window;
 * real quantifiers are decided by evaluating finitely many candidates:
   the window's ends, every point where some comparison affine in the
@@ -426,8 +432,8 @@ class _Eval:
             raise ShimError("exists takes one (name Int|Real) binder")
         [[v, sort]], body = e[1], e[2]
         run, guard = self.build(body, BOOL, scope | {v}), _guard_ends(v, body)
-        if guard is not None:  # lo, hi and rest, the body's subterms: built already
-            guard = [self.compile(part) for part in (*guard, body[2])]
+        if guard is not None:  # lo, hi, rest and the guard, the body's subterms: built already
+            guard = [self.compile(part) for part in (*guard, body[2], body[1])]
         return lambda env: self.ev_exists(v, sort, body, run, guard, env)
 
     # The fragment, each operator at an arity the translator writes it:
@@ -455,8 +461,9 @@ class _Eval:
     def ev_exists(self, v: str, sort: str, body, run, guard, env) -> Value:
         """Whether `body` (compiled: `run`) holds for some `v` of `sort`
         inside the window of its guard, compiled as `guard` = [lo, hi,
-        rest] (None: no guard).  Outside the guard the body is false, so
-        no witness is lost; an end that is not a number is no bound."""
+        rest, the guard's own `and`] (None: no guard).  Outside the guard
+        the body is false, so no witness is lost; an end that is not a
+        number is no bound."""
         # v masked as unknown: the ends are the same for every v, and an
         # outer binding of the same name is hidden; one copy, rebound per
         # candidate
@@ -483,9 +490,12 @@ class _Eval:
         for c in candidates:
             env[v] = c
             r = step(env)
-            # where the rest is false so is the body; at an end, so may be the guard
+            # where the rest is false so is the body; at an end, so may be
+            # the guard: joined with the rest as `and` joins them, the rest
+            # evaluated once
             if r is not False and step is not run and not lo < c < hi:
-                r = run(env)
+                g = guard[3](env)
+                r = False if g is False else r if g is True else None
             if r is True:
                 return True
             if r is None:
@@ -699,6 +709,30 @@ class _Eval:
 # Script execution
 # ---------------------------------------------------------------------------
 
+# A small script in the translator's shape that uses every `_Eval.FRAGMENT`
+# entry and evaluates both quantifiers over their whole windows: `serve`
+# runs it once before it forks, so that its children start from code that
+# has already run.  It answers sat.
+_WARM_UP = """(set-logic AUFLIRA)
+(declare-const t (Array Int Real))
+(declare-const v_x (Array Int Real))
+(assert (= (select t 0) 0.0))
+(assert (= (select v_x 0) (- 1.5)))
+(assert (= (select t 1) 0.5))
+(assert (= (select v_x 1) (/ 1.0 3.0)))
+(assert (= (select t 2) 1.25))
+(assert (= (select v_x 2) (- (/ 7.0 2.0))))
+(assert (not (exists ((sigma0 Int)) (and (and (<= 0 sigma0) (<= sigma0 2))
+  (or (> (select v_x (let ((x1 sigma0)) (ite (< x1 0) 0 (ite (> x1 2) 2 x1)))) 2.0)
+    (exists ((tau1 Real)) (and (and (<= 0.0 tau1) (< tau1 1.25))
+      (or (= (to_int (* 2.0 (- tau1 (/ (to_real sigma0) 4.0)))) 3)
+        (>= (select v_x (let ((x2 (+ tau1 (select t sigma0)))) (ite (< x2 0.5) 0 (ite (< x2 1.25) 1 2))))
+          (- (select v_x 0)))))))))))
+(check-sat)
+(get-model)
+"""
+
+
 def run_script(text: str) -> List[str]:
     state = _Eval()
     asserts: List[Callable[[Dict[str, Value]], Value]] = []
@@ -776,49 +810,52 @@ def solve(path: str) -> Tuple[int, str, str]:
     return 0, "".join(f"{line}\n" for line in out), ""
 
 
-def _solve_in_child(
-    argv: Optional[List[str]], env: Optional[Dict[str, str]], cwd: str,
-    timeout_s: float, mem_mb: int, path: str,
-) -> dict:
-    """One script in a forked child: the evaluator (`argv` None) or `argv + [path]`.
+def _solve_in_child() -> Tuple[int, int, int, int]:
+    """Fork the child for the next script: (its pid, the pipe to write its
+    request line to, the pipes to read its stdout and stderr from).
 
-    The child reads /dev/null, writes to two pipes, takes its own session,
-    moves to `cwd` and caps its address space.  A hang-up on this server's
-    stdin (the caller is gone) kills the child's group too; the reply's
-    code is then HANGUP.
+    The child takes its own session, reads /dev/null and writes to two
+    pipes at once, before it waits: a copy of this server's stdout would
+    keep the caller from seeing the server end.  It then waits for one
+    request and exits 0 if the pipe ends first.  Only once the request has
+    arrived does it move to the request's `cwd` and cap its address space,
+    so what is in force when the call is made applies, and then run the
+    evaluator (`argv` None) or exec `argv + [path]`.
     """
+    request_r, request_w = os.pipe()
     out_r, out_w = os.pipe()
     err_r, err_w = os.pipe()
     pid = os.fork()
-    if pid == 0:
-        # The child must end here whatever happens, never back in the serve loop.
-        try:
-            os.dup2(os.open(os.devnull, os.O_RDONLY), 0)
-            os.dup2(out_w, 1)
-            os.dup2(err_w, 2)
-            os.setsid()
-            os.chdir(cwd)
-            limit_address_space(mem_mb)
-            if argv is None:
-                code, out, err = solve(path)
-                sys.stdout.write(out)
-                sys.stderr.write(err)
-            else:
-                code = _exec(argv + [path], env)
-            sys.stdout.flush()
-            sys.stderr.flush()
-        except BaseException:  # noqa: BLE001 - the exit status reports it
-            os._exit(70)
-        os._exit(code)
-    os.close(out_w)
-    os.close(err_w)
+    if pid:
+        for fd in (request_r, out_w, err_w):
+            os.close(fd)
+        return pid, request_w, out_r, err_r
+    # The child must end here whatever happens, never back in the serve loop.
     try:
-        code, outputs, rss_mb = drain(pid, [out_r, err_r], timeout_s, sys.stdin.fileno())
-    finally:
-        os.close(out_r)
-        os.close(err_r)
-    out, err = (data.decode(errors="replace") for data in outputs)
-    return {"code": code, "stdout": out, "stderr": err, "max_rss_mb": rss_mb}
+        os.setsid()
+        os.dup2(os.open(os.devnull, os.O_RDONLY), 0)
+        os.dup2(out_w, 1)
+        os.dup2(err_w, 2)
+        for fd in (request_w, out_r, out_w, err_r, err_w):
+            os.close(fd)
+        with open(request_r, "rb") as fh:
+            line = fh.readline()
+        if not line:
+            os._exit(0)
+        argv, env, cwd, _, mem_mb, path = json.loads(line)
+        os.chdir(cwd)
+        limit_address_space(mem_mb)
+        if argv is None:
+            code, out, err = solve(path)
+            sys.stdout.write(out)
+            sys.stderr.write(err)
+        else:
+            code = _exec(argv + [path], env)
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BaseException:  # noqa: BLE001 - the exit status reports it
+        os._exit(70)
+    os._exit(code)
 
 
 def _exec(argv: List[str], env: Dict[str, str]) -> int:
@@ -840,17 +877,42 @@ def serve() -> int:
 
     A request is `[argv, env, cwd, timeout_s, mem_mb, script path]`, with
     `argv` and `env` None for the bundled evaluator.  Each script runs in a
-    child forked from this single-threaded process; the reply is one JSON
-    line with the child's exit code (or "timeout"), its stdout and stderr
-    and its peak resident set in MB.  A caller that hangs up while its
-    script runs ends the script and the server.
+    child forked from this single-threaded process before the request came:
+    the first after `_WARM_UP` has run, each later one as soon as the last
+    reply is out.  The reply is one JSON line with the child's exit code
+    (or "timeout"), its stdout and stderr and its peak resident set in MB.
+    A caller that hangs up while its script runs ends the script and the
+    server; at EOF the server ends the idle child and reaps it.
     """
-    for line in sys.stdin:
-        reply = _solve_in_child(*json.loads(line))
-        if reply["code"] == HANGUP:
-            break
-        sys.stdout.write(json.dumps(reply) + "\n")
-        sys.stdout.flush()
+    run_script(_WARM_UP)
+    child: Optional[Tuple[int, int, int, int]] = _solve_in_child()
+    try:
+        for line in sys.stdin:
+            timeout_s = json.loads(line)[3]
+            (pid, request_w, out_r, err_r), child = child, None
+            try:
+                with open(request_w, "w") as fh:
+                    fh.write(line)
+            except BrokenPipeError:
+                pass  # the child is gone already: `drain` reaps it and reports how it ended
+            try:
+                code, outputs, rss_mb = drain(pid, [out_r, err_r], timeout_s, sys.stdin.fileno())
+            finally:
+                os.close(out_r)
+                os.close(err_r)
+            if code == HANGUP:
+                break
+            out, err = (data.decode(errors="replace") for data in outputs)
+            reply = {"code": code, "stdout": out, "stderr": err, "max_rss_mb": rss_mb}
+            sys.stdout.write(json.dumps(reply) + "\n")
+            sys.stdout.flush()
+            child = _solve_in_child()
+    finally:
+        if child is not None:  # EOF on its request pipe ends the idle child
+            pid, request_w, out_r, err_r = child
+            for fd in (request_w, out_r, err_r):
+                os.close(fd)
+            os.waitpid(pid, 0)
     return 0
 
 

@@ -8,13 +8,15 @@ resource exhaustion are reported as inconclusive rather than as answers.
 
 Every command takes one route.  Long-lived `tracecheck.shim.serve`
 processes, started with the current interpreter, one per calling thread at
-most, fork one child per script: a call costs a fork of a small process,
-not an interpreter start.  For the default command, `tracecheck-solve`, the
+most, hand each script to one forked child.  A server warms its evaluator
+up once and forks each child ahead of its request, while the caller is
+still preparing the script, so a call costs neither an interpreter start
+nor, mostly, the fork.  For the default command, `tracecheck-solve`, the
 child runs the bundled evaluator; any other command `CMD` replaces the
-child as `CMD <script>`, in the caller's working directory and environment.
-Either way the child has its own session and address-space cap, is killed
-with its process group at the deadline or when the caller hangs up, and
-what it prints goes to one classifier.
+child as `CMD <script>`, in the caller's working directory and environment
+at the time of the call.  Either way the child has its own session and
+address-space cap, is killed with its process group at the deadline or when
+the caller hangs up, and what it prints goes to one classifier.
 """
 
 from __future__ import annotations

@@ -1,9 +1,14 @@
-"""Shared fixtures: the worked-example trace and its property texts."""
+"""Shared fixtures: the worked-example trace and its property texts, and a
+session check that no solver server or child outlives the tests."""
 
+import os
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from tracecheck.solver import _SERVERS
 from tracecheck.trace import Record, Trace
 
 # The running example: a satellite attitude trace with a mode switch and an
@@ -45,6 +50,50 @@ def fig_csv_path(tmp_path):
     p = tmp_path / "fig.csv"
     p.write_text(FIG_CSV, encoding="utf-8")
     return p
+
+
+def children_of(pid):
+    """Pids whose parent is `pid`, read from /proc."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            line = (entry / "stat").read_text()
+        except OSError:  # the process ended meanwhile
+            continue
+        # the command name in parentheses may hold spaces; the ppid follows the state
+        if int(line.rsplit(")", 1)[1].split()[1]) == pid:
+            found.append(int(entry.name))
+    return found
+
+
+def running(pid):
+    """Whether `pid` exists and is not a zombie waiting for a reaper."""
+    try:
+        line = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return line.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def wait_until_ended(pids, within_s=5):
+    """Wait until none of `pids` is running, then assert that none is."""
+    deadline = time.monotonic() + within_s
+    while time.monotonic() < deadline and any(map(running, pids)):
+        time.sleep(0.05)
+    assert not [pid for pid in pids if running(pid)]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_process_outlives_the_tests():
+    """Close the solver servers after the last test, then fail if any child
+    of this process, or any child of one, is still running."""
+    yield
+    mine = children_of(os.getpid())
+    left = {*mine, *(child for pid in mine for child in children_of(pid))}
+    _SERVERS.close()
+    wait_until_ended(left | set(children_of(os.getpid())))
 
 
 # Filled by test_acceptance.py; printed once per criterion after the run.

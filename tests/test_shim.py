@@ -590,6 +590,33 @@ def test_the_guard_is_left_out_only_strictly_inside_the_window(text, want):
     assert status(script) == want
 
 
+def point_window_chain(depth, innermost):
+    """`depth` nested Int quantifiers, each over the one point 0, around `innermost`."""
+    body = innermost
+    for k in reversed(range(depth)):
+        body = f"(exists ((x{k} Int)) (and (and (<= 0 x{k}) (<= x{k} 0)) {body}))"
+    return f"(assert {body}) (check-sat)\n"
+
+
+@pytest.mark.parametrize("innermost, want", [("(= x39 0)", "sat"), ("false", "unsat")])
+def test_a_window_end_evaluates_the_rest_once(tmp_path, innermost, want):
+    # each candidate is an end of its window; evaluating the whole body there
+    # after the rest doubled the work per level: 2^40 evaluations here
+    done = run_shim_process(tmp_path, point_window_chain(40, innermost), timeout=10)
+    assert (done.returncode, done.stdout) == (0, f"{want}\n"), done.stderr
+
+
+def test_the_warm_up_script_uses_the_whole_fragment():
+    seen, stack = set(), [form for form in parse_script(shim._WARM_UP) if type(form) is list]
+    while stack:
+        node = stack.pop()
+        if node and type(node[0]) is str:
+            seen.add((node[0], len(node) - 1))
+        stack += [x for x in node if type(x) is list]
+    assert set(shim._Eval.FRAGMENT) <= seen
+    assert run_script(shim._WARM_UP) == ["sat", "(model )"]
+
+
 def test_many_coprime_denominators(monkeypatch):
     # 200 crossings at 1/p, p over the first 200 primes: the lcm the
     # candidates share has about 520 digits
@@ -1073,15 +1100,15 @@ class TestMain:
             sys.setrecursionlimit(limit)
 
 
-def run_shim_process(tmp_path, text):
-    """python -m tracecheck.shim on `text` in a fresh interpreter."""
+def run_shim_process(tmp_path, text, timeout=120):
+    """python -m tracecheck.shim on `text` in a fresh interpreter, within `timeout` seconds."""
     path = tmp_path / "deep.smt2"
     path.write_text(text)
     src = str(Path(shim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run(
         [sys.executable, "-m", "tracecheck.shim", str(path)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 

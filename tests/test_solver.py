@@ -9,13 +9,13 @@ import signal
 import stat
 import subprocess
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
+from conftest import children_of, running, wait_until_ended
 from tracecheck import solver
 from tracecheck.smt import translate
 from tracecheck.solver import (
@@ -243,22 +243,6 @@ class TestBundledSolverIntegration:
         assert out.detail == "solver command not found: definitely-not-a-solver-zzz"
 
 
-def children_of(pid):
-    """Pids whose parent is `pid`, read from /proc."""
-    found = []
-    for entry in Path("/proc").iterdir():
-        if not entry.name.isdigit():
-            continue
-        try:
-            line = (entry / "stat").read_text()
-        except OSError:  # the process ended meanwhile
-            continue
-        # the command name in parentheses may hold spaces; the ppid follows the state
-        if int(line.rsplit(")", 1)[1].split()[1]) == pid:
-            found.append(int(entry.name))
-    return found
-
-
 def alive(pid):
     try:
         os.kill(pid, 0)
@@ -267,21 +251,13 @@ def alive(pid):
     return True
 
 
-def running(pid):
-    """Whether `pid` exists and is not a zombie waiting for a reaper."""
-    try:
-        line = Path(f"/proc/{pid}/stat").read_text()
-    except OSError:
-        return False
-    return line.rsplit(")", 1)[1].split()[0] != "Z"
-
-
-def wait_until_ended(pids, within_s=5):
-    """Wait until none of `pids` is running, then assert that none is."""
+def idle_child(server, within_s=5):
+    """The child `server` forked ahead for its next request, once there is one."""
     deadline = time.monotonic() + within_s
-    while time.monotonic() < deadline and any(map(running, pids)):
-        time.sleep(0.05)
-    assert not [pid for pid in pids if running(pid)]
+    while not (children := children_of(server)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert len(children) == 1, children
+    return children[0]
 
 
 SLOW_SCRIPT = (  # ten million instances: seconds of work for the evaluator
@@ -310,27 +286,14 @@ class TestServerRoute:
         cmd = DEFAULT_SOLVER_CMD
         if route == "command":
             cmd = make_stub(tmp_path, f"sleep 30 &\necho $! > {grandchild}\nwait\n")
-        seen = []
-        done = threading.Event()
-
-        def watch():
-            while not done.is_set():
-                seen.extend(c for c in children_of(server) if c not in seen)
-                time.sleep(0.02)
-
-        watcher = threading.Thread(target=watch)
-        watcher.start()
+        # the child forked ahead takes the script; the server forks the next
+        # one after its reply, so only this one must be gone
+        seen = [idle_child(server)]
         started = time.monotonic()
-        try:
-            out = run_solver(str(slow), cmd=cmd, timeout_s=timeout_s)
-        finally:
-            done.set()
-            watcher.join(timeout=5)
-        assert not watcher.is_alive()
+        out = run_solver(str(slow), cmd=cmd, timeout_s=timeout_s)
         assert out.status == "timeout"
         assert out.detail == f"solver exceeded {timeout_s:g}s"
         assert time.monotonic() - started < timeout_s + 1.8
-        assert seen, "no child was forked for the script"
         if route == "command":
             # the killed grandchild is init's to reap, which not every init does
             seen.append(int(grandchild.read_text()))
@@ -465,6 +428,47 @@ class TestServerRoute:
         assert status == "sat", done.stderr
         assert pids
         assert not [pid for pid in map(int, pids) if alive(pid)]
+
+    def test_closing_the_pool_ends_the_idle_child(self, server):
+        child = idle_child(server)
+        _SERVERS.close()
+        wait_until_ended([server, child])
+
+    def test_a_killed_server_leaves_no_idle_child(self, server):
+        child = idle_child(server)
+        os.kill(server, signal.SIGKILL)
+        try:
+            wait_until_ended([child])
+        finally:
+            _SERVERS.close()  # reaps the killed server
+
+    def test_a_killed_idle_caller_leaves_no_server_or_child(self, script_file):
+        src = str(Path(solver.__file__).resolve().parents[1])
+        caller = (
+            "import sys, time\n"
+            "from tracecheck.solver import _SERVERS, run_solver\n"
+            "run_solver(sys.argv[1])\n"
+            "print(_SERVERS._idle[-1].pid, flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", caller, script_file],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        server, children = int(proc.stdout.readline()), []
+        try:
+            children = [idle_child(server)]
+            proc.kill()
+            proc.wait()
+            wait_until_ended([server, *children])
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            for pid in [server, *children]:
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     @pytest.mark.parametrize("route", ["default", "command"])
     def test_a_dead_caller_ends_its_solve(self, tmp_path, route):
