@@ -9,7 +9,7 @@ Signals are read at an index with `@i` or at a timestamp with `@t`, and
 `i2t` / `t2i` convert between the two axes through the trace.
 """
 
-from tracecheck.syntax import desugar, format_formula, load_property, parse
+from tracecheck.syntax import format_formula, load_property, parse
 
 # The running example: after a mode switch from 0 to 3, the angular rate
 # must drop below 1.5 within ten seconds.
@@ -40,6 +40,8 @@ exists tau0 in [0, 60] such that (spd @t tau0) > 100
 formula, signature, declared = load_property(text)
 print("signature:", sorted(signature), "declared:", declared)
 
-# Internally everything reduces to a small core (not/or/exists); the
-# printer works on either form.
-print(format_formula(desugar(formula)))
+# Every connective stays in the tree as written: the direct evaluator and
+# the SMT translator both read it as parsed.  The printer fully
+# parenthesizes, and its output parses back to the same tree.
+print(format_formula(formula))
+assert parse(format_formula(formula), signature) == formula

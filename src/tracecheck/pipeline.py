@@ -43,7 +43,7 @@ from .solver import (
     verdict_of,
 )
 from .syntax import Formula, ParseError, load_property, signals_of
-from .trace import Trace, TraceError, load_trace_file
+from .trace import Trace, TraceError, load_trace, quoted
 
 
 class StageError(Exception):
@@ -119,21 +119,26 @@ def slug(name: str) -> str:
 def stage(tag: str, *errors: Type[Exception], path: Union[str, Path, None] = None):
     """Turn `errors` raised in the block into a StageError tagged `tag`.
 
-    Any OSError is an io-error naming `path` (else the failing file).  With
-    a `path`, the other messages are prefixed by it too.
+    Any OSError is an io-error naming `path` (else the failing file), and so
+    is text that is not UTF-8, by the offset of its first bad byte.  With a
+    `path`, the other messages are prefixed by it too.
     """
     try:
         yield
     except OSError as exc:
         name = path if path is not None else exc.filename
         raise StageError("io-error", f"{name}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise StageError("io-error", f"{path}: not UTF-8 (byte {exc.start})") from exc
     except errors as exc:
         raise StageError(tag, f"{path}: {exc}" if path is not None else str(exc)) from exc
 
 
 def read_text(path: Union[str, Path]) -> str:
+    """The whole input file at `path`, decoded strictly as UTF-8.  Every
+    input file is read here."""
     with stage("io-error", path=path):
-        return Path(path).read_text()
+        return Path(path).read_bytes().decode("utf-8")
 
 
 def write_text(path: Path, text: str) -> int:
@@ -145,8 +150,9 @@ def write_text(path: Path, text: str) -> int:
 
 
 def read_trace(path: Union[str, Path]) -> Trace:
+    text = read_text(path)
     with stage("trace-format", TraceError, path=path):
-        return load_trace_file(str(path))
+        return load_trace(text)
 
 
 def parse_property(path: Union[str, Path], text: str, signals: Optional[Sequence[str]]):
@@ -260,7 +266,7 @@ def _positive(key: str, value: str, kind: type, noun: str):
     except ValueError:
         number = None
     if number is None or not number > 0:
-        raise PreprocessError(f"{key} must be {noun}, got {value!r}")
+        raise PreprocessError(f"{key} must be {noun}, got {quoted(value)}")
     return number
 
 
@@ -272,7 +278,7 @@ def apply_config_keys(options: CheckOptions, keys: Dict[str, str]) -> CheckOptio
         if key == "strategy":
             pre.strategy = value.upper()
             if pre.strategy not in ("A1", "A2"):
-                raise PreprocessError(f"strategy must be A1 or A2, got {value!r}")
+                raise PreprocessError(f"strategy must be A1 or A2, got {quoted(value)}")
         elif key == "default":
             pre.default_kind = InterpolationKind.parse(value)
         elif key == "solver.cmd":
@@ -281,22 +287,23 @@ def apply_config_keys(options: CheckOptions, keys: Dict[str, str]) -> CheckOptio
             except ValueError:  # an unbalanced quote or a trailing backslash
                 words = []
             if not words:
-                raise PreprocessError(f"solver.cmd must be a command line, got {value!r}")
+                raise PreprocessError(f"solver.cmd must be a command line, got {quoted(value)}")
             out.solver_cmd = value
         elif key == "solver.timeout_s":
             out.timeout_s = _positive(key, value, float, "a positive number")
         elif key == "solver.mem_mb":
             out.mem_mb = _positive(key, value, int, "a positive integer")
         elif "." in key:
-            raise PreprocessError(f"unknown config key {key!r}")
+            raise PreprocessError(f"unknown config key {quoted(key)}")
         else:  # any other undotted key names a signal
             pre.per_signal[key] = InterpolationKind.parse(value)
     return out
 
 
 def load_config_file(options: CheckOptions, path: Union[str, Path]) -> CheckOptions:
+    text = read_text(path)
     with stage("config", PreprocessError, path=path):
-        return apply_config_keys(options, parse_keyvalues(Path(path).read_text()))
+        return apply_config_keys(options, parse_keyvalues(text))
 
 
 # ---------------------------------------------------------------------------
@@ -322,32 +329,35 @@ def _resolve(base: Path, cell: str) -> str:
 
 def load_manifest(path: Union[str, Path]) -> List[ManifestEntry]:
     """Parse a batch manifest CSV with header id,trace,property,strategy,config."""
-    reader = csv.DictReader(io.StringIO(read_text(path)))
-    header = [f.strip() for f in reader.fieldnames or []]
+    text = read_text(path)
+    with stage("manifest", csv.Error, path=path):
+        reader = csv.DictReader(io.StringIO(text))
+        header = [f.strip() for f in reader.fieldnames or []]
+        records = list(reader)
     if header != list(MANIFEST_FIELDS):
         raise StageError(
             "manifest",
             f"{path}: header must be {','.join(MANIFEST_FIELDS)},"
-            f" got {','.join(header) or '(empty file)'}",
+            f" got {quoted(','.join(header)) if header else '(empty file)'}",
         )
     base = Path(path).parent
     entries: List[ManifestEntry] = []
     seen: set = set()
-    for num, rec in enumerate(reader, start=2):
+    for num, rec in enumerate(records, start=2):
         if rec.get(None):
             raise StageError("manifest", f"{path} line {num}: too many columns")
         cells = {k: (rec.get(k) or "").strip() for k in MANIFEST_FIELDS}
         if not cells["id"]:
             raise StageError("manifest", f"{path} line {num}: empty id")
         if cells["id"] in seen:
-            raise StageError("manifest", f"{path} line {num}: duplicate id {cells['id']!r}")
+            raise StageError("manifest", f"{path} line {num}: duplicate id {quoted(cells['id'])}")
         seen.add(cells["id"])
         if not cells["trace"] or not cells["property"]:
             raise StageError("manifest", f"{path} line {num}: trace and property are required")
         strategy = cells["strategy"].upper()
         if strategy not in ("", "A1", "A2"):
             raise StageError(
-                "manifest", f"{path} line {num}: strategy must be A1 or A2, got {cells['strategy']!r}"
+                "manifest", f"{path} line {num}: strategy must be A1 or A2, got {quoted(cells['strategy'])}"
             )
         entries.append(
             ManifestEntry(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .trace import Fixed, Trace, format_rational
+from .trace import Fixed, Trace, format_rational, quoted
 
 
 class PreprocessError(Exception):
@@ -42,7 +42,7 @@ class InterpolationKind(enum.Enum):
             return cls.LINEAR
         if word == "cubic":
             return cls.CUBIC
-        raise PreprocessError(f"unknown interpolation kind {text!r}")
+        raise PreprocessError(f"unknown interpolation kind {quoted(text)}")
 
 
 DEFAULT_KIND = InterpolationKind.LINEAR
@@ -72,7 +72,7 @@ def parse_keyvalues(text: str) -> Dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise PreprocessError(f"config line {num}: expected 'key = value', got {raw!r}")
+            raise PreprocessError(f"config line {num}: expected 'key = value', got {quoted(raw)}")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
@@ -197,7 +197,7 @@ def _interpolants(trace: Trace, cfg: PreprocessConfig) -> Dict[str, Interpolant]
             (tick, values[s]) for tick, values in zip(trace.ticks, trace.values) if s in values
         ]
         if not samples:
-            raise PreprocessError(f"signal {s!r} has no assigned samples")
+            raise PreprocessError(f"signal {quoted(s)} has no assigned samples")
         table[s] = Interpolant(cfg.kind_for(s), samples)
     return table
 

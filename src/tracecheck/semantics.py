@@ -61,9 +61,10 @@ from .syntax import (
     Term,
     Var,
     children,
+    format_interval,
     free_vars,
 )
-from .trace import DomainError, Trace, format_rational, iota_variable, value_at
+from .trace import DomainError, Trace, format_rational, iota_variable, quoted, value_at
 
 
 class EvalError(Exception):
@@ -96,7 +97,7 @@ def eval_term(trace: Trace, term: Term, env: Optional[Assignment] = None) -> Fra
         try:
             return env[term.name]
         except KeyError:
-            raise EvalError(f"unbound variable {term.name!r}") from None
+            raise EvalError(f"unbound variable {quoted(term.name)}") from None
     if isinstance(term, Arith):
         left = eval_term(trace, term.left, env)
         right = eval_term(trace, term.right, env)
@@ -192,7 +193,7 @@ def _affine_in(
         if expr.name in env:
             return _Affine(Fraction(0), env[expr.name])
         raise OutsideFragment(
-            f"argument mixes {v!r} with the deeper-bound variable {expr.name!r}"
+            f"argument mixes {quoted(v)} with the deeper-bound variable {quoted(expr.name)}"
         )
     if isinstance(expr, Lit):
         return _Affine(Fraction(0), expr.value)
@@ -212,13 +213,13 @@ def _affine_in(
     # conversions and signal reads: constant only
     if v in free_vars(expr):
         raise OutsideFragment(
-            f"conversions stacked over the quantified variable {v!r}"
+            f"conversions stacked over the quantified variable {quoted(v)}"
         )
     missing = free_vars(expr) - set(env)
     if missing:
         raise OutsideFragment(
-            f"argument mixes {v!r} with the deeper-bound variable "
-            f"{sorted(missing)[0]!r}"
+            f"argument mixes {quoted(v)} with the deeper-bound variable "
+            f"{quoted(sorted(missing)[0])}"
         )
     try:
         return _Affine(Fraction(0), eval_term(trace, expr, env))
@@ -281,13 +282,6 @@ def _breakpoints(
     return points
 
 
-def _interval_text(iv: Interval) -> str:
-    return (
-        f"{'(' if iv.lo_open else '['}{format_rational(iv.lo)}, "
-        f"{format_rational(iv.hi)}{')' if iv.hi_open else ']'}"
-    )
-
-
 def _domain(trace: Trace, f: Union[Exists, Forall]) -> Union[Interval, EvalError]:
     """The quantifier's interval clipped to [0, m] or to the trace span."""
     iv = f.interval
@@ -303,9 +297,9 @@ def _domain(trace: Trace, f: Union[Exists, Forall]) -> Union[Interval, EvalError
             f"[{format_rational(trace.t0)}, {format_rational(trace.tm)}]"
         )
     if outside:
-        return EvalError(f"{f.var_sort.value} interval {_interval_text(iv)} {where}")
+        return EvalError(f"{f.var_sort.value} interval {format_interval(iv)} {where}")
     if dom is None:
-        return EvalError(f"{f.var_sort.value} interval {_interval_text(iv)} is empty")
+        return EvalError(f"{f.var_sort.value} interval {format_interval(iv)} is empty")
     return dom
 
 
@@ -357,25 +351,27 @@ def _ev(trace: Trace, f: Formula, env: Assignment) -> TV:
 def _quant(trace: Trace, f: Union[Exists, Forall], env: Assignment) -> TV:
     if f.interval is None:
         raise OutsideFragment(
-            f"unbounded real quantifier over {f.var!r}; use the solver route"
+            f"unbounded real quantifier over {quoted(f.var)}; use the solver route"
         )
     dom = _domain(trace, f)
     if isinstance(dom, EvalError):
         return dom
     if f.var_sort is Sort.INDEX:
-        values = [Fraction(j) for j in range(int(dom.lo), int(dom.hi) + 1)]
+        values = map(Fraction, range(int(dom.lo), int(dom.hi) + 1))
     else:
         values = _time_candidates(trace, dom, f.body, f.var, env)
 
-    combine = _any if isinstance(f, Exists) else _all
-    decider = True if isinstance(f, Exists) else False
-    results: List[TV] = []
+    # Fold as the instances come: the first deciding one (true for exists,
+    # false for forall) settles it, else the first error stands.
+    decider = isinstance(f, Exists)
+    err: Optional[EvalError] = None
     for value in values:
         r = _ev(trace, f.body, {**env, f.var: value})
-        results.append(r)
         if r is decider:
-            break
-    return combine(results)
+            return r
+        if err is None and isinstance(r, EvalError):
+            err = r
+    return err if err is not None else not decider
 
 
 def evaluate(trace: Trace, f: Formula, env: Optional[Assignment] = None) -> bool:

@@ -95,7 +95,7 @@ from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .solver import HANGUP, drain, limit_address_space
-from .trace import PLAIN_DIGITS, parse_rational
+from .trace import PLAIN_DIGITS, parse_rational, quoted
 
 RECURSION_LIMIT = 200_000
 INT_ENUM_CAP = 1_000_000
@@ -140,7 +140,7 @@ class _Atoms(dict):
                 try:
                     value = parse_rational(tok)
                 except ValueError:
-                    raise ShimError(f"numeral out of range: {tok[:20]}...") from None
+                    raise ShimError(f"numeral out of range: {quoted(tok)}") from None
                 leaf = value.numerator if value.denominator == 1 else value
         self[tok] = leaf
         return leaf
@@ -344,13 +344,13 @@ class _Eval:
             elif _is_num(e) or e in scope:
                 sort = NUM
             else:
-                raise ShimError(f"unknown symbol {e!r}")
+                raise ShimError(f"unknown symbol {quoted(e)}")
         elif not e or type(e[0]) is not str:
             raise ShimError(f"bad expression {_brief(e)}")
         else:
             signature = self.FRAGMENT.get((e[0], len(e) - 1))
             if signature is None:
-                raise ShimError(f"unsupported operator {e[0]!r} with {len(e) - 1} arguments")
+                raise ShimError(f"unsupported operator {quoted(e[0])} with {len(e) - 1} arguments")
             sort, arg_sorts, compiler = signature
         if sort != want:
             raise ShimError(f"{_brief(e)} is a {sort} where a {want} is expected")
@@ -790,7 +790,7 @@ def solve(path: str) -> Tuple[int, str, str]:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return 1, "", f"cannot read script: {exc}\n"
 
     limit = sys.getrecursionlimit()

@@ -2,9 +2,11 @@
 
 A property holds on a trace iff (negated property) AND (trace as equality
 assertions over Int->Real arrays) is unsatisfiable, so the emitted script
-asserts exactly that conjunction.  Scripts target AUFLIRA and are
-deterministic: translating the same trace and property twice yields
-byte-identical output.
+asserts exactly that conjunction, in the property's own connectives:
+`implies` is written (or (not p) q), `forall` (not (exists x (not b))),
+and each AST level costs one emit_formula call.  Scripts target AUFLIRA
+and are deterministic: translating the same trace and property twice
+yields byte-identical output.
 
 The timestamp-to-index map comes in two encodings.  The variable-rate form
 expands to a balanced bisection tree of ite selectors over the record
@@ -43,11 +45,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Union
 
 from .syntax import (
+    And,
     Arith,
     AtIndex,
     Exists,
+    Forall,
     Formula,
     I2T,
+    Implies,
     Lit,
     Not,
     ONE_ARG,
@@ -57,7 +62,6 @@ from .syntax import (
     T2I,
     Term,
     Var,
-    desugar,
 )
 from .trace import Fixed, Trace, format_rational, format_ticks, held_renderer
 
@@ -269,7 +273,7 @@ def emit_term(term: Term, scope: Dict[str, str], ctx: _Tx) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Formulas (desugared core: Rel / Not / Or / Exists)
+# Formulas
 # ---------------------------------------------------------------------------
 
 def emit_formula(f: Formula, scope: Dict[str, str], ctx: _Tx) -> str:
@@ -281,26 +285,28 @@ def emit_formula(f: Formula, scope: Dict[str, str], ctx: _Tx) -> str:
         return f"({f.op} {left} {right})"
     if isinstance(f, Not):
         return f"(not {emit_formula(f.sub, scope, ctx)})"
-    if isinstance(f, Or):
+    if isinstance(f, (And, Or, Implies)):
         left = emit_formula(f.left, scope, ctx)
         right = emit_formula(f.right, scope, ctx)
-        return f"(or {left} {right})"
-    if isinstance(f, Exists):
-        return _emit_exists(f, scope, ctx)
-    raise TranslateError(
-        f"internal: {type(f).__name__} survived desugaring"
-    )
+        if isinstance(f, Implies):
+            return f"(or (not {left}) {right})"
+        return f"({'and' if isinstance(f, And) else 'or'} {left} {right})"
+    if isinstance(f, (Exists, Forall)):
+        return _emit_quantifier(f, scope, ctx)
+    raise TypeError(f"not a formula: {f!r}")
 
 
-def _emit_exists(f: Exists, scope: Dict[str, str], ctx: _Tx) -> str:
+def _emit_quantifier(f: Union[Exists, Forall], scope: Dict[str, str], ctx: _Tx) -> str:
+    """An `exists`, its guard first; a `forall` as (not (exists ... (not BODY)))."""
     ctx.quantifiers += 1
     name = _fresh(_transliterate(f.var), ctx.taken)
     inner_scope = {**scope, f.var: name}
+    neg, end = ("(not ", ")") if isinstance(f, Forall) else ("", "")
 
     if f.var_sort is Sort.VALUE:
         body = emit_formula(f.body, inner_scope, ctx)
         ctx.taken.discard(name)
-        return f"(exists (({name} Real)) {body})"
+        return f"{neg}(exists (({name} Real)) {neg}{body}{end}){end}"
 
     if f.var_sort is Sort.INDEX:
         sort, bounds, literal = "Int", (0, ctx.m), smt_int
@@ -309,7 +315,7 @@ def _emit_exists(f: Exists, scope: Dict[str, str], ctx: _Tx) -> str:
     dom = f.interval.clip(*bounds)
     if dom is None:
         ctx.taken.discard(name)
-        return "false"
+        return f"{neg}false{end}"
     lo_op = "<" if dom.lo_open else "<="
     hi_op = "<" if dom.hi_open else "<="
     guard = (
@@ -317,7 +323,7 @@ def _emit_exists(f: Exists, scope: Dict[str, str], ctx: _Tx) -> str:
     )
     body = emit_formula(f.body, inner_scope, ctx)
     ctx.taken.discard(name)
-    return f"(exists (({name} {sort})) (and {guard} {body}))"
+    return f"{neg}(exists (({name} {sort})) (and {guard} {neg}{body}{end})){end}"
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +355,7 @@ def translate(
         arrays[signal] = _fresh("v_" + _transliterate(signal), taken)
     ctx = _Tx(trace=trace, mode=mode, arrays=arrays, cap=cap, taken=taken)
 
-    core = desugar(Not(formula) if negate else formula)
-    assertion = emit_formula(core, {}, ctx)
+    assertion = emit_formula(Not(formula) if negate else formula, {}, ctx)
 
     lines: List[str] = []
     lines.append(f"; tracecheck {__version__}")

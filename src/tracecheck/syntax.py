@@ -30,7 +30,8 @@ rho/ρ break ties when use alone does not decide.
 
 The AST is frozen dataclasses.  `children` is the one place that lists a
 node's subterms and subformulas, so a walker that only needs to reach every
-node goes through it.  The conversions and signal reads (`ONE_ARG`) keep
+node goes through it.  The translator and the evaluator both take the tree
+as parsed, every connective included; nothing rewrites it into a core.  The conversions and signal reads (`ONE_ARG`) keep
 their single argument in `arg`, whose sort is the class attribute `arg_sort`.
 """
 
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
-from .trace import parse_rational, format_rational
+from .trace import parse_rational, format_rational, quoted
 
 
 class ParseError(Exception):
@@ -458,7 +459,7 @@ class _Parser:
         var = self.take_ident()
         if var.text in self.signature:
             line, col = _line_col(self.text, var.pos)
-            raise ParseError(f"quantified variable {var.text!r} shadows a signal", line, col)
+            raise ParseError(f"quantified variable {quoted(var.text)} shadows a signal", line, col)
         interval = None
         if self.at_keyword("in"):
             self.pos += 1
@@ -640,7 +641,7 @@ class _Checker:
 
     def bind(self, name: str, node) -> _Cell:
         if name in self.cells:
-            raise self.err(f"variable {name!r} bound twice along one path", node)
+            raise self.err(f"variable {quoted(name)} bound twice along one path", node)
         cell = _Cell()
         self.cells[name] = cell
         return cell
@@ -659,10 +660,10 @@ class _Checker:
             if name not in self.cells:
                 if name in self.signature:
                     raise self.err(
-                        f"bare signal {name!r} is not a term; read it with @i or @t",
+                        f"bare signal {quoted(name)} is not a term; read it with @i or @t",
                         term,
                     )
-                raise self.err(f"unbound variable {name!r}", term)
+                raise self.err(f"unbound variable {quoted(name)}", term)
             if expect is not None:
                 self.set_sort(self.cells[name], expect, term)
         elif isinstance(term, Lit):
@@ -675,7 +676,7 @@ class _Checker:
                     f"sort mismatch: {own.value} term used as {expect.value}", term
                 )
             if isinstance(term, (AtIndex, AtTime)) and term.signal not in self.signature:
-                raise self.err(f"unknown signal {term.signal!r}", term)
+                raise self.err(f"unknown signal {quoted(term.signal)}", term)
             self.constrain_term(term.arg, term.arg_sort)
         elif isinstance(term, Arith):
             if term.op == "*" and not (
@@ -736,7 +737,7 @@ class _Checker:
                 cell.sort = hinted
             else:
                 raise self.err(
-                    f"cannot infer whether {f.var!r} ranges over time or "
+                    f"cannot infer whether {quoted(f.var)} ranges over time or "
                     "indices; rename it with a tau/sigma prefix or use it "
                     "in the body",
                     f,
@@ -851,40 +852,8 @@ def load_property(
 
 
 # ---------------------------------------------------------------------------
-# Desugaring and printing
+# Printing
 # ---------------------------------------------------------------------------
-
-def desugar(f: Formula) -> Formula:
-    """Rewrite into the Rel/Not/Or/Exists core.
-
-    forall x. b   becomes  not exists x. not b
-    p implies q   becomes  (not p) or q
-    p and q       becomes  not ((not p) or (not q))
-
-    Idempotent, and keeps relations untouched.
-    """
-    if isinstance(f, Rel):
-        return f
-    if isinstance(f, Not):
-        return Not(desugar(f.sub), span=f.span)
-    if isinstance(f, Or):
-        return Or(desugar(f.left), desugar(f.right), span=f.span)
-    if isinstance(f, And):
-        return Not(
-            Or(Not(desugar(f.left)), Not(desugar(f.right))),
-            span=f.span,
-        )
-    if isinstance(f, Implies):
-        return Or(Not(desugar(f.left)), desugar(f.right), span=f.span)
-    if isinstance(f, Exists):
-        return replace(f, body=desugar(f.body))
-    if isinstance(f, Forall):
-        return Not(
-            Exists(f.var, f.var_sort, f.interval, Not(desugar(f.body)), span=f.span),
-            span=f.span,
-        )
-    raise TypeError(f)
-
 
 def format_term(term: Term) -> str:
     if isinstance(term, Var):
@@ -903,7 +872,7 @@ def format_term(term: Term) -> str:
     raise TypeError(term)
 
 
-def _format_interval(iv: Interval) -> str:
+def format_interval(iv: Interval) -> str:
     lo = iv.lo_text if iv.lo_text is not None else format_rational(iv.lo)
     hi = iv.hi_text if iv.hi_text is not None else format_rational(iv.hi)
     return f"{'(' if iv.lo_open else '['}{lo}, {hi}{')' if iv.hi_open else ']'}"
@@ -926,7 +895,7 @@ def format_formula(f: Formula) -> str:
         if f.interval is None:
             return f"({word} {f.var} such that {format_formula(f.body)})"
         return (
-            f"({word} {f.var} in {_format_interval(f.interval)} "
+            f"({word} {f.var} in {format_interval(f.interval)} "
             f"such that {format_formula(f.body)})"
         )
     raise TypeError(f)

@@ -31,7 +31,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import IO, Callable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 
 # Bounds on decimal text, far beyond double range: an exponent such as
@@ -80,6 +80,12 @@ class DomainError(TraceError):
     """A lookup outside the trace's defined domain."""
 
 
+def quoted(text: str, limit: int = 40) -> str:
+    """repr(text) for a message, cut after `limit` characters and marked with
+    '...': a message that quotes input must not grow with it."""
+    return repr(text) if len(text) <= limit else f"{text[:limit]!r}..."
+
+
 # A plain ASCII decimal such as a trace cell; at most PLAIN_DIGITS characters
 # long, it is read without Decimal and stays far inside both bounds above.
 _PLAIN_DECIMAL_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
@@ -114,7 +120,7 @@ def _rational_parts(text: str) -> Tuple[int, int]:
         num = int("".join(map(str, digits))) * (-1 if sign else 1)
         return (num * 10**exp, 1) if exp >= 0 else (num, 10**-exp)
     except (ArithmeticError, ValueError) as exc:
-        raise ValueError(f"not a number: {text!r}") from exc
+        raise ValueError(f"not a number: {quoted(text)}") from exc
 
 
 def parse_rational(text: str) -> Fraction:
@@ -351,7 +357,7 @@ def value_at(trace: Trace, signal: str, j: int) -> Fraction:
         return trace.values[j][signal]
     except KeyError:
         raise DomainError(
-            f"signal {signal!r} unassigned at index {j} (preprocess the trace first)"
+            f"signal {quoted(signal)} unassigned at index {j} (preprocess the trace first)"
         ) from None
 
 
@@ -359,18 +365,23 @@ def value_at(trace: Trace, signal: str, j: int) -> Fraction:
 # CSV interchange
 # ---------------------------------------------------------------------------
 
-def load_trace(source: Union[str, bytes, IO]) -> Trace:
-    """Load a trace from CSV text, bytes, or a file object.
+def _csv_rows(reader) -> Iterator[List[str]]:
+    """The rows of a csv reader; a fault of the CSV layer itself, such as a
+    field past the csv module's size limit, is a TraceFormatError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
+
+
+def load_trace(text: str) -> Trace:
+    """Load a trace from CSV text.
 
     Layout: first column `timestamp` (decimal seconds), an optional `index`
     column that must equal the row position, and one column per signal.
     Empty cells are unassigned.
     """
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    reader = csv.reader(source)
+    reader = _csv_rows(csv.reader(io.StringIO(text)))
     try:
         header = next(reader)
     except StopIteration:
@@ -390,7 +401,7 @@ def load_trace(source: Union[str, bytes, IO]) -> Trace:
         if not name:
             raise TraceFormatError(f"empty signal name in column {col + 1}")
         if name in signals:
-            raise TraceFormatError(f"duplicate signal column {name!r}")
+            raise TraceFormatError(f"duplicate signal column {quoted(name)}")
         signals.append(name)
         signal_cols.append((col, name))
 
@@ -416,7 +427,7 @@ def load_trace(source: Union[str, bytes, IO]) -> Trace:
             num, den = _rational_parts(row[0])
         except ValueError:
             raise TraceFormatError(
-                f"row {row_num}: malformed timestamp {row[0]!r}"
+                f"row {row_num}: malformed timestamp {quoted(row[0])}"
             ) from None
         pos = len(rows)
         if index_col is not None:
@@ -427,7 +438,7 @@ def load_trace(source: Union[str, bytes, IO]) -> Trace:
                 declared = int(cell)
             except ValueError:
                 raise TraceFormatError(
-                    f"row {row_num}: malformed index {cell!r}"
+                    f"row {row_num}: malformed index {quoted(cell)}"
                 ) from None
             if declared != pos:
                 raise TraceFormatError(
@@ -443,7 +454,8 @@ def load_trace(source: Union[str, bytes, IO]) -> Trace:
                         last[k] = (text, parse_rational(cell) if cell else None)
                     except ValueError:
                         raise TraceFormatError(
-                            f"row {row_num}: malformed value {cell!r} for signal {name!r}"
+                            f"row {row_num}: malformed value {quoted(cell)} "
+                            f"for signal {quoted(name)}"
                         ) from None
                 value = last[k][1]
                 if value is not None:
@@ -461,7 +473,7 @@ def load_trace(source: Union[str, bytes, IO]) -> Trace:
 
 def load_trace_file(path: str) -> Trace:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return load_trace(fh)
+        return load_trace(fh.read())
 
 
 def serialize_trace(trace: Trace) -> str:

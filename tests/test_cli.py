@@ -1,12 +1,17 @@
 """Command-line behaviour: exit codes, printed rows, error reporting."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import tracecheck
 from tracecheck.cli import main
 from tracecheck.pipeline import check_pair
 from tracecheck.trace import load_trace_file
@@ -282,7 +287,6 @@ def write_error_inputs(d):
     (d / "reads.prop").write_text(" and ".join(["(x @t 0) > 0"] * 26) + "\n")
     (d / "broken.prop").write_text("exists tau0 in\n")
     (d / "deep.prop").write_text("(" * 3000 + "(mode @i 0) > 0" + ")" * 3000 + "\n")
-    (d / "ands.prop").write_text(" and ".join(["(mode @i 0) > 0"] * 400) + "\n")
     (d / "ghost.prop").write_text(
         "signal spd : real\nexists sigma0 in [0,1] such that (spd @i sigma0) < 1\n"
     )
@@ -356,8 +360,6 @@ STAGE_ERRORS = [
     ("check fig1.csv sigma.prop --strategy A1 --iota fixed", "iota:"),
     ("translate wide.csv reads.prop --strategy A1", "translate: the variable-rate index map"),
     ("check wide.csv reads.prop --strategy A1", "translate: the variable-rate index map"),
-    ("translate fig1.csv ands.prop", "translate:"),
-    ("check fig1.csv ands.prop", "translate:"),
     ("batch badm.csv", "manifest: badm.csv: header must be"),
 ]
 
@@ -388,6 +390,95 @@ class TestStageErrors:
         assert main(command.split() + ["--out", "o"]) == 4
         assert time.perf_counter() - started < 5
         assert capsys.readouterr().err.startswith("error at preprocess: strategy A2 would build")
+
+
+def write_hostile_inputs(d):
+    """Files that are not UTF-8, or that hold one huge token, next to the
+    fixture's good files."""
+    (d / "latin.csv").write_bytes(FIG_CSV.encode() + b"6.0,1,\xff\n")
+    (d / "latin.prop").write_bytes(b"(mode @i 0) > " + b"0" * 100_000 + b"\xff\n")
+    (d / "latin.cfg").write_bytes(b"default = linear\n# caf\xe9\n")
+    (d / "latin_m.csv").write_bytes(b"id,trace,property,strategy,config\ne\xff,fig1.csv,r1.prop,,\n")
+    (d / "wide.csv").write_text("timestamp,x\n0," + "9" * 200_000 + "\n")
+    (d / "wide_m.csv").write_text(
+        "id,trace,property,strategy,config\n" + "e" * 200_000 + ",fig1.csv,r1.prop,,\n"
+    )
+    (d / "ident.prop").write_text("(" + "x" * 1_000_000 + " @i 0) > 0\n")
+    (d / "long.cfg").write_text("strategy = " + "A" * 1_000_000 + "\n")
+
+
+# (arguments, the whole stderr line after "error at ")
+HOSTILE_ERRORS = [
+    ("check latin.csv r1.prop", f"io-error: latin.csv: not UTF-8 (byte {len(FIG_CSV) + 6})"),
+    ("validate latin.prop", "io-error: latin.prop: not UTF-8 (byte 100014)"),
+    ("check fig1.csv latin.prop", "io-error: latin.prop: not UTF-8 (byte 100014)"),
+    ("check fig1.csv r1.prop --config latin.cfg", "io-error: latin.cfg: not UTF-8 (byte 22)"),
+    ("batch latin_m.csv", "io-error: latin_m.csv: not UTF-8 (byte 35)"),
+    ("check wide.csv r1.prop", "trace-format: wide.csv: line 2: field larger than field limit (131072)"),
+    ("batch wide_m.csv", "manifest: wide_m.csv: field larger than field limit (131072)"),
+    ("check fig1.csv ident.prop", f"property-parse: ident.prop: unknown signal {'x' * 40!r}... (line 1, column 2)"),
+    ("check fig1.csv r1.prop --config long.cfg", f"config: long.cfg: strategy must be A1 or A2, got {'A' * 40!r}..."),
+]
+
+
+class TestHostileInputFiles:
+    """Input that is not UTF-8, or that holds a huge token, ends in a tagged
+    stage error whose message names the file and quotes little of it."""
+
+    @pytest.mark.parametrize(
+        "line, expected", HOSTILE_ERRORS, ids=[line for line, _ in HOSTILE_ERRORS]
+    )
+    def test_exits_4_with_a_short_message(self, workdir, capsys, monkeypatch, line, expected):
+        write_hostile_inputs(workdir)
+        monkeypatch.chdir(workdir)
+        argv = shlex.split(line)
+        if argv[0] != "validate":
+            argv += ["--out", "o"]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"error at {expected}\n"
+
+    def test_a_bad_trace_in_a_manifest_is_an_inconclusive_row(self, workdir, capsys, monkeypatch):
+        write_hostile_inputs(workdir)
+        (workdir / "m.csv").write_text(
+            "id,trace,property,strategy,config\nbad,latin.csv,r1.prop,,\ngood,fig1.csv,r1.prop,,\n"
+        )
+        monkeypatch.chdir(workdir)
+        assert main(["batch", "m.csv", "--out", "o"]) == 3
+        out, err = capsys.readouterr()
+        assert err == ""
+        bad = next(line for line in out.splitlines() if line.startswith("bad:"))
+        assert bad.startswith("bad: inconclusive")
+        assert bad.endswith(f"latin.csv: not UTF-8 (byte {len(FIG_CSV) + 6}))")
+        assert "(io-error: " in bad and len(bad) < 1024
+
+
+CONJUNCTS = {
+    "400 ands": " and ".join(["(mode @i 0) >= 0"] * 400),
+    "900 ands": " and ".join(["(mode @i 0) >= 0"] * 900),
+    "exists over 900 ands": "exists t in [0, 5] such that "
+    + " and ".join(["(mode @t t) >= 0"] * 900),
+    "forall over 900 ands": "forall s in [0, 5] such that "
+    + " and ".join(["(mode @i s) >= 0"] * 900),
+}
+
+
+class TestLongConjunctionsInAFreshProcess:
+    """An `and` chain the parser accepts gets a verdict from both routes, in
+    an interpreter at its default recursion limit."""
+
+    @pytest.mark.parametrize("text", CONJUNCTS.values(), ids=CONJUNCTS.keys())
+    def test_check_with_the_oracle_decides(self, workdir, text):
+        (workdir / "ands.prop").write_text(text + "\n")
+        src = str(Path(tracecheck.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "tracecheck.cli", "check", "fig1.csv", "ands.prop",
+             "--oracle", "--out", "o"],
+            capture_output=True, text=True, cwd=workdir, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert "verdict: satisfied" in done.stdout
+        assert "oracle: satisfied" in done.stdout
 
 
 class TestParser:

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import sys
+import traceback
 
 import pytest
 
@@ -140,6 +142,18 @@ class TestBuildScript:
             build_script(fig_trace, f, opts)
         assert stage_of(e) == "translate"
         assert "cap" in str(e.value)
+
+    def test_running_out_of_stack_is_translate_stage(self, fig_trace):
+        f = parse(" and ".join(["(mode @i 0) >= 0"] * 200), ("ang-rate", "mode"))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(traceback.extract_stack()) + 100)
+        try:
+            with pytest.raises(StageError) as e:
+                build_script(fig_trace, f, CheckOptions())
+        finally:
+            sys.setrecursionlimit(limit)
+        assert stage_of(e) == "translate"
+        assert "recursion" in str(e.value)
 
     def test_explicit_variable_mode_honored(self, fig_trace):
         f = parse(SIGMA_EXAMPLE_TEXT, ("ang-rate", "mode"))

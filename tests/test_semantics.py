@@ -1,5 +1,6 @@
 """Direct-evaluation oracle: terms, three-valued logic, quantifiers."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,25 @@ class TestCheckDirect:
         )
         assert res.verdict is Verdict.INCONCLUSIVE
         assert "exceeds the trace bounds [0, 6]" in res.reason
+
+    def test_interval_reasons_print_the_bounds_as_written(self, fig_trace):
+        res = check_direct(
+            fig_trace, parse_fig("exists τ0 in [6.0, 9.50] such that (mode @t τ0) = 3")
+        )
+        assert res.reason == "time interval [6.0, 9.50] lies outside the trace span [0, 5.7]"
+
+    def test_index_quantifier_keeps_no_list_of_its_instances(self):
+        n = 20_000
+        trace = Trace.of_ticks(range(n), 10, [{"x": Fraction(1)}] * n, ("x",))
+        f = parse(f"forall s in [0, {n}] such that (x @i s) >= 0", ("x",))
+        tracemalloc.start()
+        try:
+            res = check_direct(trace, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.verdict is Verdict.SATISFIED
+        assert peak < 200_000  # a list of the 20,000 instances takes ~2 MB
 
     def test_index_interval_is_clipped_not_erred_when_overlapping(self, fig_trace):
         res = check_direct(

@@ -1051,6 +1051,15 @@ class TestMain:
         assert shim.main(["/nonexistent/q.smt2"]) == 1
         assert "cannot read script" in capsys.readouterr().err
 
+    def test_script_that_is_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "q.smt2"
+        p.write_bytes(b"(assert (= 1 1))" + b"0" * 100_000 + b"\xff (check-sat)\n")
+        assert shim.main([str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("cannot read script: ") and "position 100016" in err
+        assert len(err) < 200
+
     def test_parse_error_reported(self, tmp_path, capsys):
         p = tmp_path / "q.smt2"
         p.write_text("(assert (= 1 1)\n")

@@ -30,7 +30,7 @@ from tracecheck.smt import (
     smt_real,
     translate,
 )
-from tracecheck.syntax import Exists, Forall, Not, Or, Sort, desugar, parse
+from tracecheck.syntax import Exists, Forall, Lit, Sort, children, parse
 from tracecheck.trace import Fixed, Record, Trace, format_rational, iota_variable, load_trace
 
 F = Fraction
@@ -213,6 +213,71 @@ class TestFormulaEncoding:
         )
         assert "(assert (not false))" in script.text
 
+    @pytest.mark.parametrize(
+        "text, assertion",
+        [
+            (
+                "(mode @i 0) = 0 and (mode @i 1) = 1",
+                "(assert (and (= (select v_mode (let ((x1 0)) (ite (< x1 0) 0 (ite (> x1 6) 6 x1)))) 0.0) "
+                "(= (select v_mode (let ((x2 1)) (ite (< x2 0) 0 (ite (> x2 6) 6 x2)))) 1.0)))",
+            ),
+            (
+                "not (1 < 2) or not (exists ρ0 such that ρ0 > 1)",
+                "(assert (or (not (< 1.0 2.0)) (not (exists ((rho0 Real)) (> rho0 1.0)))))",
+            ),
+            ("forall ρ0 such that ρ0 > 1", "(assert (not (exists ((rho0 Real)) (not (> rho0 1.0)))))"),
+            ("forall σ0 in [7, 9] such that (mode @i σ0) = 3", "(assert (not false))"),
+            (
+                "forall τ0 in [1.0, 2.0] such that (mode @t τ0) < 3 implies (ang-rate @t τ0) > 0",
+                "(assert (not (exists ((tau0 Real)) (and (and (<= 1.0 tau0) (<= tau0 2.0)) (not (or "
+                "(not (< (select v_mode (let ((x1 tau0)) (ite (< x1 1.8) (ite (< x1 0.2) 0 (ite (< x1 0.9) 1 2)) "
+                "(ite (< x1 4.9) (ite (< x1 3.0) 3 4) (ite (< x1 5.7) 5 6))))) 3.0)) "
+                "(> (select v_ang_rate (let ((x2 tau0)) (ite (< x2 1.8) (ite (< x2 0.2) 0 (ite (< x2 0.9) 1 2)) "
+                "(ite (< x2 4.9) (ite (< x2 3.0) 3 4) (ite (< x2 5.7) 5 6))))) 0.0)))))))",
+            ),
+        ],
+    )
+    def test_each_connective_is_written_as_smt_lib_has_it(self, fig_trace, text, assertion):
+        """`and`, `or` and `not` are SMT-LIB's own; `implies` is (or (not p) q),
+        and `forall` the negated exists of the negated body, guard first."""
+        script = translate(fig_trace, parse_fig(text), negate=False)
+        assert script.text.splitlines()[-3] == assertion
+
+    def test_r1_and_the_settle_property_keep_their_forall_and_implies(self, fig_trace):
+        r1 = translate(fig_trace, parse_fig(R1_TEXT)).text.splitlines()[-3]
+        assert r1 == (
+            "(assert (not (not (exists ((sigma0 Int)) (and (and (<= 0 sigma0) (<= sigma0 5)) (not (or (not "
+            "(and (= (select v_mode (let ((x1 sigma0)) (ite (< x1 0) 0 (ite (> x1 6) 6 x1)))) 0.0) "
+            "(= (select v_mode (let ((x2 (+ sigma0 1))) (ite (< x2 0) 0 (ite (> x2 6) 6 x2)))) 3.0))) "
+            "(exists ((tau0 Real)) (and (and (<= 0.0 tau0) (<= tau0 5.7)) (< (select v_ang_rate "
+            "(let ((x4 (+ tau0 (select t (let ((x3 sigma0)) (ite (< x3 0) 0 (ite (> x3 6) 6 x3))))))) "
+            "(ite (< x4 1.8) (ite (< x4 0.2) 0 (ite (< x4 0.9) 1 2)) (ite (< x4 4.9) (ite (< x4 3.0) 3 4) "
+            "(ite (< x4 5.7) 5 6))))) 1.5))))))))))"
+        )
+        f = parse(
+            "forall sigma0 in [0, 4] such that ((mode @i sigma0) = 1) implies "
+            "(exists tau0 in [0.0, 0.05] such that ((spd @t (tau0 + i2t(sigma0))) < 0.5))",
+            ("mode", "spd"),
+        )
+        settle = Trace(
+            records=tuple(
+                Record(F(j, 100), {"mode": F(int(j % 3 == 0)), "spd": F(4 if j % 3 == 1 else 10, 10)})
+                for j in range(6)
+            ),
+            signals=("mode", "spd"),
+        )
+        assert translate(settle, f).text.splitlines()[-3] == (
+            "(assert (not (not (exists ((sigma0 Int)) (and (and (<= 0 sigma0) (<= sigma0 4)) (not (or (not "
+            "(= (select v_mode (let ((x1 sigma0)) (ite (< x1 0) 0 (ite (> x1 5) 5 x1)))) 1.0)) "
+            "(exists ((tau0 Real)) (and (and (<= 0.0 tau0) (<= tau0 0.05)) (< (select v_spd "
+            "(let ((x3 (to_int (* 100.0 (+ tau0 (* 0.01 (to_real (let ((x2 sigma0)) "
+            "(ite (< x2 0) 0 (ite (> x2 5) 5 x2)))))))))) (ite (< x3 0) 0 (ite (> x3 5) 5 x3)))) 0.5))))))))))"
+        )
+
+    def test_anything_but_a_formula_is_a_type_error(self, fig_trace):
+        with pytest.raises(TypeError, match="not a formula"):
+            translate(fig_trace, Lit(F(1)))
+
     def test_disequality_becomes_negated_equality(self, fig_trace):
         script = translate(fig_trace, parse_fig("(mode @i 0) != 1"), negate=False)
         assert "(not (= (select v_mode" in script.text
@@ -365,7 +430,7 @@ class TestDeterminismAndCounts:
         assert a.text == b.text
 
     def test_quantifier_count_matches_source_under_variable_rate(self, fig_trace):
-        """Desugaring neither adds nor drops quantifiers, and the
+        """The translator neither adds nor drops quantifiers, and the
         variable-rate encoding introduces no binders of its own."""
 
         def count_source_quantifiers(f):
@@ -477,12 +542,7 @@ class TestShimFragment:
         # a guard the shim cannot read leaves an Int quantifier unknown and
         # a real one unbounded, so each exists must yield its clipped interval
         def windows(f, trace):  # per quantifier the translator emits, in order
-            if isinstance(f, Not):
-                yield from windows(f.sub, trace)
-            elif isinstance(f, Or):
-                yield from windows(f.left, trace)
-                yield from windows(f.right, trace)
-            elif isinstance(f, Exists):
+            if isinstance(f, (Exists, Forall)):
                 index = f.var_sort is Sort.INDEX
                 if f.interval is None:
                     yield None
@@ -490,12 +550,13 @@ class TestShimFragment:
                     yield ("Int" if index else "Real", dom.lo, dom.hi)
                 else:
                     return  # emitted as false, body and all
-                yield from windows(f.body, trace)
+            for sub in children(f):
+                yield from windows(sub, trace)
 
         checked = 0
         for seed in range(100):
             trace, f, _ = pair(seed)
-            want = list(windows(desugar(f), trace))
+            want = list(windows(f, trace))
             for text in self.scripts(trace, f):
                 prop = [form for form in parse_script(text) if form[0] == "assert"][-1][1]
                 got, stack = [], [prop]

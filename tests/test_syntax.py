@@ -1,4 +1,4 @@
-"""Parser, sort inference, desugaring and printing."""
+"""Parser, sort inference and printing."""
 
 from dataclasses import MISSING, fields
 from fractions import Fraction
@@ -30,7 +30,6 @@ from tracecheck.syntax import (
     Term,
     Var,
     children,
-    desugar,
     format_formula,
     free_vars,
     load_property,
@@ -397,38 +396,6 @@ class TestIntervalClip:
         assert self.iv(6, False, 9, False, Sort.INDEX).clip(0, 6) == self.iv(
             6, False, 6, False, Sort.INDEX
         )
-
-
-class TestDesugar:
-    def test_forall_becomes_negated_exists(self):
-        f = desugar(parse(R1_TEXT, SIG))
-        assert isinstance(f, Not)
-        assert isinstance(f.sub, Exists)
-        assert isinstance(f.sub.body, Not)
-
-    def test_core_has_no_sugar(self):
-        def core_only(node):
-            if isinstance(node, (And, Implies, Forall)):
-                return False
-            if isinstance(node, Rel):
-                return True
-            if isinstance(node, Not):
-                return core_only(node.sub)
-            if isinstance(node, Or):
-                return core_only(node.left) and core_only(node.right)
-            if isinstance(node, Exists):
-                return core_only(node.body)
-            return False
-
-        assert core_only(desugar(parse(R1_TEXT, SIG)))
-
-    def test_idempotent(self):
-        d = desugar(parse(R1_TEXT, SIG))
-        assert desugar(d) == d
-
-    def test_relations_survive_untouched(self):
-        f = parse(SIGMA_EXAMPLE_TEXT, SIG)
-        assert desugar(f).body == f.body
 
 
 ROUNDTRIP_CORPUS = [

@@ -119,6 +119,15 @@ class TestLoad:
         with pytest.raises(TraceFormatError, match="row 1: malformed timestamp"):
             load_trace(f"timestamp,a\n{cell},1\n")
 
+    def test_a_field_past_the_csv_limit_is_a_format_error(self):
+        with pytest.raises(TraceFormatError, match="line 2: field larger than field limit"):
+            load_trace("timestamp,a\n0," + "9" * 200_000 + "\n")
+
+    def test_messages_cut_the_cells_they_quote(self):
+        with pytest.raises(TraceFormatError) as e:
+            load_trace("timestamp,a\n0,1\n1," + "x" * 100_000 + "\n")
+        assert str(e.value) == f"row 2: malformed value {'x' * 40!r}... for signal 'a'"
+
     @given(
         st.one_of(
             st.text(max_size=30),
