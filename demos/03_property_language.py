@@ -40,8 +40,7 @@ exists tau0 in [0, 60] such that (spd @t tau0) > 100
 formula, signature, declared = load_property(text)
 print("signature:", sorted(signature), "declared:", declared)
 
-# Every connective stays in the tree as written: the direct evaluator and
-# the SMT translator both read it as parsed.  The printer fully
-# parenthesizes, and its output parses back to the same tree.
+# The printer fully parenthesizes, and its output parses back to the same
+# tree.
 print(format_formula(formula))
 assert parse(format_formula(formula), signature) == formula

@@ -37,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, List, Optional, Set, Union
 
 from .solver import Verdict
 from .syntax import (
@@ -137,7 +137,7 @@ def _not(v: TV) -> TV:
     return v if isinstance(v, EvalError) else (not v)
 
 
-def _any(values: Sequence[TV]) -> TV:
+def _any(values: Iterable[TV]) -> TV:
     err: Optional[EvalError] = None
     for v in values:
         if v is True:
@@ -147,7 +147,7 @@ def _any(values: Sequence[TV]) -> TV:
     return err if err is not None else False
 
 
-def _all(values: Sequence[TV]) -> TV:
+def _all(values: Iterable[TV]) -> TV:
     err: Optional[EvalError] = None
     for v in values:
         if v is False:
@@ -360,18 +360,8 @@ def _quant(trace: Trace, f: Union[Exists, Forall], env: Assignment) -> TV:
         values = map(Fraction, range(int(dom.lo), int(dom.hi) + 1))
     else:
         values = _time_candidates(trace, dom, f.body, f.var, env)
-
-    # Fold as the instances come: the first deciding one (true for exists,
-    # false for forall) settles it, else the first error stands.
-    decider = isinstance(f, Exists)
-    err: Optional[EvalError] = None
-    for value in values:
-        r = _ev(trace, f.body, {**env, f.var: value})
-        if r is decider:
-            return r
-        if err is None and isinstance(r, EvalError):
-            err = r
-    return err if err is not None else not decider
+    combine = _any if isinstance(f, Exists) else _all
+    return combine(_ev(trace, f.body, {**env, f.var: value}) for value in values)
 
 
 def evaluate(trace: Trace, f: Formula, env: Optional[Assignment] = None) -> bool:

@@ -30,8 +30,7 @@ rho/ρ break ties when use alone does not decide.
 
 The AST is frozen dataclasses.  `children` is the one place that lists a
 node's subterms and subformulas, so a walker that only needs to reach every
-node goes through it.  The translator and the evaluator both take the tree
-as parsed, every connective included; nothing rewrites it into a core.  The conversions and signal reads (`ONE_ARG`) keep
+node goes through it.  The conversions and signal reads (`ONE_ARG`) keep
 their single argument in `arg`, whose sort is the class attribute `arg_sort`.
 """
 

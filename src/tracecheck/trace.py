@@ -80,10 +80,10 @@ class DomainError(TraceError):
     """A lookup outside the trace's defined domain."""
 
 
-def quoted(text: str, limit: int = 40) -> str:
-    """repr(text) for a message, cut after `limit` characters and marked with
+def quoted(text: str) -> str:
+    """repr(text) for a message, cut after 40 characters and marked with
     '...': a message that quotes input must not grow with it."""
-    return repr(text) if len(text) <= limit else f"{text[:limit]!r}..."
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
 
 
 # A plain ASCII decimal such as a trace cell; at most PLAIN_DIGITS characters
