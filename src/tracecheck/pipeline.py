@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Type, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from .preprocess import (
     InterpolationKind,
@@ -342,16 +342,22 @@ def load_manifest(path: Union[str, Path]) -> List[ManifestEntry]:
         )
     base = Path(path).parent
     entries: List[ManifestEntry] = []
-    seen: set = set()
+    first: Dict[str, Tuple[int, str]] = {}  # script name -> (line, id) that took it
     for num, rec in enumerate(records, start=2):
         if rec.get(None):
             raise StageError("manifest", f"{path} line {num}: too many columns")
         cells = {k: (rec.get(k) or "").strip() for k in MANIFEST_FIELDS}
         if not cells["id"]:
             raise StageError("manifest", f"{path} line {num}: empty id")
-        if cells["id"] in seen:
-            raise StageError("manifest", f"{path} line {num}: duplicate id {quoted(cells['id'])}")
-        seen.add(cells["id"])
+        name = slug(cells["id"])
+        if name in first:
+            line, other = first[name]
+            raise StageError(
+                "manifest",
+                f"{path} lines {line} and {num}: ids {quoted(other)} and {quoted(cells['id'])}"
+                f" both name the script {quoted(name + '.smt2')}",
+            )
+        first[name] = (num, cells["id"])
         if not cells["trace"] or not cells["property"]:
             raise StageError("manifest", f"{path} line {num}: trace and property are required")
         strategy = cells["strategy"].upper()
@@ -456,14 +462,13 @@ def write_report(rows: Sequence[ReportRow], fmt: str, path: Union[str, Path]) ->
         columns = list(BASE_COLUMNS)
         if any(r.timing is not None for r in rows):
             columns += list(STAT_COLUMNS)
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=columns, restval="")
-            writer.writeheader()
-            for d in dicts:
-                writer.writerow(d)
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=columns, restval="")
+        writer.writeheader()
+        writer.writerows(dicts)
+        text = buf.getvalue()
     elif fmt == "jsonl":
-        with open(path, "w") as fh:
-            for d in dicts:
-                fh.write(json.dumps(d) + "\n")
+        text = "".join(json.dumps(d) + "\n" for d in dicts)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
+    write_text(Path(path), text)

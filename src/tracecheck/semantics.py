@@ -20,11 +20,13 @@ since every mapped index is piecewise constant in the quantified variable
 and every direct time comparison is affine in it, the body's truth value
 only changes at finitely many breakpoints, so evaluating the interval
 endpoints, the breakpoints and one point inside each gap between them
-decides the quantifier exactly.  A mapped index steps only where its
-argument meets a timestamp, so the breakpoints come from the records whose
-timestamps fall inside the image of the quantifier's window, found by
-bisection: each quantifier instance costs O(log n + k) for the k records in
-its window, not O(n).
+decides the quantifier exactly.  A mapped index's argument and a time
+comparison's side are a*v + b in the quantified variable v: eval_term finds
+b and a + b as their values at v = 0 and v = 1.  A mapped index steps only
+where its argument meets a timestamp, so the breakpoints come from the
+records whose timestamps fall inside the image of the quantifier's window,
+found by bisection: each quantifier instance costs O(log n + k) for the k
+records in its window.
 
 The route cannot decide everything.  Unbounded real quantifiers, arguments
 mixing a time variable with a deeper-bound one, and conversions stacked on
@@ -37,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Set, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .solver import Verdict
 from .syntax import (
@@ -171,60 +173,33 @@ _CMP = {
 # Breakpoint analysis for time quantifiers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Affine:
-    """a*v + b for the decision variable v."""
-
-    a: Fraction
-    b: Fraction
-
-
-class _SkipProbe(Exception):
-    """A constant subterm failed to evaluate; it contributes no breakpoints."""
-
-
-def _affine_in(
+def _slope(
     trace: Trace, expr: Term, v: str, env: Assignment
-) -> _Affine:
-    """Decompose a time expression as a*v + b, or reject the fragment."""
-    if isinstance(expr, Var):
-        if expr.name == v:
-            return _Affine(Fraction(1), Fraction(0))
-        if expr.name in env:
-            return _Affine(Fraction(0), env[expr.name])
+) -> Optional[Tuple[Fraction, Fraction]]:
+    """(a, b) with `expr` = a*v + b, or None when a read in it fails to
+    denote; raises OutsideFragment when `expr` is not affine in v.
+
+    Refused first: v under a conversion or read, and a deeper-bound
+    variable, which eval_term would report as a failing read.  What is left
+    is exactly affine in v, so its values at v = 0 and v = 1 give b and a + b.
+    """
+    def stacked(node) -> bool:
+        if isinstance(node, ONE_ARG):
+            return v in free_vars(node)
+        return any(stacked(sub) for sub in children(node))
+
+    if stacked(expr):
+        raise OutsideFragment(f"conversions stacked over the quantified variable {quoted(v)}")
+    deeper = free_vars(expr) - set(env) - {v}
+    if deeper:
         raise OutsideFragment(
-            f"argument mixes {quoted(v)} with the deeper-bound variable {quoted(expr.name)}"
-        )
-    if isinstance(expr, Lit):
-        return _Affine(Fraction(0), expr.value)
-    if isinstance(expr, Arith):
-        if expr.op == "*":
-            if isinstance(expr.left, Lit):
-                k, other = expr.left.value, expr.right
-            else:
-                k, other = expr.right.value, expr.left
-            inner = _affine_in(trace, other, v, env)
-            return _Affine(inner.a * k, inner.b * k)
-        la = _affine_in(trace, expr.left, v, env)
-        ra = _affine_in(trace, expr.right, v, env)
-        if expr.op == "+":
-            return _Affine(la.a + ra.a, la.b + ra.b)
-        return _Affine(la.a - ra.a, la.b - ra.b)
-    # conversions and signal reads: constant only
-    if v in free_vars(expr):
-        raise OutsideFragment(
-            f"conversions stacked over the quantified variable {quoted(v)}"
-        )
-    missing = free_vars(expr) - set(env)
-    if missing:
-        raise OutsideFragment(
-            f"argument mixes {quoted(v)} with the deeper-bound variable "
-            f"{quoted(sorted(missing)[0])}"
+            f"argument mixes {quoted(v)} with the deeper-bound variable {quoted(sorted(deeper)[0])}"
         )
     try:
-        return _Affine(Fraction(0), eval_term(trace, expr, env))
+        b = eval_term(trace, expr, {**env, v: Fraction(0)})
+        return eval_term(trace, expr, {**env, v: Fraction(1)}) - b, b
     except EvalError:
-        raise _SkipProbe() from None
+        return None
 
 
 def _breakpoints(
@@ -245,30 +220,24 @@ def _breakpoints(
     def probe(expr: Term):
         if v not in free_vars(expr):
             return
-        try:
-            aff = _affine_in(trace, expr, v, env)
-        except _SkipProbe:
+        ab = _slope(trace, expr, v, env)
+        if ab is None or ab[0] == 0:
             return
-        if aff.a == 0:
-            return
-        lo, hi = sorted((aff.a * dom.lo + aff.b, aff.a * dom.hi + aff.b))
+        a, b = ab
+        lo, hi = sorted((a * dom.lo + b, a * dom.hi + b))
         first = bisect_right(ticks, trace.tick_floor(lo))
         for k in ticks[first:bisect_left(ticks, trace.tick_ceil(hi))]:
-            points.add((Fraction(k, trace.den) - aff.b) / aff.a)
+            points.add((Fraction(k, trace.den) - b) / a)
 
     def crossing(rel: Rel):
         if rel.left.sort is not Sort.TIME and rel.right.sort is not Sort.TIME:
             return
         if v not in free_vars(rel.left) | free_vars(rel.right):
             return
-        try:
-            la = _affine_in(trace, rel.left, v, env)
-            ra = _affine_in(trace, rel.right, v, env)
-        except _SkipProbe:
-            return
-        da, db = la.a - ra.a, la.b - ra.b
-        if da != 0:
-            points.add(-db / da)
+        left = _slope(trace, rel.left, v, env)
+        right = None if left is None else _slope(trace, rel.right, v, env)
+        if right is not None and left[0] != right[0]:
+            points.add((right[1] - left[1]) / (left[0] - right[0]))
 
     def scan(node):
         if isinstance(node, (T2I, AtTime)):

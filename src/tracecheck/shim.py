@@ -245,10 +245,10 @@ NUM, BOOL = "number", "formula"  # the fragment's two sorts: Int and Real are bo
 
 
 def _brief(node) -> str:
-    """`node` for a message: a leaf, or a list by its head."""
+    """`node` for a message: a numeral, a quoted symbol, or a list by its head."""
     if type(node) is list:
-        return f"({node[0]} ...)" if node and type(node[0]) is str else "(...)"
-    return str(node)
+        return f"({_brief(node[0])} ...)" if node and type(node[0]) is str else "(...)"
+    return quoted(node) if type(node) is str else str(node)
 
 
 def _binding(node, sorts=None) -> bool:
@@ -742,7 +742,7 @@ def run_script(text: str) -> List[str]:
         for form in parse_script(text):
             if type(form) is tuple:
                 if form[0] not in state.arrays:
-                    raise ShimError(f"select from {form[0]}, which is not a declared array")
+                    raise ShimError(f"select from {quoted(form[0])}, which is not a declared array")
                 state.pin(*form)
                 continue
             head = form[0] if type(form) is list and form else None

@@ -298,6 +298,7 @@ def write_error_inputs(d):
     (d / "blank.cfg").write_text("solver.cmd =\n")
     (d / "m.csv").write_text("id,trace,property,strategy,config\ne1,fig1.csv,r1.prop,,\n")
     (d / "badm.csv").write_text("id,trace\nz,1\n")
+    (d / "rep" / "report.csv").mkdir(parents=True)
 
 
 # (arguments, start of the stderr line after "error at ")
@@ -320,6 +321,7 @@ STAGE_ERRORS = [
     ("translate fig1.csv r1.prop --out fig1.csv/o", "io-error: fig1.csv/o:"),
     ("check fig1.csv r1.prop --out fig1.csv/o", "io-error: fig1.csv/o:"),
     ("batch m.csv --out fig1.csv/o", "io-error: fig1.csv/o:"),
+    ("batch m.csv --out rep", "io-error: rep/report.csv: Is a directory"),
     ("validate r1.prop --trace bad.csv", "trace-format: bad.csv:"),
     ("preprocess bad.csv", "trace-format: bad.csv:"),
     ("translate bad.csv r1.prop", "trace-format: bad.csv:"),

@@ -341,11 +341,21 @@ class TestManifest:
             "e1,t.csv,,,\n",                 # missing property
             "e1,t.csv,p.prop,A9,\n",         # bad strategy
             "e1,t.csv,p.prop,,,extra\n",     # too many columns
+            "a b,t.csv,p.prop,,\na_b,t.csv,p.prop,,\n",  # ids naming one script file
         ],
     )
     def test_bad_rows_rejected(self, tmp_path, body):
-        with pytest.raises(StageError):
+        with pytest.raises(StageError) as e:
             load_manifest(self.make(tmp_path, body))
+        assert stage_of(e) == "manifest"
+
+    def test_colliding_script_names_name_both_lines(self, tmp_path):
+        p = self.make(tmp_path, "a b,t.csv,p.prop,,\nok,t.csv,p.prop,,\na_b,t.csv,p.prop,,\n")
+        with pytest.raises(StageError) as e:
+            load_manifest(p)
+        assert str(e.value) == (
+            f"{p} lines 2 and 4: ids 'a b' and 'a_b' both name the script 'a_b.smt2'"
+        )
 
     def test_entry_strategy_beats_config_file(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -182,27 +182,59 @@ class TestCheckDirect:
         assert res.verdict is Verdict.INCONCLUSIVE
         assert "fragment" in res.reason
 
-    def test_mixed_time_variables_are_outside_the_fragment(self, fig_trace):
-        res = check_direct(
-            fig_trace,
-            parse_fig(
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            # a conversion over tau0 in a read's argument
+            (
+                "exists τ0 in [0.0, 5.0] such that (ang-rate @t i2t(t2i(τ0))) < 99",
+                "conversions stacked over the quantified variable 'τ0'",
+            ),
+            # the same in a side of a time relation
+            (
+                "exists τ0 in [0.0, 5.0] such that i2t(t2i(τ0)) < τ0 + 1",
+                "conversions stacked over the quantified variable 'τ0'",
+            ),
+            # a deeper-bound variable in a read's argument
+            (
                 "exists τ0 in [0.0, 1.0] such that exists τ1 in [0.0, 1.0] "
-                "such that (ang-rate @t (τ0 + τ1)) < 99"
+                "such that (ang-rate @t (τ0 + τ1)) < 99",
+                "argument mixes 'τ0' with the deeper-bound variable 'τ1'",
             ),
+            # the same in a side of a time relation
+            (
+                "exists τ0 in [0.0, 1.0] such that exists τ1 in [0.0, 1.0] "
+                "such that τ0 < τ1 + 1",
+                "argument mixes 'τ0' with the deeper-bound variable 'τ1'",
+            ),
+            # refusals are checked before any read is evaluated, so the
+            # failing read i2t(99) does not hide the deeper-bound variable
+            (
+                "exists τ0 in [0.0, 1.0] such that exists τ1 in [0.0, 1.0] "
+                "such that (ang-rate @t (i2t(99) + τ0 + τ1)) < 99",
+                "argument mixes 'τ0' with the deeper-bound variable 'τ1'",
+            ),
+        ],
+    )
+    def test_refusals_name_their_reason(self, fig_trace, text, reason):
+        res = check_direct(fig_trace, parse_fig(text))
+        assert res == DirectResult(
+            Verdict.INCONCLUSIVE, f"outside the direct-evaluation fragment: {reason}"
         )
-        assert res.verdict is Verdict.INCONCLUSIVE
-        assert "fragment" in res.reason
 
-    def test_stacked_conversions_are_outside_the_fragment(self, fig_trace):
-        res = check_direct(
-            fig_trace,
-            parse_fig(
-                "exists τ0 in [0.0, 5.0] such that "
-                "(ang-rate @t i2t(t2i(τ0))) < 99"
-            ),
+    def test_a_probe_whose_constant_read_fails_adds_no_points(self, fig_trace):
+        """i2t(99) does not denote on a 7-record trace: its probe adds no
+        breakpoints, and the true disjunct still decides."""
+        good = "(ang-rate @t τ0) < 1.5"
+        body = parse_fig(
+            f"exists τ0 in [0.0, 5.7] such that {good} or (ang-rate @t (τ0 + i2t(99))) < 0"
         )
-        assert res.verdict is Verdict.INCONCLUSIVE
-        assert "fragment" in res.reason
+        alone = parse_fig(f"exists τ0 in [0.0, 5.7] such that {good}")
+        dom = Interval(F(0), False, F("5.7"), False, Sort.TIME)
+        assert _time_candidates(fig_trace, dom, body.body, "τ0", {}) == _time_candidates(
+            fig_trace, dom, alone.body, "τ0", {}
+        )
+        assert check_direct(fig_trace, body) == DirectResult(Verdict.SATISFIED)
 
     def test_scaled_time_variable_is_inside_the_fragment(self, fig_trace):
         res = check_direct(

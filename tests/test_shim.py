@@ -987,15 +987,15 @@ OUT_OF_FRAGMENT = {
         ("unknown operator after false", "unsupported operator 'frob' with 1 arguments"),
         ("chain < 0.5 1 2", "unsupported operator '<' with 3 arguments"),
         ("two-operand to_int", "unsupported operator 'to_int' with 2 arguments"),
-        ("let around a formula", "(let ...) is a number where a formula is expected"),
+        ("let around a formula", "('let' ...) is a number where a formula is expected"),
         ("Real assert after false", "1 is a number where a formula is expected"),
         ("Real under or after true", "0 is a number where a formula is expected"),
-        ("Bool index after false", "false is a formula where a number is expected"),
-        ("undeclared array", "select from b, which is not a declared array"),
-        ("undeclared array in a term", "select from b, which is not a declared array"),
+        ("Bool index after false", "'false' is a formula where a number is expected"),
+        ("undeclared array", "select from 'b', which is not a declared array"),
+        ("undeclared array in a term", "select from 'b', which is not a declared array"),
         ("empty term", "bad expression (...)"),
-        ("push", "unsupported command (push ...)"),
-        ("declare-const Real", "unsupported command (declare-const ...)"),
+        ("push", "unsupported command ('push' ...)"),
+        ("declare-const Real", "unsupported command ('declare-const' ...)"),
         ("numeral as a command", "unsupported command 1"),
         ("empty command", "unsupported command (...)"),
     ],
@@ -1059,6 +1059,25 @@ class TestMain:
         assert out == ""
         assert err.startswith("cannot read script: ") and "position 100016" in err
         assert len(err) < 200
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x" * 100_000 + "\n(check-sat)\n", f"unsupported command {'x' * 40!r}..."),
+            (
+                "(assert (= (select " + "y" * 100_000 + " 0) 1.0))\n(check-sat)\n",
+                f"select from {'y' * 40!r}..., which is not a declared array",
+            ),
+        ],
+        ids=["command", "pin"],
+    )
+    def test_a_huge_symbol_is_quoted_briefly(self, tmp_path, capsys, text, message):
+        p = tmp_path / "q.smt2"
+        p.write_text(text)
+        assert shim.main([str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"{message}\n")
+        assert len(err.encode()) < 1024
 
     def test_parse_error_reported(self, tmp_path, capsys):
         p = tmp_path / "q.smt2"
