@@ -226,15 +226,15 @@ class TestCheckDirect:
         """i2t(99) does not denote on a 7-record trace: its probe adds no
         breakpoints, and the true disjunct still decides."""
         good = "(ang-rate @t τ0) < 1.5"
-        body = parse_fig(
+        probed = parse_fig(
             f"exists τ0 in [0.0, 5.7] such that {good} or (ang-rate @t (τ0 + i2t(99))) < 0"
         )
         alone = parse_fig(f"exists τ0 in [0.0, 5.7] such that {good}")
         dom = Interval(F(0), False, F("5.7"), False, Sort.TIME)
-        assert _time_candidates(fig_trace, dom, body.body, "τ0", {}) == _time_candidates(
+        assert _time_candidates(fig_trace, dom, probed.body, "τ0", {}) == _time_candidates(
             fig_trace, dom, alone.body, "τ0", {}
         )
-        assert check_direct(fig_trace, body) == DirectResult(Verdict.SATISFIED)
+        assert check_direct(fig_trace, probed) == DirectResult(Verdict.SATISFIED)
 
     def test_scaled_time_variable_is_inside_the_fragment(self, fig_trace):
         res = check_direct(
