@@ -186,7 +186,10 @@ def _slope(
     def stacked(node) -> bool:
         if isinstance(node, ONE_ARG):
             return v in free_vars(node)
-        return any(stacked(sub) for sub in children(node))
+        for sub in children(node):  # a loop, not any(genexpr): one frame a level
+            if stacked(sub):
+                return True
+        return False
 
     if stacked(expr):
         raise OutsideFragment(f"conversions stacked over the quantified variable {quoted(v)}")

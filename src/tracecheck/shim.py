@@ -61,16 +61,20 @@ code 1, a message on stderr and nothing on stdout, so the solver status is
   the rest;
 * integer quantifiers are decided by finite enumeration of the window;
 * real quantifiers are decided by evaluating finitely many candidates:
-  the window's ends, every point where some comparison affine in the
-  variable can flip, every point where a `to_int` of a term affine in the
+  the window's ends, every point where some comparison linear in the
+  variable can flip, every point where a `to_int` of a term linear in the
   variable steps, and a midpoint inside each gap.  That set is exhaustive
   because between consecutive candidates every comparison keeps a constant
   truth value, which one classification of each relation, its sides and
-  the conditions nested in them verifies; when it cannot, the result
-  degrades to unknown rather than to a guess.  An ite condition that keeps
-  one truth value on the open window contributes only the branch it takes
-  there, so the variable-rate index map is read only where the window
-  reaches: O(log n + k) of its conditions for k records in the window.
+  the conditions nested in them verifies.  A term is exactly a*v + b on
+  the window, computed symbolically (an unknown, such as a read of an
+  unpinned cell, is the term unknown at every point), or piecewise
+  constant between the collected roots, or beyond the analysis; a relation
+  beyond it degrades the result to unknown rather than to a guess.  An ite
+  condition that keeps one truth value on the open window contributes only
+  the branch it takes there, so the variable-rate index map is read only
+  where the window reaches: O(log n + k) of its conditions for k records
+  in the window.
   The points are integer numerators over one denominator (a floor's steps
   one `range`, a crossing one numerator), sorted as ints; each candidate
   is made, an `int` when integral, only when it is reached, in ascending
@@ -227,16 +231,6 @@ def _div(a: Number, b: Number) -> Optional[Fraction]:
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div}
 
 
-def _arith(op: str, args: List[Value]) -> Value:
-    """`op` (an _ARITH key, or unary minus) on its one or two numbers; None
-    when an operand is unknown or a divisor is zero."""
-    a = args[0]
-    if len(args) == 1:
-        return None if a is None else -a
-    b = args[1]
-    return None if a is None or b is None else _ARITH[op](a, b)
-
-
 _RELATIONS = {
     "<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge, ">": operator.gt,
 }
@@ -304,14 +298,20 @@ def _candidates(roots: List[Roots], window: Window) -> Iterator[Number]:
 
 
 # Term classes for the real-quantifier completeness analysis.  A term is
-# classified by how it can depend on the quantified variable v:
-#   GROUND  fixed once the outer environment is fixed (no v, no inner binder)
-#   AFFINE  a*v + b with exact rational coefficients
-#   PW      for each value of the inner binders, piecewise constant in v,
-#           jumping only at collected roots (an inner binder itself is PW)
-#   VUNK    depends on v but evaluates to an unknown/symbolic value
-#   BAD     a dependence the analysis cannot bound
-GROUND, AFFINE, PW, VUNK, BAD = range(5)
+# classified by how it can depend on the quantified variable v inside the
+# open window:
+#   (LIN, (a, b))  exactly a*v + b with exact rational coefficients; a = 0
+#                  with b None is a term unknown at every point
+#   (PW,)          for each value of the inner binders, piecewise constant in
+#                  v, jumping only at collected roots (an inner binder itself
+#                  is PW)
+#   (BAD,)         a dependence the analysis cannot bound
+LIN, PW, BAD = range(3)
+
+
+def _flat(cls) -> bool:
+    """Whether a term of class `cls` is constant between collected roots."""
+    return cls[0] == PW or cls[0] == LIN and cls[1][0] == 0
 
 
 class _Eval:
@@ -547,76 +547,49 @@ class _Eval:
     def classify(self, e, v, env, lenv, qvars, grid):
         """Term class for relation_class; see the class constants above.
 
-        Returns (GROUND, value) | (AFFINE, (a, b)) | (PW,) | (VUNK,) |
-        (BAD,).  `lenv` holds the classes of the let names in scope; a
-        ground subterm is evaluated with the values of the ground ones.
-        `grid` is (window of v, roots): a `to_int` of a term affine in v
-        adds the points where it steps inside the window to the roots, and
-        an ite condition its own roots through relation_class.  An ite
-        whose condition keeps one truth value on the open window is the
-        branch it takes there; the other branch is not classified.
+        `lenv` holds the classes of the let names in scope.  `grid` is
+        (window of v, roots): a `to_int` of a sloped term adds the points
+        where it steps inside the window to the roots, and an ite condition
+        its own roots through relation_class.  An ite whose condition keeps
+        one truth value on the open window is the branch it takes there, or
+        the unknown when that value is; the other branch is not classified.
         """
         if _is_num(e):
-            return (GROUND, e)
-        if isinstance(e, str):
+            return (LIN, (0, e))
+        if type(e) is str:
             if e == v:
-                return (AFFINE, (1, 0))
+                return (LIN, (1, 0))
             if e in lenv:
                 return lenv[e]
             if e in qvars:
                 return (PW,)
             if e in env:
-                return (GROUND, env[e])
+                return (LIN, (0, env[e]))
             return (BAD,)
         head = e[0]
         if head in _ARITH:
             parts = [self.classify(a, v, env, lenv, qvars, grid) for a in e[1:]]
-            kinds = {p[0] for p in parts}
-            if BAD in kinds:
-                return (BAD,)
-            if kinds <= {GROUND}:
-                return (GROUND, _arith(head, [p[1] for p in parts]))
-            if AFFINE in kinds:
-                if PW in kinds:
-                    return (BAD,)
-                if VUNK in kinds or any(
-                    p[0] == GROUND and not _is_num(p[1]) for p in parts
-                ):
-                    return (VUNK,)
-                pairs = [
-                    p[1] if p[0] == AFFINE else (0, p[1]) for p in parts
-                ]
-                pair = self._affine_op(head, pairs)
-                return (AFFINE, pair) if pair is not None else (BAD,)
-            return (VUNK,) if VUNK in kinds else (PW,)
+            if any(p[0] != LIN for p in parts):
+                return (PW,) if all(map(_flat, parts)) else (BAD,)
+            pair = self._affine_op(head, [p[1] for p in parts])
+            return (BAD,) if pair is None else (LIN, pair)
         if head == "to_real":  # an exact rational already
             return self.classify(e[1], v, env, lenv, qvars, grid)
         if head == "to_int":
             return self._floor_class(self.classify(e[1], v, env, lenv, qvars, grid), grid)
         if head == "select":
             idx = self.classify(e[2], v, env, lenv, qvars, grid)
-            if idx[0] == GROUND:
-                return (GROUND, self.compile(e)(self._ground_env(env, lenv)))
-            if idx[0] in (PW, VUNK):
-                return (idx[0],)
-            return (BAD,)
+            if idx[0] == LIN and idx[1][0] == 0:
+                return (LIN, (0, self.pins.get((e[1], idx[1][1]))))
+            return idx if idx[0] == PW else (BAD,)
         if head == "ite":
             cond, truth = self.relation_class(e[1], v, env, lenv, qvars, grid)
-            if cond == BAD:
-                return (BAD,)
-            if truth is not None:  # inside the window only this branch is reached
+            if cond == LIN:  # inside the window only this branch is reached
+                if truth is None:
+                    return (LIN, (0, None))
                 return self.classify(e[2] if truth else e[3], v, env, lenv, qvars, grid)
             branches = [self.classify(x, v, env, lenv, qvars, grid) for x in e[2:4]]
-            kinds = {b[0] for b in branches}
-            if BAD in kinds:
-                return (BAD,)
-            if cond == GROUND:  # with an unknown truth value
-                return (VUNK,) if AFFINE in kinds or not kinds <= {GROUND} else (GROUND, None)
-            if AFFINE in kinds:
-                return (BAD,)
-            if cond == VUNK or VUNK in kinds:
-                return (VUNK,)
-            return (PW,)  # a PW condition and GROUND or PW branches
+            return (PW,) if cond == PW and all(map(_flat, branches)) else (BAD,)
         if head == "let":
             [[name, bound]] = e[1]
             cls = self.classify(bound, v, env, lenv, qvars, grid)
@@ -625,58 +598,46 @@ class _Eval:
 
     def relation_class(self, e, v, env, lenv, qvars, grid) -> Tuple[int, Optional[bool]]:
         """How the truth of relation `e` can vary with v inside the window
-        of `grid`: (GROUND, truth), (PW, None), (VUNK, None) or (BAD, None).
+        of `grid`: (LIN, truth), (PW, None) or (BAD, None).
 
-        GROUND is one truth value on the open window, returned with the
-        class; it is None when a side is unknown.  Two ground or affine
-        sides with the same slope keep one truth value everywhere; with
-        different slopes they cross once.  A crossing strictly inside a
-        bounded window is added to the roots of `grid`, and the relation is
-        PW; one at or beyond an end leaves it GROUND, with the truth it has
-        at the window's midpoint (the ends are candidates anyway, evaluated
-        exactly).  A sloped side against a stepping one flips off the roots
-        and is BAD.  Any other formula, such as an ite condition that is
-        not a relation (the translator writes none), is BAD too, which
-        makes the caller's answer at most unknown.
+        LIN is one truth value on the open window, returned with the class;
+        it is None when a side is unknown.  Two linear sides with the same
+        slope keep one truth value everywhere; with different slopes they
+        cross once.  A crossing strictly inside a bounded window is added
+        to the roots of `grid`, and the relation is PW; one at or beyond an
+        end leaves it LIN, with the truth it has at the window's midpoint
+        (the ends are candidates anyway, evaluated exactly).  A sloped side
+        against a stepping one flips off the roots and is BAD.  Any other
+        formula, such as an ite condition that is not a relation (the
+        translator writes none), is BAD too, which makes the caller's
+        answer at most unknown.
         """
         if not (type(e) is list and e[0] in _RELATIONS):
             return BAD, None
         parts = [self.classify(a, v, env, lenv, qvars, grid) for a in e[1:]]
-        kinds = {p[0] for p in parts}
-        if BAD in kinds:
-            return BAD, None
-        if VUNK in kinds:
-            return VUNK, None  # an unknown side never yields a root
-        if any(p[0] == GROUND and not _is_num(p[1]) for p in parts):
-            return (GROUND if kinds == {GROUND} else VUNK), None
-        if PW in kinds:
-            return (BAD if any(p[0] == AFFINE and p[1][0] != 0 for p in parts) else PW), None
-        (xa, xb), (ya, yb) = [p[1] if p[0] == AFFINE else (0, p[1]) for p in parts]
+        if any(p[0] != LIN for p in parts):
+            return (PW if all(map(_flat, parts)) else BAD), None
+        (xa, xb), (ya, yb) = (p[1] for p in parts)
+        if xb is None or yb is None:
+            return LIN, None  # an unknown side never yields a root
         rel = _RELATIONS[e[0]]
         if xa == ya:
-            return GROUND, rel(xb, yb)
+            return LIN, rel(xb, yb)
         root, (lo, hi) = _div(yb - xb, xa - ya), grid[0]
         if lo is None or hi is None or not lo < hi or lo < root < hi:
             grid[1].append((range(root.numerator, root.numerator + 1), root.denominator))
             return PW, None
         mid = _div(lo + hi, 2)
-        return GROUND, rel(xa * mid + xb, ya * mid + yb)
-
-    @staticmethod
-    def _ground_env(env, lenv):
-        """`env` and the values of the let names in `lenv` that are GROUND."""
-        return {**env, **{name: c[1] for name, c in lenv.items() if c[0] == GROUND}}
+        return LIN, rel(xa * mid + xb, ya * mid + yb)
 
     @staticmethod
     def _floor_class(arg, grid):
         """The class of `to_int` on an argument of class `arg`."""
-        if arg[0] == GROUND:
-            return (GROUND, None if arg[1] is None else math.floor(arg[1]))
-        if arg[0] != AFFINE:
-            return arg  # PW, VUNK and BAD stay what they are
+        if arg[0] != LIN:
+            return arg  # PW and BAD stay what they are
         (a, b), ((lo, hi), roots) = arg[1], grid
         if a == 0:
-            return (GROUND, math.floor(b))
+            return (LIN, (0, None if b is None else math.floor(b)))
         if lo is None or hi is None:
             return (BAD,)
         ends = (a * lo + b, a * hi + b)
@@ -691,7 +652,11 @@ class _Eval:
 
     @staticmethod
     def _affine_op(head, pairs):
-        """`head` on affine (a, b) pairs; None when the result is not affine."""
+        """`head` on linear (a, b) pairs: (0, None), the unknown, when an
+        operand is unknown or a divisor is zero; None when the result is
+        not linear."""
+        if any(b is None for _, b in pairs):
+            return (0, None)
         if len(pairs) == 1:  # unary minus
             a, b = pairs[0]
             return (-a, -b)
@@ -702,7 +667,9 @@ class _Eval:
             return (a - pa, b - pb)
         if head == "*":
             return None if a != 0 and pa != 0 else (a * pb + pa * b, b * pb)
-        return None if pa != 0 or pb == 0 else (_div(a, pb), _div(b, pb))
+        if pa != 0:
+            return None
+        return (0, None) if pb == 0 else (_div(a, pb), _div(b, pb))
 
 
 # ---------------------------------------------------------------------------

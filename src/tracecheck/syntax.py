@@ -262,6 +262,30 @@ def children(node) -> Tuple:
     raise TypeError(f"not an AST node: {node!r}")
 
 
+# How deep a property may nest: the stack frames that parsing it, or any walk
+# over its tree (the sort checker, the translator, the direct evaluator),
+# spends at its deepest, counted as a quantifier 5, a conversion or a
+# parenthesis inside a term 3, a parenthesis around a formula 5 and every
+# other node 1.  Within it every property the parser admits is parsed,
+# translated and evaluated at Python's default recursion limit, from a batch
+# worker thread too, so acceptance depends on the text alone.
+MAX_NESTING = 920
+_FRAMES = {Exists: 5, Forall: 5, I2T: 3, T2I: 3}  # any other node: 1
+
+
+def _deepest(f) -> Tuple[int, object]:
+    """The largest sum of `_FRAMES` along a path from the root of `f`, and
+    the node that ends it."""
+    deepest, node_at, stack = 0, f, [(f, 0)]
+    while stack:
+        node, above = stack.pop()
+        here = above + _FRAMES.get(type(node), 1)
+        if here > deepest:
+            deepest, node_at = here, node
+        stack += [(sub, here) for sub in children(node)]
+    return deepest, node_at
+
+
 def signals_of(f) -> FrozenSet[str]:
     """Signal names syntactically occurring in the formula."""
     own = [f.signal] if isinstance(f, (AtIndex, AtTime)) else []
@@ -363,6 +387,7 @@ class _Parser:
         self.signature = signature
         self.furthest = 0
         self.expected: Set[str] = set()
+        self.depth = 0  # the frames of the rules open now, counted as MAX_NESTING counts them
 
     # --- token plumbing ---
 
@@ -410,6 +435,15 @@ class _Parser:
             return tok
         self.fail("number")
 
+    def descend(self, frames: int) -> None:
+        """Open a rule that recurses `frames` stack frames deeper; past
+        MAX_NESTING the property nests too deeply.  The caller closes it with
+        `self.depth -= frames`, or `atom` restores the depth when it backtracks."""
+        self.depth += frames
+        if self.depth > MAX_NESTING:
+            line, col = _line_col(self.text, self.peek().pos)
+            raise ParseError("property nests too deeply", line, col)
+
     def error_out(self):
         line, col = _line_col(self.text, self.furthest)
         wanted = ", ".join(sorted(self.expected)) or "valid input"
@@ -421,7 +455,9 @@ class _Parser:
         left = self.or_f()
         if self.at_keyword("implies"):
             self.pos += 1
+            self.descend(1)
             right = self.formula()
+            self.depth -= 1
             return Implies(left, right, span=(span_start(left), span_end(right)))
         return left
 
@@ -445,7 +481,9 @@ class _Parser:
         tok = self.peek()
         if self.at_keyword("not"):
             self.pos += 1
+            self.descend(1)
             sub = self.unary()
+            self.depth -= 1
             return Not(sub, span=(tok.pos, span_end(sub)))
         if self.at_keyword("exists") or self.at_keyword("forall"):
             return self.quantifier()
@@ -465,7 +503,9 @@ class _Parser:
             interval = self.interval()
         self.take_keyword("such")
         self.take_keyword("that")
+        self.descend(5)
         body = self.formula()
+        self.depth -= 5
         cls = Exists if kind == "exists" else Forall
         return cls(var.text, None, interval, body, span=(tok.pos, span_end(body)))
 
@@ -509,14 +549,16 @@ class _Parser:
         return Lit(value, text=text, span=(tok.pos, num.pos + len(num.text)))
 
     def atom(self) -> Formula:
-        save = self.pos
+        save = self.pos, self.depth
         try:
             return self.relation()
         except _Fail:
-            self.pos = save
+            self.pos, self.depth = save
         self.take_punct("(")
+        self.descend(5)
         node = self.formula()
         self.take_punct(")")
+        self.depth -= 5
         return node
 
     def relation(self) -> Formula:
@@ -561,14 +603,18 @@ class _Parser:
             return self.signed_number()
         if tok.kind == "punct" and tok.text == "(":
             self.pos += 1
+            self.descend(3)
             node = self.term()
             self.take_punct(")")
+            self.depth -= 3
             return node
         if tok.kind == "ident" and tok.text in ("i2t", "t2i"):
             self.pos += 1
             self.take_punct("(")
+            self.descend(3)
             arg = self.term()
             close = self.take_punct(")")
+            self.depth -= 3
             cls = I2T if tok.text == "i2t" else T2I
             return cls(arg, span=(tok.pos, close.pos + 1))
         if tok.kind == "ident" and tok.text not in KEYWORDS:
@@ -576,7 +622,9 @@ class _Parser:
             nxt = self.peek()
             if nxt.kind == "punct" and nxt.text in ("@i", "@t"):
                 self.pos += 1
+                self.descend(1)
                 operand = self.primary()
+                self.depth -= 1
                 cls = AtIndex if nxt.text == "@i" else AtTime
                 return cls(tok.text, operand,
                            span=(tok.pos, span_end(operand)))
@@ -800,10 +848,14 @@ def parse(text: str, signature: Iterable[str] = ()) -> Formula:
         ast = parser.formula()
         if parser.peek().kind != "eof":
             parser.fail("end of input")
+        deepest, node = _deepest(ast)
+        if deepest > MAX_NESTING:
+            line, col = _line_col(text, span_start(node))
+            raise ParseError("property nests too deeply", line, col)
         return _Checker(text, sig).run(ast)
     except _Fail:
         parser.error_out()
-    except RecursionError:
+    except RecursionError:  # only a caller already deep in its own stack gets here
         line, col = _line_col(text, parser.peek().pos)
         raise ParseError("property nests too deeply", line, col) from None
 

@@ -14,6 +14,7 @@ import pytest
 import tracecheck
 from tracecheck.cli import main
 from tracecheck.pipeline import check_pair
+from tracecheck.syntax import MAX_NESTING
 from tracecheck.trace import load_trace_file
 
 from conftest import FIG_CSV, R1_TEXT, SIGMA_EXAMPLE_TEXT
@@ -481,6 +482,68 @@ class TestLongConjunctionsInAFreshProcess:
         assert done.returncode == 0, done.stderr
         assert "verdict: satisfied" in done.stdout
         assert "oracle: satisfied" in done.stdout
+
+
+ATOM = "(mode @i 0) >= 0"  # nests 4 deep to the parser (parenthesis 3, read 1), 3 in the tree
+QUANTIFIERS_AT_THE_BOUND = (MAX_NESTING - 4) // 5
+# The longest `and` chain, `not` chain and quantifier nest MAX_NESTING
+# admits, and each one longer: an `and` adds 1 in the tree, a `not` 1 and a
+# quantifier 5 to both counts.
+NESTS = {
+    f"{n} ands": " and ".join([ATOM] * n) for n in (MAX_NESTING - 2, MAX_NESTING - 1)
+} | {
+    f"{n} nots": "not " * n + ATOM for n in (MAX_NESTING - 4, MAX_NESTING - 3)
+} | {
+    f"{n} quantifiers": "".join(f"exists σ{k} in [0, 0] such that " for k in range(n)) + ATOM
+    for n in (QUANTIFIERS_AT_THE_BOUND, QUANTIFIERS_AT_THE_BOUND + 1)
+}
+
+
+class TestNestingBoundInFreshProcesses:
+    """At the bound every command parses the property and both routes decide
+    it; one past it every command refuses it, whatever the command's own
+    stack depth (a batch entry runs on a worker thread)."""
+
+    @pytest.fixture
+    def nests(self, workdir):
+        rows = ["id,trace,property,strategy,config"]
+        for k, text in enumerate(NESTS.values()):
+            (workdir / f"n{k}.prop").write_text(text + "\n")
+            rows.append(f"n{k},fig1.csv,n{k}.prop,,")
+        (workdir / "nests.csv").write_text("\n".join(rows) + "\n")
+        return workdir
+
+    def tracecheck(self, cwd, *argv):
+        src = str(Path(tracecheck.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-m", "tracecheck.cli", *argv],
+            capture_output=True, text=True, cwd=cwd, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+
+    def test_validate_and_check(self, nests):
+        for k, name in enumerate(NESTS):
+            admitted = k % 2 == 0
+            done = self.tracecheck(nests, "validate", f"n{k}.prop", "--trace", "fig1.csv")
+            assert done.returncode == (0 if admitted else 4), (name, done.stderr)
+            done = self.tracecheck(nests, "check", "fig1.csv", f"n{k}.prop", "--oracle", "--out", "o")
+            if admitted:
+                assert done.returncode in (0, 1), (name, done.stderr)
+                assert re.search(r"^oracle: (satisfied|violated)$", done.stdout, re.M), name
+            else:
+                assert done.returncode == 4
+                assert "property-parse" in done.stderr and "nests too deeply" in done.stderr, name
+
+    def test_batch(self, nests):
+        done = self.tracecheck(nests, "batch", "nests.csv", "--oracle", "--out", "b", "--report", "jsonl")
+        rows = [json.loads(line) for line in (nests / "b" / "report.jsonl").read_text().splitlines()]
+        assert len(rows) == len(NESTS), done.stderr
+        for k, (name, row) in enumerate(zip(NESTS, rows)):
+            if k % 2 == 0:
+                assert row["verdict"] in ("satisfied", "violated"), (name, row["reason"])
+                assert row["oracle_verdict"] == row["verdict"], name
+            else:
+                assert row["reason"].startswith("property-parse") and "nests too deeply" in row["reason"], name
 
 
 class TestParser:

@@ -242,6 +242,26 @@ class TestCheckPair:
         assert row.iota == "fixed-rate sr=0.2"
         assert (row.verdict, row.oracle_verdict) == (verdict, verdict)
 
+    @pytest.mark.parametrize(
+        "bound, options",
+        [
+            ("0.95", CheckOptions(preprocess=PreprocessConfig(strategy="A1"), oracle=True)),
+            ("1.1", CheckOptions(iota="variable")),
+            ("1.1", CheckOptions(iota="fixed")),
+        ],
+        ids=["A1", "A2-variable", "A2-fixed"],
+    )
+    def test_a_time_term_of_slope_zero_is_one_time(self, workdir, bound, options):
+        # τ0 - τ0 + 1 is 1 wherever τ0 is, so the left side is the time of
+        # the record at or before 1 (0.9 on the raw trace, 1.0 on A2's grid)
+        # and τ0 just above it is a witness; the direct route refuses stacked
+        # conversions, so the oracle has no verdict to check against
+        (workdir / "p.prop").write_text(
+            f"exists τ0 in [0, 5] such that i2t(t2i(τ0 - τ0 + 1)) < τ0 and τ0 < {bound}\n"
+        )
+        row = check_pair(workdir / "fig1.csv", workdir / "p.prop", options, workdir / "p.smt2")
+        assert row.verdict == "satisfied"
+
     def test_disagreement_is_cross_check_error(self, workdir, monkeypatch):
         import tracecheck.pipeline as pl
 

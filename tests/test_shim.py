@@ -562,6 +562,34 @@ class TestRealQuantifiers:
         """
         assert status(text) == "sat"
 
+    def test_a_constant_index_that_mentions_the_variable_reads_its_pin(self):
+        # to_int (- v v) is 0 at every v, so the read is a[0] = 0.25 and the
+        # body holds on (0.25, 0.3): the crossing at 0.25 must be a root
+        text = """
+        (declare-const a (Array Int Real))
+        (assert (= (select a 0) 0.25))
+        (assert (exists ((v Real)) (and (and (<= 0.0 v) (<= v 1.0))
+          (and (< (select a (to_int (- v v))) v) (< v 0.3)))))
+        (check-sat)
+        """
+        assert status(text) == "sat"
+
+    def test_an_ite_on_a_stepping_condition_is_not_unknown_everywhere(self):
+        # the condition a[floor v] < 0 steps with v and is false throughout,
+        # so the ites are 5.25 and 5.3 and v = 5.27 is a witness; the branch
+        # never taken is unknown, but the ite is not, and a stepping side
+        # against v leaves the answer unknown, never unsat
+        pins = "".join(f"(assert (= (select a {j}) 1.0))\n" for j in range(11))
+        ite = "(ite (< (select a (to_int v)) 0.0) (+ v (select a 99)) {})"
+        text = f"""
+        (declare-const a (Array Int Real))
+        {pins}
+        (assert (exists ((v Real)) (and (and (<= 0.0 v) (<= v 10.0))
+          (and (< {ite.format(5.25)} v) (< v {ite.format(5.3)})))))
+        (check-sat)
+        """
+        assert status(text) == "unknown"
+
 
 @pytest.mark.parametrize(
     "text, want",
@@ -852,6 +880,112 @@ def test_candidate_analysis_agrees_with_a_dense_grid_on_long_traces(monkeypatch)
                 for negate in (True, False)
             ]
     agrees_with_direct_and_dense_grid(monkeypatch, cases)
+
+
+def flat_time_term(rng, depth):
+    """A time term in τ0 of slope 0 or 1 that mostly mentions τ0 anyway:
+    τ0, τ0 - τ0 + c, 2 * τ0 - τ0, or i2t(t2i(...)) of one."""
+    r = rng.random()
+    c = rng.choice(("0.5", "1", "1.9", "2.3", "3"))
+    if depth <= 0 or r < 0.2:
+        return rng.choice(("τ0", f"τ0 - τ0 + {c}"))
+    if r < 0.45:
+        return f"τ0 - τ0 + {c}"
+    if r < 0.6:
+        return "2 * τ0 - τ0"
+    return f"i2t(t2i({flat_time_term(rng, depth - 1)}))"
+
+
+def flat_time_property(rng):
+    """One time quantifier over two atoms built from `flat_time_term`."""
+    atoms = []
+    for _ in range(2):
+        op, r = rng.choice(("<", "<=", ">", ">=", "=")), rng.random()
+        if r < 0.6:
+            atoms.append(f"i2t(t2i({flat_time_term(rng, 2)})) {op} τ0")
+        elif r < 0.75:
+            atoms.append(f"τ0 {op} {rng.choice(('0.5', '0.95', '1.1', '2.25', '3.3'))}")
+        else:
+            read = f"{rng.choice(('ang-rate', 'mode'))} @t ({flat_time_term(rng, 2)})"
+            atoms.append(f"({read}) {op} {rng.choice(('0', '3', '20.5', '21.1'))}")
+    window = f"[{rng.choice(('0', '0.5', '1'))}, {rng.choice(('2', '3.7', '5'))}]"
+    junction = rng.choice(("and", "or"))
+    return f"{rng.choice(('exists', 'forall'))} τ0 in {window} such that ({atoms[0]}) {junction} ({atoms[1]})"
+
+
+def test_both_index_maps_decide_flat_time_terms_alike(fig_trace):
+    # τ0 - τ0 + 1 mentions τ0 but is one number on the whole window, and so
+    # is t2i of it under either index map: no property may be sat under one
+    # map and unsat under the other
+    grid = apply_a2(fig_trace, PreprocessConfig())
+    rng, clashes = Random(28), []
+    for _ in range(400):
+        text = flat_time_property(rng)
+        f = parse(text, signature=grid.signals)
+        answers = {run_script(translate(grid, f, mode=mode, negate=False).text)[0]
+                   for mode in ("fixed", "variable")}
+        if answers == {"sat", "unsat"}:
+            clashes.append(text)
+    assert clashes == []
+
+
+# a[0..3] are pinned, a[4] and beyond are not
+GRID_PINS = "".join(f"(assert (= (select a {j}) {x}))\n" for j, x in enumerate(("0.25", "1.5", "(- 0.5)", "2.0")))
+GRID_NUMERALS = ("0", "1", "0.5", "0.25", "1.5", "2")
+
+
+def fragment_term(rng, depth, names):
+    """A random term over v, the let names in `names` and the array a."""
+    r = rng.random()
+    if depth <= 0 or r < 0.3:
+        return rng.choice(("v", "v", "(- v v)", "(* 0 v)", *names, *GRID_NUMERALS))
+    sub = lambda: fragment_term(rng, depth - 1, names)  # noqa: E731
+    if r < 0.45:
+        return f"({rng.choice('+-*/')} {sub()} {sub()})"
+    if r < 0.55:
+        return f"(to_int {sub()})"
+    if r < 0.75:
+        index = rng.choice(("(to_int v)", str(rng.randint(0, 4)), f"(to_int {sub()})",
+                            f"(to_int (+ (* 0 v) {rng.randint(0, 4)}))"))
+        return f"(select a {index})"
+    if r < 0.9:
+        return f"(ite {fragment_formula(rng, 0, names)} {sub()} {sub()})"
+    name = f"x{len(names)}"
+    return f"(let (({name} {sub()})) {fragment_term(rng, depth - 1, names + (name,))})"
+
+
+def fragment_formula(rng, depth, names):
+    """A random formula of `fragment_term` relations; each has a second
+    side that is often v or a numeral, so that it crosses v."""
+    r = rng.random()
+    if depth <= 0 or r < 0.3:
+        sides = [fragment_term(rng, 2, names),
+                 rng.choice(("v", rng.choice(GRID_NUMERALS), fragment_term(rng, 2, names)))]
+        rng.shuffle(sides)
+        return f"({rng.choice(('<', '<=', '=', '>=', '>'))} {sides[0]} {sides[1]})"
+    if r < 0.9:
+        junction = rng.choice(("and", "and", "or"))
+        return f"({junction} {fragment_formula(rng, depth - 1, names)} {fragment_formula(rng, depth - 1, names)})"
+    return f"(not {fragment_formula(rng, depth - 1, names)})"
+
+
+def test_no_grid_point_satisfies_a_body_the_analysis_calls_unsat():
+    # an unsat answer says the body is false or unknown at every point of
+    # the window; each point k/96 is checked by an Int quantifier over k with
+    # v written as k/96, which evaluates the body there exactly and without
+    # the real-quantifier analysis
+    rng, wrong = Random(28), []
+    for _ in range(2000):
+        hi, body = rng.choice((1, 2)), fragment_formula(rng, 2, ())
+        head = f"(declare-const a (Array Int Real))\n{GRID_PINS}"
+        script = f"{head}(assert (exists ((v Real)) (and (and (<= 0 v) (<= v {hi})) {body})))\n(check-sat)\n"
+        if status(script) != "unsat":
+            continue
+        at_k = re.sub(r"\bv\b", "(/ k 96)", body)
+        points = f"{head}(assert (exists ((k Int)) (and (and (<= 0 k) (<= k {96 * hi})) {at_k})))\n(check-sat)\n"
+        if status(points) == "sat":
+            wrong.append(body)
+    assert wrong == []
 
 
 class TestCommands:
@@ -1345,8 +1479,8 @@ def test_fixed_rate_i2t_agrees_with_the_timestamp_array(sr, t0):
 
 
 def test_settle_reads_i2t_through_to_real():
-    # the time window's read is affine in τ0 only while to_real of the
-    # bound σ0 classifies as ground; else the real quantifier is unknown
+    # the time window's read is linear in τ0 only while to_real of the
+    # bound σ0 classifies with slope 0; else the real quantifier is unknown
     text = settle_script(200)
     assert "(to_real " in text
     assert run_script(text) == ["unsat"]
