@@ -135,10 +135,10 @@ def stage(tag: str, *errors: Type[Exception], path: Union[str, Path, None] = Non
 
 
 def read_text(path: Union[str, Path]) -> str:
-    """The whole input file at `path`, decoded strictly as UTF-8.  Every
-    input file is read here."""
+    """The whole input file at `path`, decoded strictly as UTF-8, without a
+    leading byte-order mark.  Every input file is read here."""
     with stage("io-error", path=path):
-        return Path(path).read_bytes().decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
 
 
 def write_text(path: Path, text: str) -> int:

@@ -7,23 +7,24 @@ quantifiers bind real variables.
 
 Grammar sketch (quantifier bodies are greedy, extending as far as possible):
 
-    formula  := or_f ('implies' formula)?          # right-associative
-    or_f     := and_f ('or' and_f)*
-    and_f    := unary ('and' unary)*
+    formula  := disj ('implies' formula)?          # right-associative
+    disj     := conj ('or' conj)*
+    conj     := unary ('and' unary)*
     unary    := 'not' unary | quantifier | atom
     quantifier := ('exists'|'forall') VAR ('in' interval)? 'such' 'that' formula
     atom     := relation | '(' formula ')'
-    relation := term ('<'|'<='|'='|'!='|'>='|'>') term
-    term     := product (('+'|'-') product)*
+    relation := sum ('<'|'<='|'='|'!='|'>='|'>') sum
+    sum      := product (('+'|'-') product)*
     product  := primary ('*' primary)*
-    primary  := NUMBER | '-' NUMBER | 'i2t' '(' term ')' | 't2i' '(' term ')'
-              | SIGNAL ('@i'|'@t') primary | VAR | '(' term ')'
+    primary  := NUMBER | '-' NUMBER | 'i2t' '(' sum ')' | 't2i' '(' sum ')'
+              | SIGNAL ('@i'|'@t') primary | VAR | '(' sum ')'
     interval := ('['|'(') bound ',' bound (']'|')')
 
-Precedence: not > and > or > implies; relations bind tighter than boolean
-connectives.  Identifiers may contain '-' when the next character is a
-letter or underscore (so `ang-rate` is one name and `a - b` needs spaces),
-and Greek letters are fine (σ0, τ0, ρ0).
+`disj`/`conj` and `sum`/`product` are the levels of one chain rule,
+`_Parser.chain`.  Precedence: not > and > or > implies; relations bind
+tighter than boolean connectives.  Identifiers may contain '-' when the next
+character is a letter or underscore (so `ang-rate` is one name and `a - b`
+needs spaces), and Greek letters are fine (σ0, τ0, ρ0).
 
 Variable sorts are inferred from use; the name prefixes tau/τ, sigma/σ and
 rho/ρ break ties when use alone does not decide.
@@ -32,6 +33,8 @@ The AST is frozen dataclasses.  `children` is the one place that lists a
 node's subterms and subformulas, so a walker that only needs to reach every
 node goes through it.  The conversions and signal reads (`ONE_ARG`) keep
 their single argument in `arg`, whose sort is the class attribute `arg_sort`.
+Every parsed node carries `pos`, the offset of its first character in the
+text, which errors turn into a line and column; equality ignores it.
 """
 
 from __future__ import annotations
@@ -61,10 +64,10 @@ class Sort(enum.Enum):
     VALUE = "value"
 
 
-Span = Tuple[int, int]
+_INTEGER_RE = re.compile(r"-?[0-9]+")
 
 
-def _span_field():
+def _pos_field():
     return field(default=None, compare=False, repr=False, kw_only=True)
 
 
@@ -76,7 +79,7 @@ def _span_field():
 class Var:
     name: str
     sort: Optional[Sort] = None
-    span: Optional[Span] = _span_field()
+    pos: Optional[int] = _pos_field()
 
 
 @dataclass(frozen=True)
@@ -84,20 +87,20 @@ class Lit:
     value: Fraction
     sort: Optional[Sort] = None
     text: Optional[str] = field(default=None, compare=False, repr=False)
-    span: Optional[Span] = _span_field()
+    pos: Optional[int] = _pos_field()
 
     @property
     def integral_text(self) -> bool:
-        """True when the literal was written as a plain natural number."""
+        """True when the literal was written as an integer: an optional '-' and digits."""
         if self.text is None:
             return self.value.denominator == 1
-        return bool(re.fullmatch(r"[0-9]+", self.text))
+        return bool(_INTEGER_RE.fullmatch(self.text))
 
 
 @dataclass(frozen=True)
 class I2T:
     arg: "Term"
-    span: Optional[Span] = _span_field()
+    pos: Optional[int] = _pos_field()
 
     sort = Sort.TIME
     arg_sort = Sort.INDEX
@@ -106,7 +109,7 @@ class I2T:
 @dataclass(frozen=True)
 class T2I:
     arg: "Term"
-    span: Optional[Span] = _span_field()
+    pos: Optional[int] = _pos_field()
 
     sort = Sort.INDEX
     arg_sort = Sort.TIME
@@ -116,7 +119,7 @@ class T2I:
 class AtIndex:
     signal: str
     arg: "Term"
-    span: Optional[Span] = _span_field()
+    pos: Optional[int] = _pos_field()
 
     sort = Sort.VALUE
     arg_sort = Sort.INDEX
@@ -126,7 +129,7 @@ class AtIndex:
 class AtTime:
     signal: str
     arg: "Term"
-    span: Optional[Span] = _span_field()
+    pos: Optional[int] = _pos_field()
 
     sort = Sort.VALUE
     arg_sort = Sort.TIME
@@ -138,7 +141,7 @@ class Arith:
     left: "Term"
     right: "Term"
     sort: Optional[Sort] = None
-    span: Optional[Span] = _span_field()
+    pos: Optional[int] = _pos_field()
 
 
 Term = Union[Var, Lit, I2T, T2I, AtIndex, AtTime, Arith]
@@ -157,12 +160,12 @@ class Interval:
     sort: Optional[Sort] = None
     lo_text: Optional[str] = field(default=None, compare=False, repr=False)
     hi_text: Optional[str] = field(default=None, compare=False, repr=False)
-    span: Optional[Span] = _span_field()
+    pos: Optional[int] = _pos_field()
 
     @property
     def decimal_texts(self) -> bool:
         return any(
-            t is not None and not re.fullmatch(r"-?[0-9]+", t)
+            t is not None and not _INTEGER_RE.fullmatch(t)
             for t in (self.lo_text, self.hi_text)
         )
 
@@ -193,34 +196,34 @@ class Rel:
     op: str
     left: Term
     right: Term
-    span: Optional[Span] = _span_field()
+    pos: Optional[int] = _pos_field()
 
 
 @dataclass(frozen=True)
 class Not:
     sub: "Formula"
-    span: Optional[Span] = _span_field()
+    pos: Optional[int] = _pos_field()
 
 
 @dataclass(frozen=True)
 class And:
     left: "Formula"
     right: "Formula"
-    span: Optional[Span] = _span_field()
+    pos: Optional[int] = _pos_field()
 
 
 @dataclass(frozen=True)
 class Or:
     left: "Formula"
     right: "Formula"
-    span: Optional[Span] = _span_field()
+    pos: Optional[int] = _pos_field()
 
 
 @dataclass(frozen=True)
 class Implies:
     left: "Formula"
     right: "Formula"
-    span: Optional[Span] = _span_field()
+    pos: Optional[int] = _pos_field()
 
 
 @dataclass(frozen=True)
@@ -229,7 +232,7 @@ class Exists:
     var_sort: Optional[Sort]
     interval: Optional[Interval]  # None exactly for real quantifiers
     body: "Formula"
-    span: Optional[Span] = _span_field()
+    pos: Optional[int] = _pos_field()
 
 
 @dataclass(frozen=True)
@@ -238,7 +241,7 @@ class Forall:
     var_sort: Optional[Sort]
     interval: Optional[Interval]
     body: "Formula"
-    span: Optional[Span] = _span_field()
+    pos: Optional[int] = _pos_field()
 
 
 Formula = Union[Rel, Not, And, Or, Implies, Exists, Forall]
@@ -379,6 +382,12 @@ class _Fail(Exception):
     """Internal backtracking signal; never escapes parse()."""
 
 
+# The operator levels of `_Parser.chain`, loosest first.
+_FORMULA_LEVELS = (("or",), ("and",))
+_TERM_LEVELS = (("+", "-"), ("*",))
+_CONNECTIVES = {"or": Or, "and": And}  # any other chain operator is an Arith
+
+
 class _Parser:
     def __init__(self, text: str, signature: FrozenSet[str]):
         self.text = text
@@ -391,11 +400,8 @@ class _Parser:
 
     # --- token plumbing ---
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
     def fail(self, expected: str):
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok.pos > self.furthest:
             self.furthest = tok.pos
             self.expected = {expected}
@@ -403,33 +409,25 @@ class _Parser:
             self.expected.add(expected)
         raise _Fail()
 
-    def take_punct(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == text:
+    def take(self, texts: Tuple[str, ...]) -> Optional[Token]:
+        """The next token, consumed, if its text is one of `texts`; else None.
+        The text alone decides: a keyword is an identifier that `take_ident`
+        refuses, and no identifier or number spells a punctuation mark."""
+        tok = self.toks[self.pos]
+        if tok.text in texts:
             self.pos += 1
             return tok
-        self.fail(f"'{text}'")
-
-    def take_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == word:
-            self.pos += 1
-            return tok
-        self.fail(f"'{word}'")
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
+        return None
 
     def take_ident(self) -> Token:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok.kind == "ident" and tok.text not in KEYWORDS:
             self.pos += 1
             return tok
         self.fail("identifier")
 
     def take_number(self) -> Token:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok.kind == "number":
             self.pos += 1
             return tok
@@ -441,7 +439,7 @@ class _Parser:
         `self.depth -= frames`, or `atom` restores the depth when it backtracks."""
         self.depth += frames
         if self.depth > MAX_NESTING:
-            line, col = _line_col(self.text, self.peek().pos)
+            line, col = _line_col(self.text, self.toks[self.pos].pos)
             raise ParseError("property nests too deeply", line, col)
 
     def error_out(self):
@@ -449,104 +447,79 @@ class _Parser:
         wanted = ", ".join(sorted(self.expected)) or "valid input"
         raise ParseError(f"syntax error: expected {wanted}", line, col)
 
+    def chain(self, levels: Tuple[Tuple[str, ...], ...], operand):
+        """A left-associative chain of the operators `levels[0]` between
+        chains of the tighter levels, and between `operand`s below the last.
+        Each level costs one stack frame, as a rule of its own would."""
+        ops, tighter = levels[0], levels[1:]
+        node = self.chain(tighter, operand) if tighter else operand()
+        while tok := self.take(ops):
+            right = self.chain(tighter, operand) if tighter else operand()
+            cls = _CONNECTIVES.get(tok.text)
+            node = (cls(node, right, pos=node.pos) if cls
+                    else Arith(tok.text, node, right, pos=node.pos))
+        return node
+
     # --- formulas ---
 
     def formula(self) -> Formula:
-        left = self.or_f()
-        if self.at_keyword("implies"):
-            self.pos += 1
-            self.descend(1)
-            right = self.formula()
-            self.depth -= 1
-            return Implies(left, right, span=(span_start(left), span_end(right)))
-        return left
-
-    def or_f(self) -> Formula:
-        node = self.and_f()
-        while self.at_keyword("or"):
-            self.pos += 1
-            right = self.and_f()
-            node = Or(node, right, span=(span_start(node), span_end(right)))
-        return node
-
-    def and_f(self) -> Formula:
-        node = self.unary()
-        while self.at_keyword("and"):
-            self.pos += 1
-            right = self.unary()
-            node = And(node, right, span=(span_start(node), span_end(right)))
-        return node
+        left = self.chain(_FORMULA_LEVELS, self.unary)
+        if not self.take(("implies",)):
+            return left
+        self.descend(1)
+        right = self.formula()
+        self.depth -= 1
+        return Implies(left, right, pos=left.pos)
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if self.at_keyword("not"):
-            self.pos += 1
+        if tok := self.take(("not",)):
             self.descend(1)
             sub = self.unary()
             self.depth -= 1
-            return Not(sub, span=(tok.pos, span_end(sub)))
-        if self.at_keyword("exists") or self.at_keyword("forall"):
+            return Not(sub, pos=tok.pos)
+        if self.toks[self.pos].text in ("exists", "forall"):
             return self.quantifier()
         return self.atom()
 
     def quantifier(self) -> Formula:
-        tok = self.peek()
-        kind = tok.text
-        self.pos += 1
+        tok = self.take(("exists", "forall"))
         var = self.take_ident()
         if var.text in self.signature:
             line, col = _line_col(self.text, var.pos)
             raise ParseError(f"quantified variable {quoted(var.text)} shadows a signal", line, col)
-        interval = None
-        if self.at_keyword("in"):
-            self.pos += 1
-            interval = self.interval()
-        self.take_keyword("such")
-        self.take_keyword("that")
+        interval = self.interval() if self.take(("in",)) else None
+        self.take(("such",)) or self.fail("'such'")
+        self.take(("that",)) or self.fail("'that'")
         self.descend(5)
         body = self.formula()
         self.depth -= 5
-        cls = Exists if kind == "exists" else Forall
-        return cls(var.text, None, interval, body, span=(tok.pos, span_end(body)))
+        cls = Exists if tok.text == "exists" else Forall
+        return cls(var.text, None, interval, body, pos=tok.pos)
 
     def interval(self) -> Interval:
-        open_tok = self.peek()
-        if open_tok.kind == "punct" and open_tok.text in ("[", "("):
-            self.pos += 1
-        else:
-            self.fail("'[' or '('")
+        open_tok = self.take(("[", "(")) or self.fail("'[' or '('")
         lo = self.signed_number()
-        self.take_punct(",")
+        self.take((",",)) or self.fail("','")
         hi = self.signed_number()
-        close = self.peek()
-        if close.kind == "punct" and close.text in ("]", ")"):
-            self.pos += 1
-        else:
-            self.fail("']' or ')'")
+        close = self.take(("]", ")")) or self.fail("']' or ')'")
         if lo.value > hi.value:
             line, col = _line_col(self.text, open_tok.pos)
             raise ParseError(f"interval lower bound exceeds upper bound", line, col)
         return Interval(
             lo.value, open_tok.text == "(", hi.value, close.text == ")",
-            lo_text=lo.text, hi_text=hi.text,
-            span=(open_tok.pos, close.pos + 1),
+            lo_text=lo.text, hi_text=hi.text, pos=open_tok.pos,
         )
 
     def signed_number(self) -> Lit:
         """An optional '-' and a number, as an unsorted literal."""
-        tok = self.peek()
-        sign = ""
-        if tok.kind == "punct" and tok.text == "-":
-            self.pos += 1
-            sign = "-"
-        num = self.take_number()
-        text = sign + num.text
+        tok = self.toks[self.pos]
+        text = ("-" if self.take(("-",)) else "") + self.take_number().text
         try:
             value = parse_rational(text)
         except ValueError as exc:
             line, col = _line_col(self.text, tok.pos)
             raise ParseError(str(exc), line, col) from None
-        return Lit(value, text=text, span=(tok.pos, num.pos + len(num.text)))
+        return Lit(value, text=text, pos=tok.pos)
 
     def atom(self) -> Formula:
         save = self.pos, self.depth
@@ -554,90 +527,47 @@ class _Parser:
             return self.relation()
         except _Fail:
             self.pos, self.depth = save
-        self.take_punct("(")
+        self.take(("(",)) or self.fail("'('")
         self.descend(5)
         node = self.formula()
-        self.take_punct(")")
+        self.take((")",)) or self.fail("')'")
         self.depth -= 5
         return node
 
     def relation(self) -> Formula:
-        left = self.term()
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text in RELOPS:
-            self.pos += 1
-        else:
-            self.fail("relational operator")
-        right = self.term()
-        return Rel(tok.text, left, right, span=(span_start(left), span_end(right)))
+        left = self.chain(_TERM_LEVELS, self.primary)
+        op = self.take(RELOPS) or self.fail("relational operator")
+        right = self.chain(_TERM_LEVELS, self.primary)
+        return Rel(op.text, left, right, pos=left.pos)
 
     # --- terms ---
 
-    def term(self) -> Term:
-        node = self.product()
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text in ("+", "-"):
-                self.pos += 1
-                right = self.product()
-                node = Arith(tok.text, node, right,
-                             span=(span_start(node), span_end(right)))
-            else:
-                return node
-
-    def product(self) -> Term:
-        node = self.primary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text == "*":
-                self.pos += 1
-                right = self.primary()
-                node = Arith("*", node, right,
-                             span=(span_start(node), span_end(right)))
-            else:
-                return node
-
     def primary(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "number" or (tok.kind == "punct" and tok.text == "-"):
+        tok = self.toks[self.pos]
+        if tok.kind == "number" or tok.text == "-":
             return self.signed_number()
-        if tok.kind == "punct" and tok.text == "(":
-            self.pos += 1
-            self.descend(3)
-            node = self.term()
-            self.take_punct(")")
-            self.depth -= 3
-            return node
-        if tok.kind == "ident" and tok.text in ("i2t", "t2i"):
-            self.pos += 1
-            self.take_punct("(")
-            self.descend(3)
-            arg = self.term()
-            close = self.take_punct(")")
-            self.depth -= 3
-            cls = I2T if tok.text == "i2t" else T2I
-            return cls(arg, span=(tok.pos, close.pos + 1))
         if tok.kind == "ident" and tok.text not in KEYWORDS:
             self.pos += 1
-            nxt = self.peek()
-            if nxt.kind == "punct" and nxt.text in ("@i", "@t"):
-                self.pos += 1
+            if at := self.take(("@i", "@t")):
                 self.descend(1)
                 operand = self.primary()
                 self.depth -= 1
-                cls = AtIndex if nxt.text == "@i" else AtTime
-                return cls(tok.text, operand,
-                           span=(tok.pos, span_end(operand)))
-            return Var(tok.text, span=(tok.pos, tok.pos + len(tok.text)))
+                return (AtIndex if at.text == "@i" else AtTime)(tok.text, operand, pos=tok.pos)
+            return Var(tok.text, pos=tok.pos)
+        if self.take(("(",)):
+            self.descend(3)
+            node = self.chain(_TERM_LEVELS, self.primary)
+            self.take((")",)) or self.fail("')'")
+            self.depth -= 3
+            return node
+        if self.take(("i2t", "t2i")):
+            self.take(("(",)) or self.fail("'('")
+            self.descend(3)
+            arg = self.chain(_TERM_LEVELS, self.primary)
+            self.take((")",)) or self.fail("')'")
+            self.depth -= 3
+            return (I2T if tok.text == "i2t" else T2I)(arg, pos=tok.pos)
         self.fail("term")
-
-
-def span_start(node) -> int:
-    return node.span[0]
-
-
-def span_end(node) -> int:
-    return node.span[1]
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +613,7 @@ class _Checker:
         self.quant_sort: Dict[int, Sort] = {}  # id(quantifier node) -> sort
 
     def err(self, message: str, node) -> ParseError:
-        line, col = _line_col(self.text, span_start(node))
+        line, col = _line_col(self.text, node.pos)
         return ParseError(message, line, col)
 
     def bind(self, name: str, node) -> _Cell:
@@ -846,17 +776,17 @@ def parse(text: str, signature: Iterable[str] = ()) -> Formula:
     parser = _Parser(text, sig)
     try:
         ast = parser.formula()
-        if parser.peek().kind != "eof":
+        if parser.toks[parser.pos].kind != "eof":
             parser.fail("end of input")
         deepest, node = _deepest(ast)
         if deepest > MAX_NESTING:
-            line, col = _line_col(text, span_start(node))
+            line, col = _line_col(text, node.pos)
             raise ParseError("property nests too deeply", line, col)
         return _Checker(text, sig).run(ast)
     except _Fail:
         parser.error_out()
     except RecursionError:  # only a caller already deep in its own stack gets here
-        line, col = _line_col(text, parser.peek().pos)
+        line, col = _line_col(text, parser.toks[parser.pos].pos)
         raise ParseError("property nests too deeply", line, col) from None
 
 

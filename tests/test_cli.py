@@ -46,6 +46,23 @@ class TestValidate:
         assert run("validate", p) == 0
         assert "signature (declared): spd" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "exists σ0 in [1, 6] such that (mode @i (σ0 + -1)) = 0",
+            "exists σ0 in [0, 6] such that σ0 = -1",
+            "exists σ0 in [0, 1] such that (mode @i (-1 * σ0 + 5)) = 3",
+        ],
+    )
+    def test_negative_index_literals_round_trip(self, workdir, capsys, text):
+        printed = []
+        for k in range(2):
+            (workdir / f"{k}.prop").write_text((printed[-1] if printed else text) + "\n")
+            assert run("validate", workdir / f"{k}.prop", "--trace", workdir / "fig1.csv") == 0
+            printed.append(capsys.readouterr().out.splitlines()[-1])
+        assert printed[0] == printed[1]
+        assert "-1" in printed[0]
+
     def test_parse_error_exits_4(self, workdir, capsys):
         p = workdir / "broken.prop"
         p.write_text("exists tau0 in\n")
@@ -88,7 +105,7 @@ class TestTranslate:
         out = capsys.readouterr().out
         assert code == 0
         path = out.splitlines()[-1]
-        text = open(path).read()
+        text = Path(path).read_text()
         assert "(set-logic AUFLIRA)" in text
         assert text.rstrip().endswith("(get-model)")
 
@@ -402,6 +419,7 @@ def write_hostile_inputs(d):
     (d / "latin.prop").write_bytes(b"(mode @i 0) > " + b"0" * 100_000 + b"\xff\n")
     (d / "latin.cfg").write_bytes(b"default = linear\n# caf\xe9\n")
     (d / "latin_m.csv").write_bytes(b"id,trace,property,strategy,config\ne\xff,fig1.csv,r1.prop,,\n")
+    (d / "bom.prop").write_bytes(b"\xef\xbb\xbf(mode @i 0) > 0\xff\n")  # offsets count the mark
     (d / "wide.csv").write_text("timestamp,x\n0," + "9" * 200_000 + "\n")
     (d / "wide_m.csv").write_text(
         "id,trace,property,strategy,config\n" + "e" * 200_000 + ",fig1.csv,r1.prop,,\n"
@@ -417,11 +435,40 @@ HOSTILE_ERRORS = [
     ("check fig1.csv latin.prop", "io-error: latin.prop: not UTF-8 (byte 100014)"),
     ("check fig1.csv r1.prop --config latin.cfg", "io-error: latin.cfg: not UTF-8 (byte 22)"),
     ("batch latin_m.csv", "io-error: latin_m.csv: not UTF-8 (byte 35)"),
+    ("validate bom.prop", "io-error: bom.prop: not UTF-8 (byte 18)"),
     ("check wide.csv r1.prop", "trace-format: wide.csv: line 2: field larger than field limit (131072)"),
     ("batch wide_m.csv", "manifest: wide_m.csv: field larger than field limit (131072)"),
     ("check fig1.csv ident.prop", f"property-parse: ident.prop: unknown signal {'x' * 40!r}... (line 1, column 2)"),
     ("check fig1.csv r1.prop --config long.cfg", f"config: long.cfg: strategy must be A1 or A2, got {'A' * 40!r}..."),
 ]
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark before the text of an input file changes nothing."""
+
+    @pytest.mark.parametrize(
+        "marked, line",
+        [
+            ("fig1.csv", "check fig1.csv r1.prop --oracle --config a1.cfg"),
+            ("r1.prop", "validate r1.prop --trace fig1.csv"),
+            ("a1.cfg", "check fig1.csv r1.prop --oracle --config a1.cfg"),
+            ("m.csv", "batch m.csv --oracle"),
+        ],
+    )
+    def test_gives_the_result_without_it(self, workdir, capsys, monkeypatch, marked, line):
+        (workdir / "a1.cfg").write_text("strategy = A1\n")
+        (workdir / "m.csv").write_text("id,trace,property,strategy,config\ne1,fig1.csv,r1.prop,,a1.cfg\n")
+        argv = shlex.split(line) + ([] if line.startswith("validate") else ["--out", "o"])
+        monkeypatch.chdir(workdir)
+        results = []
+        for _ in range(2):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            results.append((code, re.sub(r"[0-9.]+s\b", "", out), err))  # without timings
+            path = workdir / marked
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert results[1] == results[0]
+        assert results[0][0] == 0 and results[0][2] == ""
 
 
 class TestHostileInputFiles:
@@ -486,9 +533,13 @@ class TestLongConjunctionsInAFreshProcess:
 
 ATOM = "(mode @i 0) >= 0"  # nests 4 deep to the parser (parenthesis 3, read 1), 3 in the tree
 QUANTIFIERS_AT_THE_BOUND = (MAX_NESTING - 4) // 5
-# The longest `and` chain, `not` chain and quantifier nest MAX_NESTING
-# admits, and each one longer: an `and` adds 1 in the tree, a `not` 1 and a
-# quantifier 5 to both counts.
+TERM_PARENTHESES_AT_THE_BOUND = MAX_NESTING // 3
+CONVERSION_PAIRS_AT_THE_BOUND = (MAX_NESTING - 3) // 6
+# The longest `and` chain, `not` chain, quantifier nest, parenthesis nest in
+# a term and t2i(i2t(...)) nest MAX_NESTING admits, and each one longer: an
+# `and` adds 1 in the tree, a `not` 1 and a quantifier 5 to both counts, a
+# parenthesis in a term 3 to the parser's count only, and a conversion 3 to
+# both (the relation, the read and the literal inside add 3 in the tree).
 NESTS = {
     f"{n} ands": " and ".join([ATOM] * n) for n in (MAX_NESTING - 2, MAX_NESTING - 1)
 } | {
@@ -496,6 +547,12 @@ NESTS = {
 } | {
     f"{n} quantifiers": "".join(f"exists σ{k} in [0, 0] such that " for k in range(n)) + ATOM
     for n in (QUANTIFIERS_AT_THE_BOUND, QUANTIFIERS_AT_THE_BOUND + 1)
+} | {
+    f"{n} term parentheses": "(mode @i 0) >= " + "(" * n + "0" + ")" * n
+    for n in (TERM_PARENTHESES_AT_THE_BOUND, TERM_PARENTHESES_AT_THE_BOUND + 1)
+} | {
+    f"{n} conversion pairs": "(mode @i " + "t2i(i2t(" * n + "0" + "))" * n + ") >= 0"
+    for n in (CONVERSION_PAIRS_AT_THE_BOUND, CONVERSION_PAIRS_AT_THE_BOUND + 1)
 }
 
 

@@ -262,6 +262,22 @@ class TestCheckPair:
         row = check_pair(workdir / "fig1.csv", workdir / "p.prop", options, workdir / "p.smt2")
         assert row.verdict == "satisfied"
 
+    @pytest.mark.parametrize(
+        "text, verdict",
+        [
+            ("exists σ0 in [1, 6] such that (mode @i (σ0 + -1)) = 0", "satisfied"),
+            ("exists σ0 in [0, 6] such that σ0 = -1", "violated"),
+            ("exists σ0 in [0, 1] such that (mode @i (-1 * σ0 + 5)) = 3", "satisfied"),
+        ],
+    )
+    def test_negative_integer_literals_in_index_terms(self, workdir, text, verdict):
+        # -1 is an integer, so an index term may hold it as it holds σ0 - 1
+        (workdir / "p.prop").write_text(text + "\n")
+        options = CheckOptions(preprocess=PreprocessConfig(strategy="A1"), oracle=True)
+        row = check_pair(workdir / "fig1.csv", workdir / "p.prop", options, workdir / "p.smt2")
+        assert (row.verdict, row.oracle_verdict) == (verdict, verdict)
+        assert "(- 1)" in (workdir / "p.smt2").read_text()  # an Int, as smt_int writes it
+
     def test_disagreement_is_cross_check_error(self, workdir, monkeypatch):
         import tracecheck.pipeline as pl
 

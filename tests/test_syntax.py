@@ -1,13 +1,16 @@
 """Parser, sort inference and printing."""
 
+import re
 from dataclasses import MISSING, fields
 from fractions import Fraction
+from random import Random
 from typing import get_args, get_type_hints
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import R1_TEXT, SIGMA_EXAMPLE_TEXT
+from genrand import pair
 
 from tracecheck.syntax import (
     And,
@@ -442,6 +445,52 @@ class TestFormat:
         )
         f = parse(text, SIG)
         assert parse(format_formula(f), SIG) == f
+
+
+class TestSeededMutants:
+    """Mutants of the generated property texts and the worked examples: the
+    parser refuses a text only with a ParseError, and what it accepts prints
+    to a text that parses back to an equal tree.  The mutants stay shallow:
+    deep nesting is tested in fresh processes (test_cli), because a test
+    already runs deep in its own stack."""
+
+    SEED = 1
+    CASES = 5000
+    CHARS = "()[],-+*<>=@ x0.5στ"
+    TOKEN = re.compile(r"\s+|[()\[\],+*<>=!@-]+|[^\s()\[\],+*<>=!@-]+")
+    SIGNALS = frozenset({"x", "y", "ang-rate", "mode"})
+
+    def mutant(self, rng, texts):
+        text = rng.choice(texts)
+        toks = self.TOKEN.findall(text)
+        k = rng.randrange(len(toks))
+        a = rng.randrange(len(text) + 1)
+        b = rng.randrange(a, len(text) + 1)
+        kind = rng.randrange(5)
+        if kind == 0:  # drop a token
+            return "".join(toks[:k] + toks[k + 1:])
+        if kind == 1:  # duplicate a token
+            return "".join(toks[:k + 1] + toks[k:])
+        if kind == 2:  # splice two texts
+            other = rng.choice(texts)
+            return text[:a] + other[rng.randrange(len(other) + 1):]
+        if kind == 3:  # swap a character
+            return text[:a] + rng.choice(self.CHARS) + text[a + 1:]
+        return f"{text[:a]}({text[a:b]}){text[b:]}"  # add parentheses
+
+    def test_refusals_are_parse_errors_and_acceptances_round_trip(self):
+        texts = [R1_TEXT, SIGMA_EXAMPLE_TEXT] + [pair(seed)[2] for seed in range(500)]
+        rng = Random(self.SEED)
+        accepted = 0
+        for _ in range(self.CASES):
+            text = self.mutant(rng, texts)
+            try:
+                f = parse(text, self.SIGNALS)
+            except ParseError:
+                continue
+            assert parse(format_formula(f), self.SIGNALS) == f, text
+            accepted += 1
+        assert accepted > self.CASES // 10  # the mutants are not all refused
 
 
 class TestPropertyFiles:
