@@ -539,7 +539,7 @@ CONVERSION_PAIRS_AT_THE_BOUND = (MAX_NESTING - 3) // 6
 # a term and t2i(i2t(...)) nest MAX_NESTING admits, and each one longer: an
 # `and` adds 1 in the tree, a `not` 1 and a quantifier 5 to both counts, a
 # parenthesis in a term 3 to the parser's count only, and a conversion 3 to
-# both (the relation, the read and the literal inside add 3 in the tree).
+# both; the tree's count, 1 more each for the relation, read and literal, binds.
 NESTS = {
     f"{n} ands": " and ".join([ATOM] * n) for n in (MAX_NESTING - 2, MAX_NESTING - 1)
 } | {
